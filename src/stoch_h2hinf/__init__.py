@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 from .model import (
     AlgoConfig,
     AttenuationInfeasibleError,
+    ConfigError,
     ConvergenceError,
     CostSpec,
     DivergenceError,
@@ -55,6 +56,7 @@ from .sim import (
 )
 from .qlearn import (
     DataBatch,
+    Iterate,
     ProbingSchedule,
     QLearnReport,
     SystemOracle,

@@ -21,6 +21,7 @@ from .gare import solve_coupled_gare
 from .model import (
     AlgoConfig,
     AttenuationInfeasibleError,
+    ConfigError,
     ConvergenceError,
     CostSpec,
     DivergenceError,
@@ -31,7 +32,6 @@ from .model import (
     validate_system,
 )
 from .qlearn import (
-    QLearnReport,
     SystemOracle,
     run_q_learning,
     run_value_iteration,
@@ -42,10 +42,6 @@ from .sim import NoiseSource, simulate_closed_loop
 SEED_ENV = "STOCH_H2HINF_SEED"
 
 _COMMANDS = ("solve", "vi", "qlearn", "simulate", "bench-f16")
-
-
-class ConfigError(ValueError):
-    """Bad or inconsistent experiment configuration."""
 
 
 @dataclass
@@ -127,7 +123,13 @@ def _load_matrix(path, name):
 def build_system(cfg):
     """Materialize (system, cost) from the config."""
     if cfg.system == "f16":
-        return f16_system()
+        sys_, cost = f16_system()
+        if cfg.gamma != cost.gamma:
+            raise ConfigError(
+                f"system f16 fixes gamma = {cost.gamma:g}; --gamma {cfg.gamma:g} "
+                "applies to system=custom only"
+            )
+        return sys_, cost
     if cfg.system != "custom":
         raise ConfigError(f"system must be f16 or custom, got {cfg.system!r}")
     mats = {name: _load_matrix(getattr(cfg, name), name.upper())
@@ -145,41 +147,6 @@ def build_system(cfg):
     if not report.ok:
         raise ConfigError("; ".join(report.violations))
     return sys_, cost
-
-
-def emit_convergence_report(report, reference, path):
-    """Write the per-iteration CSV; err columns only when a reference is given.
-
-    A reference passed here overrides whatever the run itself was given.
-    """
-    if reference is None:
-        stripped = QLearnReport(
-            report.q, report.gains, report.values,
-            tuple((r[0], r[1], None, None, None, None, r[6]) for r in report.history),
-            report.termination, report.iterations, report.seed,
-            report.svmin_history, report.values_history, report.gains_history,
-            report.final_trajectory,
-        )
-        stripped.to_csv(path)
-        return
-    rvals, rgains = reference
-    rows = []
-    for row, vals, gains in zip(report.history, report.values_history,
-                                report.gains_history):
-        rows.append((
-            row[0], row[1],
-            float(np.linalg.norm(gains.K1 - rgains.K1)),
-            float(np.linalg.norm(gains.K2 - rgains.K2)),
-            float(np.linalg.norm(vals.P1 - rvals.P1)),
-            float(np.linalg.norm(vals.P2 - rvals.P2)),
-            row[6],
-        ))
-    rebuilt = QLearnReport(
-        report.q, report.gains, report.values, tuple(rows), report.termination,
-        report.iterations, report.seed, report.svmin_history,
-        report.values_history, report.gains_history, report.final_trajectory,
-    )
-    rebuilt.to_csv(path)
 
 
 def _write_manifest(cfg, outdir, wall, reason):
@@ -237,8 +204,8 @@ def _cmd_solve(cfg, outdir):
 
 def _cmd_vi(cfg, outdir):
     sys_, cost = build_system(cfg)
-    report = run_value_iteration(sys_, cost, _algo_config(cfg), reference=None)
-    emit_convergence_report(report, _reference_for(cfg), os.path.join(outdir, "convergence.csv"))
+    report = run_value_iteration(sys_, cost, _algo_config(cfg))
+    report.to_csv(os.path.join(outdir, "convergence.csv"), _reference_for(cfg))
     _write_gains_values(outdir, report.gains, report.values)
     print(report.termination)
     return 0, report.termination
@@ -254,7 +221,7 @@ def _cmd_qlearn(cfg, outdir):
         gains0 = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
     oracle = SystemOracle(sys_, NoiseSource(cfg.seed), x0)
     report = run_q_learning(oracle, cost, algo, gains0, x0)
-    emit_convergence_report(report, _reference_for(cfg), os.path.join(outdir, "convergence.csv"))
+    report.to_csv(os.path.join(outdir, "convergence.csv"), _reference_for(cfg))
     _write_gains_values(outdir, report.gains, report.values)
     reason = report.termination
     # trajectory under the learned controller, probe off, from the benchmark x0

@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import (
     AttenuationInfeasibleError,
+    ConfigError,
     ConvergenceError,
     CostSpec,
     GainExtractionError,
@@ -157,16 +158,22 @@ class SolveReport:
     """Fixed-point solve outcome with per-iteration diagnostics.
 
     history rows are (dP1_fro, dP2_fro, res1_fro, res2_fro), one per
-    iteration; residual_norms repeats the final row's residuals recomputed
-    from scratch at the returned (values, gains).
+    iteration; the iteration count and the final residual norms are read
+    from it.
     """
 
     values: ValuePair
     gains: GainPair
-    iterations: int
-    residual_norms: tuple
     history: tuple
     stable: bool
+
+    @property
+    def iterations(self):
+        return len(self.history)
+
+    @property
+    def residual_norms(self):
+        return self.history[-1][2:]
 
     def to_csv(self, path):
         lines = ["iter,dP1_fro,dP2_fro,res1_fro,res2_fro"]
@@ -182,28 +189,28 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     Stops when both Frobenius iterate differences fall below tol; raises
     ConvergenceError(report attached) if max_iters is exhausted first.
     """
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be a positive integer")
     vals = ValuePair.zeros(sys.n)
     gains = GainPair.zeros(sys.n, sys.m1, sys.m2)
     history = []
-    for i in range(1, max_iters + 1):
+    for _ in range(max_iters):
         nxt, gains = qlearn_value_update(sys, cost, vals)
         d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
         d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
         R1, R2 = gare_residuals(sys, cost, nxt, gains)
         history.append((d1, d2, float(np.linalg.norm(R1)), float(np.linalg.norm(R2))))
         vals = nxt
-        if d1 < tol and d2 < tol:
-            res = history[-1][2], history[-1][3]
-            stable = ms_stable(*closed_loop_pair(sys, gains))
-            return SolveReport(vals, gains, i, res, tuple(history), stable)
+        converged = d1 < tol and d2 < tol
+        if converged:
+            break
     report = SolveReport(
-        vals,
-        gains,
-        max_iters,
-        (history[-1][2], history[-1][3]),
-        tuple(history),
-        ms_stable(*closed_loop_pair(sys, gains)),
+        vals, gains, tuple(history), ms_stable(*closed_loop_pair(sys, gains))
     )
+    if converged:
+        return report
     err = ConvergenceError(
         f"no fixed point within {max_iters} iterations (tol={tol:g}); "
         f"last dP=({history[-1][0]:.3e}, {history[-1][1]:.3e})"

@@ -41,6 +41,10 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
 
 
+class ConfigError(ValueError):
+    """Bad or inconsistent run settings; the command line exits 1 on it."""
+
+
 def _as_matrix(a, name):
     m = np.array(a, dtype=float)
     if m.ndim == 1:
@@ -269,23 +273,23 @@ class AlgoConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ConfigError("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be a positive integer")
+            raise ConfigError("max_iters must be a positive integer")
         if self.tuples_per_iter < 1:
-            raise ValueError("tuples_per_iter must be a positive integer")
+            raise ConfigError("tuples_per_iter must be a positive integer")
         if self.branches < 1:
-            raise ValueError("branches must be a positive integer")
+            raise ConfigError("branches must be a positive integer")
         if self.noise_case not in NOISE_CASES:
-            raise ValueError(f"noise_case must be one of {NOISE_CASES}")
+            raise ConfigError(f"noise_case must be one of {NOISE_CASES}")
         if self.expectation_mode not in EXPECTATION_MODES:
-            raise ValueError(f"expectation_mode must be one of {EXPECTATION_MODES}")
+            raise ConfigError(f"expectation_mode must be one of {EXPECTATION_MODES}")
 
     def validate_for(self, p):
         """Batch size must cover the p(p+1)/2 unknowns of a symmetric H."""
         need = p * (p + 1) // 2
         if self.tuples_per_iter < need:
-            raise ValueError(
+            raise ConfigError(
                 f"tuples_per_iter={self.tuples_per_iter} below the "
                 f"{need} unknowns for p={p}"
             )

@@ -38,7 +38,7 @@ from .qfunction import (
     values_from_q,
     vech,
 )
-from .sim import expected_next_quadratic, stage_costs, step
+from .sim import _drift_and_noise, expected_next_quadratic, stage_costs, step
 
 _FUNCS = ("sin", "cos", "sin2", "cos2")
 
@@ -182,8 +182,7 @@ class SystemOracle(TrajectoryOracle):
         omegas = self._noise.branch_draws(self._k, count)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        mu = self._sys.A1 @ self._x + self._sys.B1 @ u + self._sys.C1 @ v
-        s = self._sys.A2 @ self._x + self._sys.C2 @ v
+        mu, s = _drift_and_noise(self._sys, self._x, u, v)
         out = mu[None, :] + omegas[:, None] * s[None, :]
         self._check(out, self._k)
         return out
@@ -340,54 +339,67 @@ def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol,
     return False, None
 
 
+class Iterate(NamedTuple):
+    """One iteration's record: H changes, the extracted pair, the stop flag.
+
+    svmin is the smallest singular value of the regression matrix; None for
+    the VI mirror, which runs no regression.
+    """
+
+    dH1: float
+    dH2: float
+    gains: GainPair
+    values: ValuePair
+    stop: bool
+    svmin: Optional[float] = None
+
+
 @dataclass(frozen=True)
 class QLearnReport:
     """Learning-run record; shaped identically for the VI mirror.
 
-    history rows are (dH1, dH2, errK1, errK2, errP1, errP2, term_flag) with
-    None error entries when no reference was supplied.
+    history holds one Iterate per iteration; the final gains and values and
+    the iteration count are read from it.
     """
 
     q: QPair
-    gains: GainPair
-    values: ValuePair
     history: tuple
     termination: str
-    iterations: int
     seed: Optional[int]
-    svmin_history: tuple
-    values_history: tuple
-    gains_history: tuple
     final_trajectory: Optional[np.ndarray]
 
-    def to_csv(self, path):
+    @property
+    def gains(self):
+        return self.history[-1].gains
+
+    @property
+    def values(self):
+        return self.history[-1].values
+
+    @property
+    def iterations(self):
+        return len(self.history)
+
+    def to_csv(self, path, reference=None):
+        """Per-iteration CSV; with reference = (values, gains) the err columns
+        hold each iterate's Frobenius distance to it, else they are blank."""
+        if reference is not None:
+            rvals, rgains = reference
+            ref = (rgains.K1, rgains.K2, rvals.P1, rvals.P2)
         lines = ["iter,dH1_fro,dH2_fro,errK1,errK2,errP1,errP2,term_flag"]
-        for i, row in enumerate(self.history, start=1):
-            cells = [str(i)]
-            cells += [f"{row[0]:.12g}", f"{row[1]:.12g}"]
-            cells += ["" if x is None else f"{x:.12g}" for x in row[2:6]]
-            cells.append(str(int(row[6])))
+        for i, it in enumerate(self.history, start=1):
+            errs = [""] * 4 if reference is None else [
+                f"{np.linalg.norm(a - b):.12g}" for a, b in
+                zip((it.gains.K1, it.gains.K2, it.values.P1, it.values.P2), ref)
+            ]
+            cells = [str(i), f"{it.dH1:.12g}", f"{it.dH2:.12g}", *errs, str(int(it.stop))]
             lines.append(",".join(cells))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _history_row(dh1, dh2, gains, vals, reference, flag):
-    if reference is None:
-        errs = (None, None, None, None)
-    else:
-        rvals, rgains = reference
-        errs = (
-            float(np.linalg.norm(gains.K1 - rgains.K1)),
-            float(np.linalg.norm(gains.K2 - rgains.K2)),
-            float(np.linalg.norm(vals.P1 - rvals.P1)),
-            float(np.linalg.norm(vals.P2 - rvals.P2)),
-        )
-    return (dh1, dh2) + errs + (flag,)
-
-
 def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
-                   reference=None, stop_variant="q2", final_steps=100):
+                   stop_variant="q2", final_steps=100):
     """Algorithm-style learning loop against a black-box oracle.
 
     On stop (or on an exhausted iteration budget, which is reported rather
@@ -409,9 +421,6 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
     oracle.reset(x0)
     k = 0
     history = []
-    svmins = []
-    vals_hist = []
-    gains_hist = []
     reason = None
     sx, su, sv = block_slices(n, m1, m2)
 
@@ -429,7 +438,6 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
             oracle.apply(u_hat, v_hat)
             k += 1
         X, Y1, Y2, svmin = assemble_regression(batch)
-        svmins.append(svmin)
         q_next = least_squares_h(X, Y1, Y2, (n, m1, m2))
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
@@ -445,11 +453,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
         stop, why = termination(
             q, q_next, gains, gains_next, x0, cost, config.tol, stop_variant
         )
-        history.append(
-            _history_row(dh1, dh2, gains_next, vals_next, reference, stop)
-        )
-        vals_hist.append(vals_next)
-        gains_hist.append(gains_next)
+        history.append(Iterate(dh1, dh2, gains_next, vals_next, stop, svmin))
         q, gains = q_next, gains_next
         if stop:
             reason = f"stopped at iteration {i + 1}: {why}"
@@ -465,17 +469,14 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
             final_states.append(oracle.state)
     except DivergenceError as exc:
         reason += f"; unprobed tail diverged at step {exc.step}"
-    final_traj = np.vstack(final_states)
 
-    vals = values_from_q(q, gains)
     return QLearnReport(
-        q, gains, vals, tuple(history), reason, len(history),
-        getattr(config, "seed", None), tuple(svmins), tuple(vals_hist),
-        tuple(gains_hist), final_traj,
+        q, tuple(history), reason, getattr(config, "seed", None),
+        np.vstack(final_states),
     )
 
 
-def run_value_iteration(sys, cost, config, reference=None):
+def run_value_iteration(sys, cost, config):
     """Model-based mirror of the learning loop, aligned iterate for iterate.
 
     Iteration i records H(i+1) = h_from_values(P(i)) and the updated values,
@@ -486,8 +487,7 @@ def run_value_iteration(sys, cost, config, reference=None):
     vals = ValuePair.zeros(sys.n)
     q = QPair.zeros(sys.n, sys.m1, sys.m2)
     history = []
-    vals_hist = []
-    gains_hist = []
+    reason = f"max_iters {config.max_iters} reached without stop"
     for i in range(config.max_iters):
         q_next = h_from_values(sys, cost, vals)
         gains_next = gains_from_values(sys, cost, vals)
@@ -497,27 +497,19 @@ def run_value_iteration(sys, cost, config, reference=None):
         dp1 = float(np.linalg.norm(vals_next.P1 - vals.P1))
         dp2 = float(np.linalg.norm(vals_next.P2 - vals.P2))
         stop = dp1 < config.tol and dp2 < config.tol
-        history.append(
-            _history_row(dh1, dh2, gains_next, vals_next, reference, stop)
-        )
-        vals_hist.append(vals_next)
-        gains_hist.append(gains_next)
-        q, vals, gains = q_next, vals_next, gains_next
+        history.append(Iterate(dh1, dh2, gains_next, vals_next, stop))
+        q, vals = q_next, vals_next
         if stop:
-            report = QLearnReport(
-                q, gains, vals, tuple(history),
+            reason = (
                 f"stopped at iteration {i + 1}: value changes "
-                f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}",
-                len(history), getattr(config, "seed", None), (),
-                tuple(vals_hist), tuple(gains_hist), None,
+                f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}"
             )
-            return report
+            break
     report = QLearnReport(
-        q, gains, vals, tuple(history),
-        f"max_iters {config.max_iters} reached without stop",
-        len(history), getattr(config, "seed", None), (),
-        tuple(vals_hist), tuple(gains_hist), None,
+        q, tuple(history), reason, getattr(config, "seed", None), None
     )
+    if history[-1].stop:
+        return report
     err = ConvergenceError(
         f"value iteration did not converge in {config.max_iters} iterations"
     )

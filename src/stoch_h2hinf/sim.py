@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .model import DivergenceError, require_symmetric
+from .model import ConfigError, DivergenceError, require_symmetric
 
 _TAG_MAIN = 0x51B1
 _TAG_BRANCH = 0x51B2
@@ -67,6 +67,11 @@ class NoiseSource:
         return self._sample(rng, int(count))
 
 
+def _drift_and_noise(sys, x, u, v):
+    """(mu, s) = (A1 x + B1 u + C1 v, A2 x + C2 v); the successor is mu + omega s."""
+    return sys.A1 @ x + sys.B1 @ u + sys.C1 @ v, sys.A2 @ x + sys.C2 @ v
+
+
 def step(sys, x, u, v, omega):
     """One transition: A1 x + B1 u + C1 v + (A2 x + C2 v) omega."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -76,8 +81,7 @@ def step(sys, x, u, v, omega):
         raise ValueError(
             f"input dims ({x.size},{u.size},{v.size}) do not match {sys.dims}"
         )
-    mu = sys.A1 @ x + sys.B1 @ u + sys.C1 @ v
-    s = sys.A2 @ x + sys.C2 @ v
+    mu, s = _drift_and_noise(sys, x, u, v)
     return mu + float(omega) * s
 
 
@@ -100,8 +104,7 @@ def expected_next_quadratic(sys, P, x, u, v):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    mu = sys.A1 @ x + sys.B1 @ u + sys.C1 @ v
-    s = sys.A2 @ x + sys.C2 @ v
+    mu, s = _drift_and_noise(sys, x, u, v)
     return float(mu @ P @ mu + s @ P @ s)
 
 
@@ -179,7 +182,7 @@ def simulate_closed_loop(sys, cost, gains, x0, steps, noise, probe=None, k0=0):
     DivergenceError when a state leaves the guard region.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ConfigError("steps must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     omegas = noise.draw(steps)
     eu, ev = _probe_arrays(probe, k0, steps, sys.m1, sys.m2)

@@ -145,11 +145,11 @@ def test_criterion_3_analytic_learning(f16, f16_solution):
     ek1 = float(np.linalg.norm(rep.gains.K1 - f16_solution.gains.K1))
     ek2 = float(np.linalg.norm(rep.gains.K2 - f16_solution.gains.K2))
     worst = 0.0
-    for lv, mv in zip(rep.values_history, vi.values_history):
+    for li, mi in zip(rep.history, vi.history):
         worst = max(
             worst,
-            np.linalg.norm(lv.P1 - mv.P1),
-            np.linalg.norm(lv.P2 - mv.P2),
+            np.linalg.norm(li.values.P1 - mi.values.P1),
+            np.linalg.norm(li.values.P2 - mi.values.P2),
         )
     ok = stopped and ek1 <= 2e-3 and ek2 <= 2e-3 and worst <= 1e-6
     _record(

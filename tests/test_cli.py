@@ -1,12 +1,27 @@
 """Benchmark constants and the command-line workflow."""
 
+import importlib
 import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stoch_h2hinf import f16_initial_gains, f16_reference, f16_system
+try:
+    import tomllib
+except ImportError:  # Python < 3.11
+    import tomli as tomllib
+
+import stoch_h2hinf
+from stoch_h2hinf import (
+    AlgoConfig,
+    f16_initial_gains,
+    f16_reference,
+    f16_system,
+    run_value_iteration,
+)
 from stoch_h2hinf.cli import (
     ConfigError,
     ExperimentConfig,
@@ -169,6 +184,31 @@ class TestLearningCommands:
         assert lines[-1].split(",")[-1] == "1"
         assert main(["vi", "--out", str(tmp_path), "--max-iters", "5"]) == 2
 
+    def test_vi_reference_errors_from_history(self, tmp_path):
+        # the err columns are the distances of each recorded iterate to the
+        # bundled reference, and blank without one
+        sys_, cost = f16_system()
+        report = run_value_iteration(sys_, cost, AlgoConfig(tol=1e-6))
+        rvals, rgains = f16_reference()
+        expected = np.array([
+            [np.linalg.norm(it.gains.K1 - rgains.K1),
+             np.linalg.norm(it.gains.K2 - rgains.K2),
+             np.linalg.norm(it.values.P1 - rvals.P1),
+             np.linalg.norm(it.values.P2 - rvals.P2)]
+            for it in report.history
+        ])
+        for sub, flags in (("ref", []), ("noref", ["--no-reference"])):
+            out = tmp_path / sub
+            assert main(["vi", "--tol", "1e-6", "--out", str(out)] + flags) == 0
+            rows = [line.split(",")[3:7] for line in
+                    (out / "convergence.csv").read_text().splitlines()[1:]]
+            assert len(rows) == report.iterations
+            if flags:
+                assert all(cells == ["", "", "", ""] for cells in rows)
+            else:
+                got = np.array(rows, dtype=float)
+                np.testing.assert_allclose(got, expected, rtol=1e-11, atol=0)
+
     def test_simulate_command(self, tmp_path):
         assert main(["simulate", "--steps", "50", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
@@ -248,11 +288,42 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="f16 or custom"):
             build_system(ExperimentConfig(system="lunar"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["qlearn", "--mode", "analytic", "--tuples", "5"], "unknowns"),
+        (["simulate", "--steps", "0"], "steps"),
+        (["vi", "--tol", "-1"], "tol"),
+        (["solve", "--tol", "-1"], "tol"),
+        (["solve", "--max-iters", "0"], "max_iters"),
+    ])
+    def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("config error: ") and message in printed
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert "exit_reason = config error: " in manifest
+
+    def test_gamma_rejected_for_f16(self, tmp_path, capsys):
+        assert main(["solve", "--gamma", "0.01", "--out", str(tmp_path)]) == 1
+        assert "config error: " in capsys.readouterr().out
+        assert "exit_reason = config error: " in (tmp_path / "manifest.txt").read_text()
+        assert main(["solve", "--gamma", "1", "--out", str(tmp_path / "g1")]) == 0
+
 
 def test_console_script(tmp_path):
+    # the declared entry point is cli.main, and the package runs as a module
+    # with the same code the tests import
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["stoch-h2hinf"] == "stoch_h2hinf.cli:main"
+    module, func = scripts["stoch-h2hinf"].split(":")
+    assert getattr(importlib.import_module(module), func) is main
+    env = dict(os.environ)
+    src = str(Path(stoch_h2hinf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        ["stoch-h2hinf", "solve", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "stoch_h2hinf", "solve", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "ms-stable: True" in proc.stdout

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stoch_h2hinf import (
     CostSpec,
@@ -76,6 +79,38 @@ def test_trace_identity():
         assert abs(vech(Z) @ vecs(H) - np.trace(Z @ H)) < 1e-12 * max(
             1.0, abs(np.trace(Z @ H))
         )
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _symmetric_and_vector(draw):
+    """A symmetric p x p matrix (p = 1..6) and a vector of length p."""
+    p = draw(st.integers(1, 6))
+    A = draw(arrays(float, (p, p), elements=_ENTRIES))
+    z = draw(arrays(float, p, elements=_ENTRIES))
+    return (A + A.T) / 2.0, z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symmetric_and_vector())
+def test_vech_vecs_identity_property(pair):
+    H, z = pair
+    lhs = float(vech(np.outer(z, z)) @ vecs(H))
+    scale = float(np.abs(z) @ np.abs(H) @ np.abs(z))
+    # rounding error of a sum of products, plus an additive underflow term:
+    # with subnormal entries the two multiplication orders differ in the last
+    # subnormal digit, which no relative bound covers
+    tol = 1e-12 * scale + 1e-300
+    assert lhs == pytest.approx(q_value(H, z), rel=1e-12, abs=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symmetric_and_vector())
+def test_mat_from_vecs_inverts_vecs_property(pair):
+    H, _ = pair
+    np.testing.assert_array_equal(mat_from_vecs(vecs(H)), H)
 
 
 def test_q_value_is_quadratic_form():

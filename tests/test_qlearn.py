@@ -278,9 +278,9 @@ class TestRunQLearning:
         )
         assert "stopped" in rep.termination
         vi = run_value_iteration(sys_, cost, _analytic_config())
-        for lv, mv in zip(rep.values_history, vi.values_history):
-            assert np.linalg.norm(lv.P1 - mv.P1) < 1e-6
-            assert np.linalg.norm(lv.P2 - mv.P2) < 1e-6
+        for li, mi in zip(rep.history, vi.history):
+            assert np.linalg.norm(li.values.P1 - mi.values.P1) < 1e-6
+            assert np.linalg.norm(li.values.P2 - mi.values.P2) < 1e-6
         assert abs(rep.iterations - vi.iterations) <= 5
         # terminal gains near the true fixed point
         assert np.linalg.norm(rep.gains.K1 - f16_solution.gains.K1) < 2e-3
@@ -380,9 +380,9 @@ class TestRunQLearning:
         np.testing.assert_array_equal(first.q.H1, second.q.H1)
         np.testing.assert_array_equal(first.gains.K1, second.gains.K1)
         np.testing.assert_array_equal(first.gains.K2, second.gains.K2)
-        for a, b in zip(first.values_history, second.values_history):
-            np.testing.assert_array_equal(a.P1, b.P1)
-            np.testing.assert_array_equal(a.P2, b.P2)
+        for a, b in zip(first.history, second.history):
+            np.testing.assert_array_equal(a.values.P1, b.values.P1)
+            np.testing.assert_array_equal(a.values.P2, b.values.P2)
         assert first.termination == second.termination
 
     def test_mc_consistency_in_branches(self, f16):
@@ -482,7 +482,7 @@ class TestRunQLearning:
         oracle = SystemOracle(sys_, NoiseSource(0), X0)
         rep = run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0)
         assert rep.iterations == len(rep.history)
-        assert len(rep.svmin_history) == rep.iterations
+        assert all(it.svmin > 0 for it in rep.history)
         hist = np.array([row[:2] for row in rep.history], dtype=float)
         assert np.isfinite(hist).all()
 
@@ -503,6 +503,8 @@ class TestRunValueIteration:
         cost = CostSpec(2.0, np.eye(2))
         rep = run_value_iteration(sys_, cost, _analytic_config(tol=1e-12))
         assert rep.iterations == 2
+        assert [it.svmin for it in rep.history] == [None, None]
+        assert rep.values is rep.history[-1].values
         np.testing.assert_allclose(rep.values.P1, -np.eye(2), atol=1e-14)
         np.testing.assert_allclose(rep.values.P2, np.eye(2), atol=1e-14)
 
@@ -542,11 +544,10 @@ class TestReportExport:
         oracle = SystemOracle(sys_, NoiseSource(0), X0)
         ref = (f16_solution.values, f16_solution.gains)
         rep = run_q_learning(
-            oracle, cost, _analytic_config(max_iters=3), f16_initial_gains(), X0,
-            reference=ref,
+            oracle, cost, _analytic_config(max_iters=3), f16_initial_gains(), X0
         )
         path = tmp_path / "conv.csv"
-        rep.to_csv(path)
+        rep.to_csv(path, ref)
         cells = path.read_text().splitlines()[1].split(",")
         errs = [float(c) for c in cells[3:7]]
         assert all(np.isfinite(errs)) and min(errs) > 0
