@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .f16 import X0, f16_initial_gains, f16_reference, f16_system
 from .gare import solve_coupled_gare
 from .model import (
@@ -70,6 +70,13 @@ class ExperimentConfig:
     reference: bool = True
 
 
+def _parse_bool(text):
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected 1/true/yes/on or 0/false/no/off")
+    return word in ("1", "true", "yes", "on")
+
+
 _FIELD_TYPES = {
     "case": int,
     "seed": int,
@@ -79,7 +86,7 @@ _FIELD_TYPES = {
     "steps": int,
     "gamma": float,
     "tol": float,
-    "reference": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "reference": _parse_bool,
 }
 
 
@@ -101,6 +108,8 @@ def parse_config_file(path):
         key = key.replace("-", "_")
         if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "command":
+            raise ConfigError(f"{path}:{lineno}: the command is set on the command line only")
         conv = _FIELD_TYPES.get(key, str)
         try:
             values[key] = conv(val)
@@ -187,6 +196,13 @@ def _x0_for(sys_, cfg):
     return X0.copy() if cfg.system == "f16" else np.ones(sys_.n)
 
 
+def _check_trajectory_settings(cfg):
+    """Settings of the closing trajectory, checked before any work is done."""
+    if cfg.steps < 1:
+        raise ConfigError("steps must be >= 1")
+    _kernels.active_backend()
+
+
 def _cmd_solve(cfg, outdir):
     sys_, cost = build_system(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-9
@@ -212,6 +228,7 @@ def _cmd_vi(cfg, outdir):
 
 
 def _cmd_qlearn(cfg, outdir):
+    _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
     algo = _algo_config(cfg)
     x0 = _x0_for(sys_, cfg)
@@ -237,6 +254,7 @@ def _cmd_qlearn(cfg, outdir):
 
 
 def _cmd_simulate(cfg, outdir):
+    _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
     solved = solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=5000)
     traj = simulate_closed_loop(
@@ -275,6 +293,8 @@ def _run_in(cfg, outdir):
         "bench-f16": _cmd_bench,
     }[cfg.command]
     try:
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
         code, reason = handler(cfg, outdir)
     except ConfigError as exc:
         code, reason = 1, f"config error: {exc}"

@@ -277,13 +277,14 @@ def write_matrix_txt(M, path):
             fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
 
 
-def bellman_targets(oracle, cost, q, gains, x, e, branches, mode):
+def bellman_targets(oracle, cost, cont, gains, x, e, branches, mode):
     """One tuple: targets (d1, d2) and the regression row vech(zz').
 
     The executed inputs carry the probe; the continuation value inside the
-    targets uses the unprobed policy at the successor state.  Monte-Carlo
-    mode averages over `branches` one-step successors; analytic mode asks
-    the oracle for the exact conditional expectation.
+    targets is E[x+' P x+] for the unprobed policy's value pair cont =
+    (P1, P2) at the successor state.  Monte-Carlo mode averages x+' P x+
+    over `branches` one-step successors; analytic mode asks the oracle for
+    the exact conditional expectation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u_hat, v_hat = probed_inputs(gains, x, e)
@@ -291,17 +292,14 @@ def bellman_targets(oracle, cost, q, gains, x, e, branches, mode):
     row = vech(np.outer(z_hat, z_hat))
     r1, r2 = stage_costs(cost, x, u_hat, v_hat)
     if mode == "analytic":
-        vals = values_from_q(q, gains)
-        c1 = oracle.expected_quadratic(vals.P1, u_hat, v_hat)
-        c2 = oracle.expected_quadratic(vals.P2, u_hat, v_hat)
+        c1 = oracle.expected_quadratic(cont.P1, u_hat, v_hat)
+        c2 = oracle.expected_quadratic(cont.P2, u_hat, v_hat)
     elif mode == "mc":
         succ = oracle.branch(u_hat, v_hat, branches)
         if not np.isfinite(succ).all():
             raise DivergenceError(None, "non-finite branched successor")
-        T = np.vstack([np.eye(x.size), gains.K2, gains.K1])
-        Z = succ @ T.T
-        c1 = float(np.einsum("ij,jk,ik->i", Z, q.H1, Z).mean())
-        c2 = float(np.einsum("ij,jk,ik->i", Z, q.H2, Z).mean())
+        c1 = float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
+        c2 = float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
     else:
         raise ValueError(f"mode must be analytic or mc, got {mode!r}")
     return r1 + c1, r2 + c2, row
@@ -418,6 +416,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
 
     q = QPair.zeros(n, m1, m2)
     gains = initial_gains
+    vals = ValuePair.zeros(n)
     oracle.reset(x0)
     k = 0
     history = []
@@ -430,7 +429,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
             x = oracle.state
             e = probing_noise(schedule, k, m1, m2)
             d1, d2, row = bellman_targets(
-                oracle, cost, q, gains, x, e, config.branches,
+                oracle, cost, vals, gains, x, e, config.branches,
                 config.expectation_mode,
             )
             batch.append(row, d1, d2, k)
@@ -454,7 +453,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
             q, q_next, gains, gains_next, x0, cost, config.tol, stop_variant
         )
         history.append(Iterate(dh1, dh2, gains_next, vals_next, stop, svmin))
-        q, gains = q_next, gains_next
+        q, gains, vals = q_next, gains_next, vals_next
         if stop:
             reason = f"stopped at iteration {i + 1}: {why}"
             break

@@ -255,13 +255,14 @@ def test_criterion_6_unbiased_regression(f16):
         gains = f16_initial_gains()
         k = 0
         for _ in range(60):
-            expected = h_from_values(sys_, cost, values_from_q(q, gains))
+            cont = values_from_q(q, gains)
+            expected = h_from_values(sys_, cost, cont)
             batch = DataBatch()
             for _ in range(20):
                 x = oracle.state
                 e = probing_noise(schedule, k)
                 d1, d2, row = bellman_targets(
-                    oracle, cost, q, gains, x, e, 1, "analytic"
+                    oracle, cost, cont, gains, x, e, 1, "analytic"
                 )
                 batch.append(row, d1, d2, k)
                 oracle.apply(*probed_inputs(gains, x, e))

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from stoch_h2hinf.cli import (
     main,
     parse_config_file,
 )
+from stoch_h2hinf._kernels import HAVE_NUMBA
 
 # Exact fixed point of the bundled benchmark, frozen from an independent
 # high-precision solve (tol 1e-12); the 4-decimal bundled reference sits
@@ -257,6 +259,28 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_file(cfg)
 
+    @pytest.mark.parametrize("line, message", [
+        ("command = vi", "command line"),
+        ("command = bogus", "command line"),
+        ("reference = maybe", "bad value for reference"),
+    ])
+    def test_misread_key_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 1\n" + line + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: ") + ".*" + message):
+            parse_config_file(cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{cfg}:2: " in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_reference_words(self, tmp_path):
+        cfg = tmp_path / "ref.cfg"
+        for word, expect in (("1", True), ("Yes", True), ("on", True), ("TRUE", True),
+                             ("0", False), ("no", False), ("Off", False), ("false", False)):
+            cfg.write_text(f"reference = {word}\n")
+            assert parse_config_file(cfg) == {"reference": expect}
+
     def test_not_key_value_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -294,6 +318,7 @@ class TestConfigHandling:
         (["vi", "--tol", "-1"], "tol"),
         (["solve", "--tol", "-1"], "tol"),
         (["solve", "--max-iters", "0"], "max_iters"),
+        (["qlearn", "--mode", "analytic", "--steps", "0"], "steps"),
     ])
     def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -301,6 +326,30 @@ class TestConfigHandling:
         assert printed.startswith("config error: ") and message in printed
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "exit_reason = config error: " in manifest
+        # rejected before any work: nothing but the manifest is written
+        assert os.listdir(tmp_path) == ["manifest.txt"]
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["qlearn", "--mode", "analytic", "--seed", "-1"], {}, "seed"),
+        (["simulate", "--seed", "-3"], {}, "seed"),
+        (["simulate"], {"STOCH_H2HINF_SEED": "-2"}, "seed"),
+        (["simulate"], {"STOCH_H2HINF_BACKEND": "bogus"}, "auto|numba|numpy"),
+        (["qlearn", "--mode", "analytic"], {"STOCH_H2HINF_BACKEND": "bogus"},
+         "auto|numba|numpy"),
+        pytest.param(["simulate"], {"STOCH_H2HINF_BACKEND": "numba"}, "not installed",
+                     marks=pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")),
+    ])
+    def test_bad_seed_or_backend_exit_1_with_manifest(
+        self, tmp_path, capsys, monkeypatch, argv, env, message
+    ):
+        for key, val in env.items():
+            monkeypatch.setenv(key, val)
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("config error: ") and message in printed
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert "exit_reason = config error: " in manifest
+        assert os.listdir(tmp_path) == ["manifest.txt"]
 
     def test_gamma_rejected_for_f16(self, tmp_path, capsys):
         assert main(["solve", "--gamma", "0.01", "--out", str(tmp_path)]) == 1

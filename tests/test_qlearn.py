@@ -31,6 +31,7 @@ from stoch_h2hinf import (
     run_q_learning,
     run_value_iteration,
     solve_coupled_gare,
+    stage_costs,
     termination,
     values_from_q,
     vecs,
@@ -93,7 +94,7 @@ class TestBellmanTargets:
             oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
             e = ProbingSchedule("case1").evaluate(0)
             d1, d2, row = bellman_targets(
-                oracle, cost, QPair.zeros(3), GainPair.zeros(3),
+                oracle, cost, ValuePair.zeros(3), GainPair.zeros(3),
                 np.zeros(3), e, 50, mode,
             )
             assert d1 == 0.0
@@ -113,8 +114,8 @@ class TestBellmanTargets:
             x = rng.standard_normal(sys_.n)
             oracle = SystemOracle(sys_, NoiseSource(1), x)
             e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
-            d1, d2, row = bellman_targets(oracle, cost, q, gains, x, e, 1, "analytic")
             cont = values_from_q(q, gains)
+            d1, d2, row = bellman_targets(oracle, cost, cont, gains, x, e, 1, "analytic")
             h_next = h_from_values(sys_, cost, cont)
             z = np.concatenate([x, *probed_inputs(gains, x, e)])
             assert d1 == pytest.approx(q_value(h_next.H1, z), rel=1e-12, abs=1e-12)
@@ -122,18 +123,43 @@ class TestBellmanTargets:
             # the regression row against vecs(h_next) reproduces the target
             assert row @ vecs(h_next.H1) == pytest.approx(d1, rel=1e-12, abs=1e-12)
 
+    def test_mc_continuation_matches_q_form(self, f16, random_population):
+        # averaging x+'P x+ with P = T'HT equals averaging z'Hz over the
+        # successors mapped through T = [I; K2; K1]
+        rng = np.random.default_rng(23)
+        for sys_, cost in [f16, random_population[1]]:
+            vals = ValuePair.zeros(sys_.n)
+            for _ in range(3):
+                vals, _ = qlearn_value_update(sys_, cost, vals)
+            q = h_from_values(sys_, cost, vals)
+            gains = gains_from_q(q)
+            x = rng.standard_normal(sys_.n)
+            e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
+            oracle = SystemOracle(sys_, NoiseSource(3), x)
+            d1, d2, _ = bellman_targets(
+                oracle, cost, values_from_q(q, gains), gains, x, e, 64, "mc"
+            )
+            u_hat, v_hat = probed_inputs(gains, x, e)
+            T = np.vstack([np.eye(sys_.n), gains.K2, gains.K1])
+            Z = oracle.branch(u_hat, v_hat, 64) @ T.T
+            r1, r2 = stage_costs(cost, x, u_hat, v_hat)
+            ref1 = r1 + np.einsum("ij,jk,ik->i", Z, q.H1, Z).mean()
+            ref2 = r2 + np.einsum("ij,jk,ik->i", Z, q.H2, Z).mean()
+            assert d1 == pytest.approx(ref1, rel=1e-12)
+            assert d2 == pytest.approx(ref2, rel=1e-12)
+
     def test_mc_approaches_analytic(self, f16, f16_solution):
         sys_, cost = f16
-        q = h_from_values(sys_, cost, f16_solution.values)
         gains = f16_solution.gains
+        cont = values_from_q(h_from_values(sys_, cost, f16_solution.values), gains)
         x = np.array([2.0, -1.0, 0.5])
         e = ProbingSchedule("case1").evaluate(7)
         oracle = SystemOracle(sys_, NoiseSource(2), x)
         d1_exact, d2_exact, _ = bellman_targets(
-            oracle, cost, q, gains, x, e, 1, "analytic"
+            oracle, cost, cont, gains, x, e, 1, "analytic"
         )
         d1_mc, d2_mc, _ = bellman_targets(
-            oracle, cost, q, gains, x, e, 200_000, "mc"
+            oracle, cost, cont, gains, x, e, 200_000, "mc"
         )
         assert d1_mc == pytest.approx(d1_exact, abs=0.05)
         assert d2_mc == pytest.approx(d2_exact, abs=0.05)
@@ -143,7 +169,7 @@ class TestBellmanTargets:
         oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
         with pytest.raises(ValueError, match="mode"):
             bellman_targets(
-                oracle, cost, QPair.zeros(3), GainPair.zeros(3),
+                oracle, cost, ValuePair.zeros(3), GainPair.zeros(3),
                 np.zeros(3), (np.zeros(1), np.zeros(1)), 10, "exact",
             )
 
@@ -156,7 +182,7 @@ def _collect_batch(sys_, cost, schedule, tuples=20):
         x = oracle.state
         e = probing_noise(schedule, k)
         d1, d2, row = bellman_targets(
-            oracle, cost, QPair.zeros(3), gains, x, e, 5, "mc"
+            oracle, cost, ValuePair.zeros(3), gains, x, e, 5, "mc"
         )
         batch.append(row, d1, d2, k)
         oracle.apply(*probed_inputs(gains, x, e))
@@ -302,13 +328,14 @@ class TestRunQLearning:
         gains = f16_initial_gains()
         k = 0
         for i in range(40):
-            expected = h_from_values(sys_, cost, values_from_q(q, gains))
+            cont = values_from_q(q, gains)
+            expected = h_from_values(sys_, cost, cont)
             batch = DataBatch()
             for _ in range(20):
                 x = oracle.state
                 e = probing_noise(schedule, k)
                 d1, d2, row = bellman_targets(
-                    oracle, cost, q, gains, x, e, 1, "analytic"
+                    oracle, cost, cont, gains, x, e, 1, "analytic"
                 )
                 batch.append(row, d1, d2, k)
                 oracle.apply(*probed_inputs(gains, x, e))

@@ -17,7 +17,7 @@ from stoch_h2hinf import (
     stage_costs,
     step,
 )
-from stoch_h2hinf._kernels import HAVE_NUMBA, active_backend
+from stoch_h2hinf._kernels import HAVE_NUMBA, active_backend, forced_path
 
 
 class TestNoiseSource:
@@ -250,6 +250,26 @@ class TestBackends:
 
 
 class TestAttenuation:
+    def test_forced_path_replay(self, f16, f16_solution):
+        # the attenuation path is the closed-loop kernel with K1 = 0 and v
+        # given: each state equals a step() replay with u = K2 x and v the
+        # disturbance row, bit for bit
+        sys_, cost = f16
+        K2 = f16_solution.gains.K2
+        v = np.random.default_rng(12).standard_normal((50, 1))
+        omegas = NoiseSource(13).run_draws(0, 50)
+        xs, us, bad = forced_path(
+            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K2,
+            np.array([10.0, 5.0, -2.0]), v, omegas,
+        )
+        assert bad == -1
+        for k in range(50):
+            u = K2 @ xs[k]
+            np.testing.assert_array_equal(us[k], u)
+            np.testing.assert_array_equal(
+                xs[k + 1], step(sys_, xs[k], u, v[k], omegas[k])
+            )
+
     def test_zero_disturbance_rejected(self, f16, f16_solution):
         sys_, cost = f16
         with pytest.raises(ValueError, match="zero disturbance energy"):
