@@ -55,13 +55,11 @@ from .sim import (
     step,
 )
 from .qlearn import (
-    DataBatch,
     Iterate,
     ProbingSchedule,
     QLearnReport,
     SystemOracle,
     TrajectoryOracle,
-    assemble_regression,
     bellman_targets,
     least_squares_h,
     probed_inputs,

@@ -282,8 +282,12 @@ def _cmd_bench(cfg, outdir):
     return max(codes), f"three probing cases finished with exit codes {codes}"
 
 
-def _run_in(cfg, outdir):
-    """Dispatch a command into outdir; returns (code, reason)."""
+def _run_in(cfg, outdir, error=None):
+    """Dispatch a command into outdir; returns (code, reason).
+
+    error is a ConfigError met while reading the settings: the run then
+    writes only the manifest, with that error as its exit reason.
+    """
     start = time.perf_counter()
     handler = {
         "solve": _cmd_solve,
@@ -293,6 +297,8 @@ def _run_in(cfg, outdir):
         "bench-f16": _cmd_bench,
     }[cfg.command]
     try:
+        if error is not None:
+            raise error
         if cfg.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
         code, reason = handler(cfg, outdir)
@@ -309,8 +315,11 @@ def _run_in(cfg, outdir):
     return code, reason
 
 
-def run_experiment(cfg):
-    """Execute one experiment; returns the process exit code."""
+def run_experiment(cfg, error=None):
+    """Execute one experiment; returns the process exit code.
+
+    With a ConfigError as error, only the manifest is written (exit 1).
+    """
     if cfg.command not in _COMMANDS:
         print(f"unknown command {cfg.command!r}")
         return 1
@@ -320,7 +329,7 @@ def run_experiment(cfg):
     except OSError as exc:
         print(f"config error: cannot create output directory {cfg.out!r}: {exc}")
         return 1
-    code, _ = _run_in(cfg, outdir)
+    code, _ = _run_in(cfg, outdir, error)
     return code
 
 
@@ -355,12 +364,12 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     values = {"command": args.command}
+    error = None
     if args.config:
         try:
             values.update(parse_config_file(args.config))
         except ConfigError as exc:
-            print(f"config error: {exc}")
-            return 1
+            error = exc
     for key in ("system", "case", "seed", "tol", "tuples", "branches",
                 "mode", "steps", "gamma", "out", "a1", "a2", "b1", "c1", "c2", "q"):
         val = getattr(args, key, None)
@@ -370,20 +379,16 @@ def main(argv=None):
         values["max_iters"] = args.max_iters
     if args.no_reference:
         values["reference"] = False
-    if "seed" not in values:
-        env_seed = os.environ.get(SEED_ENV)
-        if env_seed is not None:
-            try:
-                values["seed"] = int(env_seed)
-            except ValueError:
-                print(f"config error: {SEED_ENV}={env_seed!r} is not an integer")
-                return 1
-    try:
-        cfg = ExperimentConfig(**values)
-    except TypeError as exc:
-        print(f"config error: {exc}")
-        return 1
-    return run_experiment(cfg)
+    env_seed = os.environ.get(SEED_ENV)
+    if "seed" not in values and env_seed is not None and error is None:
+        try:
+            values["seed"] = int(env_seed)
+        except ValueError:
+            error = ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer")
+    # every key in values is a field, so this cannot fail; a settings error
+    # still gets a manifest, in the output directory known so far: --out,
+    # else the config file's out, else "."
+    return run_experiment(ExperimentConfig(**values), error)
 
 
 if __name__ == "__main__":

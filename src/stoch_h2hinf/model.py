@@ -62,12 +62,13 @@ def _frozen(m):
 
 
 def asymmetry(m):
-    """Largest absolute elementwise asymmetry of a square matrix."""
-    return float(np.abs(m - m.T).max()) if m.size else 0.0
+    """Largest absolute elementwise asymmetry of a square matrix, or of a
+    stack (..., p, p) of them."""
+    return float(np.abs(m - m.swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
 def require_symmetric(m, name, tol=SYM_TOL):
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got {m.shape}")
     a = asymmetry(m)
     if a > tol:

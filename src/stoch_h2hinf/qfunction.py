@@ -51,12 +51,17 @@ def vecs(H, tol=1e-9):
 
 
 def vech(Z, tol=1e-9):
-    """Like vecs but off-diagonal entries doubled, so vech(Z).vecs(H) = Tr(ZH)."""
+    """Like vecs but off-diagonal entries doubled, so vech(Z).vecs(H) = Tr(ZH).
+
+    A stack Z of shape (..., p, p) gives one row per matrix, shape (..., p(p+1)/2).
+    """
     Z = np.asarray(Z, dtype=float)
     require_symmetric(Z, "Z", tol=tol * max(1.0, float(np.abs(Z).max() or 1.0)))
-    W = np.full(Z.shape, 2.0)
+    p = Z.shape[-1]
+    W = np.full((p, p), 2.0)
     np.fill_diagonal(W, 1.0)
-    return (Z * W)[np.triu_indices(Z.shape[0])]
+    rows, cols = np.triu_indices(p)
+    return (Z * W)[..., rows, cols]
 
 
 def mat_from_vecs(s):

@@ -4,9 +4,13 @@ Each iteration drives the plant with probed inputs u = K2 x + e_u,
 v = K1 x + e_v, collects N tuples, and solves a least-squares problem for
 the next (H1, H2): the row for a tuple is vech(zz') with z = [x; u; v], the
 target is the stage cost plus the averaged continuation value of the
-UNPROBED policy at the successor state.  Gains come out of H by a block
-solve, and the run stops on the three-part rule (both H changes below eps
-plus a Lyapunov-flavored admissibility margin at a designated probe state).
+UNPROBED policy at the successor state.  The per-tuple loop only reads the
+state, queries the continuation value and applies the inputs; the rows of
+all N tuples come from one stacked vech call, and one SVD of the (N, p(p+1)/2)
+regression matrix gives the excitation check and both solutions.  Gains
+come out of H by a block solve, and the run stops on the three-part rule
+(both H changes below eps plus a Lyapunov-flavored admissibility margin at
+a designated probe state).
 
 The engine touches the plant only through a TrajectoryOracle, never through
 system matrices; model knowledge lives on the simulator side of that
@@ -14,7 +18,7 @@ interface.
 """
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -194,73 +198,25 @@ class SystemOracle(TrajectoryOracle):
         self._x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
 
 
-@dataclass
-class DataBatch:
-    """Collected tuples: (regression row, d1, d2, time index)."""
+def least_squares_h(X, Y1, Y2, dims):
+    """Solve both regressions with one SVD of X; returns (q, svmin).
 
-    rows: list = field(default_factory=list)
-
-    def append(self, row, d1, d2, k):
-        self.rows.append((np.asarray(row, dtype=float), float(d1), float(d2), int(k)))
-
-    def __len__(self):
-        return len(self.rows)
-
-
-class Regression(NamedTuple):
-    X: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    svmin: float
-
-
-def assemble_regression(batch):
-    """Stack the batch in collection order; smallest singular value reported.
-
-    Raises ExcitationError when X is numerically rank deficient, which is
-    what inactive or constant probing produces.
+    q is the QPair (H1, H2) and svmin X's smallest singular value.  Raises ValueError when X has
+    fewer rows than unknowns, and ExcitationError when X is numerically rank
+    deficient, which is what inactive or constant probing produces.
     """
-    if not len(batch):
-        raise ValueError("empty batch")
-    X = np.vstack([r[0] for r in batch.rows])
-    q = X.shape[1]
-    if X.shape[0] < q:
-        raise ValueError(f"{X.shape[0]} tuples cannot identify {q} unknowns")
-    Y1 = np.array([r[1] for r in batch.rows])
-    Y2 = np.array([r[2] for r in batch.rows])
-    sv = np.linalg.svd(X, compute_uv=False)
+    n, m1, m2 = dims
+    rows, unknowns = X.shape
+    if rows < unknowns:
+        raise ValueError(f"{rows} tuples cannot identify {unknowns} unknowns")
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise ExcitationError(
             f"insufficient excitation: singular values span {sv[0]:.3e}..{sv[-1]:.3e}"
         )
-    return Regression(X, Y1, Y2, float(sv[-1]))
-
-
-def least_squares_h(X, Y1, Y2, dims):
-    """Solve the two regressions and rebuild (H1, H2).
-
-    Columns are equilibrated first (a pure reparameterization; the minimizer
-    is unchanged but the QR factorization is much better conditioned).
-    Falls back to normal equations if the triangular solve misbehaves.
-    """
-    n, m1, m2 = dims
-    d = np.linalg.norm(X, axis=0)
-    d[d == 0.0] = 1.0
-    Xs = X / d
-    Y = np.column_stack([Y1, Y2])
-    try:
-        Qm, Rm = np.linalg.qr(Xs)
-        W = np.linalg.solve(Rm, Qm.T @ Y)
-        if not np.isfinite(W).all():
-            raise np.linalg.LinAlgError("non-finite QR solution")
-    except np.linalg.LinAlgError:
-        G = Xs.T @ Xs
-        try:
-            W = np.linalg.solve(G, Xs.T @ Y)
-        except np.linalg.LinAlgError as exc:
-            raise ExcitationError(f"normal equations singular: {exc}") from exc
-    W = W / d[:, None]
-    return QPair(mat_from_vecs(W[:, 0]), mat_from_vecs(W[:, 1]), n, m1, m2)
+    W = Vt.T @ ((U.T @ np.column_stack([Y1, Y2])) / sv[:, None])
+    q = QPair(mat_from_vecs(W[:, 0]), mat_from_vecs(W[:, 1]), n, m1, m2)
+    return q, float(sv[-1])
 
 
 def probed_inputs(gains, x, e):
@@ -277,8 +233,8 @@ def write_matrix_txt(M, path):
             fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
 
 
-def bellman_targets(oracle, cost, cont, gains, x, e, branches, mode):
-    """One tuple: targets (d1, d2) and the regression row vech(zz').
+def bellman_targets(oracle, cost, cont, x, u, v, branches, mode):
+    """One tuple's targets (d1, d2) at state x under the executed inputs (u, v).
 
     The executed inputs carry the probe; the continuation value inside the
     targets is E[x+' P x+] for the unprobed policy's value pair cont =
@@ -286,36 +242,31 @@ def bellman_targets(oracle, cost, cont, gains, x, e, branches, mode):
     over `branches` one-step successors; analytic mode asks the oracle for
     the exact conditional expectation.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u_hat, v_hat = probed_inputs(gains, x, e)
-    z_hat = np.concatenate([x, u_hat, v_hat])
-    row = vech(np.outer(z_hat, z_hat))
-    r1, r2 = stage_costs(cost, x, u_hat, v_hat)
+    r1, r2 = stage_costs(cost, x, u, v)
     if mode == "analytic":
-        c1 = oracle.expected_quadratic(cont.P1, u_hat, v_hat)
-        c2 = oracle.expected_quadratic(cont.P2, u_hat, v_hat)
+        c1 = oracle.expected_quadratic(cont.P1, u, v)
+        c2 = oracle.expected_quadratic(cont.P2, u, v)
     elif mode == "mc":
-        succ = oracle.branch(u_hat, v_hat, branches)
+        succ = oracle.branch(u, v, branches)
         if not np.isfinite(succ).all():
             raise DivergenceError(None, "non-finite branched successor")
         c1 = float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
         c2 = float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
     else:
         raise ValueError(f"mode must be analytic or mc, got {mode!r}")
-    return r1 + c1, r2 + c2, row
+    return r1 + c1, r2 + c2
 
 
-def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol,
-                variant="q2"):
+def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
     """Three-part stop rule; returns (stop, reason).
 
     Conditions: both Frobenius H changes below tol, and at the designated
     probe state the new Q2 under the new policy has dropped by more than the
-    new stage cost relative to the previous iterate's value.  The variant
-    names which previous Q-value is subtracted: "q2" (default) or "q1".
+    new stage cost relative to the previous iterate's Q2 value.  It must be
+    the previous Q2: subtracting the previous Q1 leaves a gap of about
+    x'(P2 - P1)x, far above the stage cost, so that reading never fires at
+    the fixed point.
     """
-    if variant not in ("q2", "q1"):
-        raise ValueError(f"unknown stop variant {variant!r}")
     dh1 = float(np.linalg.norm(q_next.H1 - q_prev.H1))
     dh2 = float(np.linalg.norm(q_next.H2 - q_prev.H2))
     if dh1 >= tol or dh2 >= tol:
@@ -326,8 +277,7 @@ def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol,
     z_next = np.concatenate([x, u_next, v_next])
     z_prev = np.concatenate([x, gains_prev.K2 @ x, gains_prev.K1 @ x])
     lead = q_value(q_next.H2, z_next)
-    prev_h = q_prev.H2 if variant == "q2" else q_prev.H1
-    sub = q_value(prev_h, z_prev)
+    sub = q_value(q_prev.H2, z_prev)
     r2 = stage_costs(cost, x, u_next, v_next)[1]
     if lead - sub < r2:
         return True, (
@@ -396,13 +346,12 @@ class QLearnReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
-                   stop_variant="q2", final_steps=100):
+def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None):
     """Algorithm-style learning loop against a black-box oracle.
 
     On stop (or on an exhausted iteration budget, which is reported rather
     than raised) probing is deactivated and a final unprobed closed-loop
-    trajectory is recorded through the oracle.
+    trajectory of 100 steps is recorded through the oracle.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -423,21 +372,22 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
     reason = None
     sx, su, sv = block_slices(n, m1, m2)
 
+    N = config.tuples_per_iter
     for i in range(config.max_iters):
-        batch = DataBatch()
-        for _ in range(config.tuples_per_iter):
+        Z = np.empty((N, p))
+        Y = np.empty((N, 2))
+        for t in range(N):
             x = oracle.state
-            e = probing_noise(schedule, k, m1, m2)
-            d1, d2, row = bellman_targets(
-                oracle, cost, vals, gains, x, e, config.branches,
+            u, v = probed_inputs(gains, x, probing_noise(schedule, k, m1, m2))
+            Y[t] = bellman_targets(
+                oracle, cost, vals, x, u, v, config.branches,
                 config.expectation_mode,
             )
-            batch.append(row, d1, d2, k)
-            u_hat, v_hat = probed_inputs(gains, x, e)
-            oracle.apply(u_hat, v_hat)
+            Z[t] = np.concatenate([x, u, v])
+            oracle.apply(u, v)
             k += 1
-        X, Y1, Y2, svmin = assemble_regression(batch)
-        q_next = least_squares_h(X, Y1, Y2, (n, m1, m2))
+        X = vech(Z[:, :, None] * Z[:, None, :])
+        q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
             # losing its definiteness means gamma is infeasible
@@ -449,9 +399,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
         vals_next = values_from_q(q_next, gains_next)
         dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
         dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
-        stop, why = termination(
-            q, q_next, gains, gains_next, x0, cost, config.tol, stop_variant
-        )
+        stop, why = termination(q, q_next, gains, gains_next, x0, cost, config.tol)
         history.append(Iterate(dh1, dh2, gains_next, vals_next, stop, svmin))
         q, gains, vals = q_next, gains_next, vals_next
         if stop:
@@ -462,7 +410,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None,
 
     final_states = [oracle.state]
     try:
-        for _ in range(final_steps):
+        for _ in range(100):
             x = oracle.state
             oracle.apply(gains.K2 @ x, gains.K1 @ x)
             final_states.append(oracle.state)

@@ -7,7 +7,7 @@ order.  Branch draw j at step k is the j-th element of the (seed, k) stream,
 which realizes the (run seed, step index, branch index) derivation rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,7 +18,6 @@ from stoch_h2hinf import (
     AlgoConfig,
     AttenuationInfeasibleError,
     CostSpec,
-    DataBatch,
     DivergenceError,
     ExcitationError,
     GainExtractionError,
@@ -28,7 +27,6 @@ from stoch_h2hinf import (
     SdltiSystem,
     SystemOracle,
     ValuePair,
-    assemble_regression,
     bellman_targets,
     closed_loop_pair,
     empirical_attenuation,
@@ -257,18 +255,18 @@ def test_criterion_6_unbiased_regression(f16):
         for _ in range(60):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            batch = DataBatch()
+            rows, Y1, Y2 = [], [], []
             for _ in range(20):
                 x = oracle.state
-                e = probing_noise(schedule, k)
-                d1, d2, row = bellman_targets(
-                    oracle, cost, cont, gains, x, e, 1, "analytic"
-                )
-                batch.append(row, d1, d2, k)
-                oracle.apply(*probed_inputs(gains, x, e))
+                u, v = probed_inputs(gains, x, probing_noise(schedule, k))
+                d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
+                z = np.concatenate([x, u, v])
+                rows.append(vech(np.outer(z, z)))
+                Y1.append(d1)
+                Y2.append(d2)
+                oracle.apply(u, v)
                 k += 1
-            X, Y1, Y2, _ = assemble_regression(batch)
-            q = least_squares_h(X, Y1, Y2, (3, 1, 1))
+            q, _ = least_squares_h(np.array(rows), np.array(Y1), np.array(Y2), (3, 1, 1))
             worst = max(
                 worst,
                 np.abs(q.H1 - expected.H1).max(),

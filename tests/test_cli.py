@@ -78,6 +78,13 @@ def _read_matrix(path):
     return np.loadtxt(path, ndmin=2)
 
 
+def _assert_config_manifest_only(out, message):
+    """out holds only manifest.txt, whose exit reason is a config error naming message."""
+    assert os.listdir(out) == ["manifest.txt"]
+    reason = (out / "manifest.txt").read_text().splitlines()[-1]
+    assert reason.startswith("exit_reason = config error: ") and message in reason
+
+
 class TestSolveCommand:
     def test_writes_artifacts(self, tmp_path):
         out = str(tmp_path)
@@ -250,7 +257,7 @@ class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tuples_per_run = 9\n")
-        assert main(["solve", "--config", str(cfg)]) == 1
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "unknown key" in capsys.readouterr().out
 
     def test_bad_value_rejected(self, tmp_path):
@@ -272,7 +279,24 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"{cfg}:2: " in capsys.readouterr().out
-        assert not out.exists()
+        _assert_config_manifest_only(out, f"{cfg}:2: ")
+
+    def test_missing_config_file_writes_manifest(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(missing), "--out", str(out)]) == 1
+        assert "cannot read config file" in capsys.readouterr().out
+        _assert_config_manifest_only(out, "cannot read config file")
+
+    def test_bad_config_manifest_goes_to_file_out(self, tmp_path, monkeypatch):
+        # the file parsed, so its out names the directory; a bad env seed
+        # is then the error
+        out = tmp_path / "from_file"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {out}\n")
+        monkeypatch.setenv("STOCH_H2HINF_SEED", "abc")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        _assert_config_manifest_only(out, "STOCH_H2HINF_SEED='abc' is not an integer")
 
     def test_reference_words(self, tmp_path):
         cfg = tmp_path / "ref.cfg"
@@ -301,8 +325,10 @@ class TestConfigHandling:
 
     def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STOCH_H2HINF_SEED", "nine")
-        assert main(["solve", "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["solve", "--out", str(out)]) == 1
         assert "not an integer" in capsys.readouterr().out
+        _assert_config_manifest_only(out, "not an integer")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

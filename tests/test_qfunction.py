@@ -57,6 +57,21 @@ def test_vech_doubles_off_diagonal():
     np.testing.assert_array_equal(vech(np.outer(z, z)), [1.0, 6.0, 9.0])
 
 
+def test_vech_stack_matches_per_matrix():
+    rng = np.random.default_rng(31)
+    Z = rng.standard_normal((25, 5))
+    rows = vech(Z[:, :, None] * Z[:, None, :])
+    assert rows.shape == (25, 15)
+    np.testing.assert_array_equal(rows, np.array([vech(np.outer(z, z)) for z in Z]))
+
+
+def test_vech_stack_rejects_one_asymmetric_member():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="asymmetry"):
+        vech(stack)
+
+
 def test_vecs_round_trip():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((4, 4))

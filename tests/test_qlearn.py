@@ -8,7 +8,6 @@ from stoch_h2hinf import (
     AttenuationInfeasibleError,
     ConvergenceError,
     CostSpec,
-    DataBatch,
     ExcitationError,
     GainPair,
     NoiseSource,
@@ -18,7 +17,6 @@ from stoch_h2hinf import (
     SystemOracle,
     TrajectoryOracle,
     ValuePair,
-    assemble_regression,
     bellman_targets,
     f16_initial_gains,
     gains_from_q,
@@ -34,6 +32,7 @@ from stoch_h2hinf import (
     stage_costs,
     termination,
     values_from_q,
+    vech,
     vecs,
     write_matrix_txt,
 )
@@ -92,14 +91,14 @@ class TestBellmanTargets:
         sys_, cost = f16
         for mode in ("analytic", "mc"):
             oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
-            e = ProbingSchedule("case1").evaluate(0)
-            d1, d2, row = bellman_targets(
-                oracle, cost, ValuePair.zeros(3), GainPair.zeros(3),
-                np.zeros(3), e, 50, mode,
+            u, v = probed_inputs(
+                GainPair.zeros(3), np.zeros(3), ProbingSchedule("case1").evaluate(0)
+            )
+            d1, d2 = bellman_targets(
+                oracle, cost, ValuePair.zeros(3), np.zeros(3), u, v, 50, mode
             )
             assert d1 == 0.0
             assert d2 == 1.0
-            assert row.shape == (15,)
 
     def test_analytic_matches_q_identity(self, f16, random_population):
         # d must equal z' h_from_values(P~) z at the probed input, where
@@ -115,9 +114,11 @@ class TestBellmanTargets:
             oracle = SystemOracle(sys_, NoiseSource(1), x)
             e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
             cont = values_from_q(q, gains)
-            d1, d2, row = bellman_targets(oracle, cost, cont, gains, x, e, 1, "analytic")
+            u, v = probed_inputs(gains, x, e)
+            d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
             h_next = h_from_values(sys_, cost, cont)
-            z = np.concatenate([x, *probed_inputs(gains, x, e)])
+            z = np.concatenate([x, u, v])
+            row = vech(np.outer(z, z))
             assert d1 == pytest.approx(q_value(h_next.H1, z), rel=1e-12, abs=1e-12)
             assert d2 == pytest.approx(q_value(h_next.H2, z), rel=1e-12, abs=1e-12)
             # the regression row against vecs(h_next) reproduces the target
@@ -136,10 +137,10 @@ class TestBellmanTargets:
             x = rng.standard_normal(sys_.n)
             e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
             oracle = SystemOracle(sys_, NoiseSource(3), x)
-            d1, d2, _ = bellman_targets(
-                oracle, cost, values_from_q(q, gains), gains, x, e, 64, "mc"
-            )
             u_hat, v_hat = probed_inputs(gains, x, e)
+            d1, d2 = bellman_targets(
+                oracle, cost, values_from_q(q, gains), x, u_hat, v_hat, 64, "mc"
+            )
             T = np.vstack([np.eye(sys_.n), gains.K2, gains.K1])
             Z = oracle.branch(u_hat, v_hat, 64) @ T.T
             r1, r2 = stage_costs(cost, x, u_hat, v_hat)
@@ -155,12 +156,9 @@ class TestBellmanTargets:
         x = np.array([2.0, -1.0, 0.5])
         e = ProbingSchedule("case1").evaluate(7)
         oracle = SystemOracle(sys_, NoiseSource(2), x)
-        d1_exact, d2_exact, _ = bellman_targets(
-            oracle, cost, cont, gains, x, e, 1, "analytic"
-        )
-        d1_mc, d2_mc, _ = bellman_targets(
-            oracle, cost, cont, gains, x, e, 200_000, "mc"
-        )
+        u, v = probed_inputs(gains, x, e)
+        d1_exact, d2_exact = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
+        d1_mc, d2_mc = bellman_targets(oracle, cost, cont, x, u, v, 200_000, "mc")
         assert d1_mc == pytest.approx(d1_exact, abs=0.05)
         assert d2_mc == pytest.approx(d2_exact, abs=0.05)
 
@@ -169,55 +167,59 @@ class TestBellmanTargets:
         oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
         with pytest.raises(ValueError, match="mode"):
             bellman_targets(
-                oracle, cost, ValuePair.zeros(3), GainPair.zeros(3),
-                np.zeros(3), (np.zeros(1), np.zeros(1)), 10, "exact",
+                oracle, cost, ValuePair.zeros(3), np.zeros(3), np.zeros(1),
+                np.zeros(1), 10, "exact",
             )
 
 
-def _collect_batch(sys_, cost, schedule, tuples=20):
-    oracle = SystemOracle(sys_, NoiseSource(0), X0)
-    gains = f16_initial_gains()
-    batch = DataBatch()
-    for k in range(tuples):
+def _collect_tuples(oracle, cost, cont, gains, schedule, k, tuples, branches, mode):
+    """Tuple-by-tuple reference collection: rows vech(zz') and targets."""
+    rows, Y1, Y2 = [], [], []
+    for _ in range(tuples):
         x = oracle.state
-        e = probing_noise(schedule, k)
-        d1, d2, row = bellman_targets(
-            oracle, cost, ValuePair.zeros(3), gains, x, e, 5, "mc"
-        )
-        batch.append(row, d1, d2, k)
-        oracle.apply(*probed_inputs(gains, x, e))
-    return batch
+        u, v = probed_inputs(gains, x, probing_noise(schedule, k))
+        d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, branches, mode)
+        z = np.concatenate([x, u, v])
+        rows.append(vech(np.outer(z, z)))
+        Y1.append(d1)
+        Y2.append(d2)
+        oracle.apply(u, v)
+        k += 1
+    return np.array(rows), np.array(Y1), np.array(Y2)
+
+
+def _collect_mc(sys_, cost, schedule, tuples=20):
+    oracle = SystemOracle(sys_, NoiseSource(0), X0)
+    return _collect_tuples(oracle, cost, ValuePair.zeros(3), f16_initial_gains(),
+                           schedule, 0, tuples, 5, "mc")
 
 
 class TestRegression:
     def test_full_rank_with_case1(self, f16):
         sys_, cost = f16
-        X, Y1, Y2, svmin = assemble_regression(
-            _collect_batch(sys_, cost, ProbingSchedule("case1"))
-        )
+        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1"))
         assert X.shape == (20, 15)
+        q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
         assert svmin > 0
-        assert Y1.shape == Y2.shape == (20,)
+        assert svmin == pytest.approx(np.linalg.svd(X, compute_uv=False)[-1], rel=1e-12)
+        assert q.dims == (3, 1, 1)
 
     def test_inactive_probe_rank_deficient(self, f16):
         sys_, cost = f16
-        batch = _collect_batch(sys_, cost, ProbingSchedule("case1", active=False))
-        with pytest.raises(ExcitationError):
-            assemble_regression(batch)
+        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1", active=False))
+        with pytest.raises(ExcitationError, match="insufficient excitation"):
+            least_squares_h(X, Y1, Y2, (3, 1, 1))
 
     def test_duplicate_rows_rejected(self):
-        batch = DataBatch()
-        row = np.arange(1.0, 16.0)
-        for k in range(20):
-            batch.append(row, 1.0, 2.0, k)
-        with pytest.raises(ExcitationError):
-            assemble_regression(batch)
+        X = np.tile(np.arange(1.0, 16.0), (20, 1))
+        with pytest.raises(ExcitationError, match="insufficient excitation"):
+            least_squares_h(X, np.ones(20), np.full(20, 2.0), (3, 1, 1))
 
     def test_too_few_rows_rejected(self, f16):
         sys_, cost = f16
-        batch = _collect_batch(sys_, cost, ProbingSchedule("case1"), tuples=14)
+        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1"), tuples=14)
         with pytest.raises(ValueError, match="15"):
-            assemble_regression(batch)
+            least_squares_h(X, Y1, Y2, (3, 1, 1))
 
     def test_least_squares_recovers_synthetic(self):
         rng = np.random.default_rng(23)
@@ -225,14 +227,15 @@ class TestRegression:
         M2 = rng.standard_normal((5, 5))
         H1t, H2t = M1 + M1.T, M2 + M2.T
         X = rng.standard_normal((40, 15))
-        q = least_squares_h(X, X @ vecs(H1t), X @ vecs(H2t), (3, 1, 1))
+        q, svmin = least_squares_h(X, X @ vecs(H1t), X @ vecs(H2t), (3, 1, 1))
         np.testing.assert_allclose(q.H1, H1t, atol=1e-10)
         np.testing.assert_allclose(q.H2, H2t, atol=1e-10)
+        assert svmin == pytest.approx(np.linalg.svd(X, compute_uv=False)[-1], rel=1e-12)
 
     def test_least_squares_zero_targets(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 15))
-        q = least_squares_h(X, np.zeros(30), np.zeros(30), (3, 1, 1))
+        q, _ = least_squares_h(X, np.zeros(30), np.zeros(30), (3, 1, 1))
         assert not q.H1.any() and not q.H2.any()
 
 
@@ -252,22 +255,6 @@ class TestTermination:
         g = f16_solution.gains
         stop, reason = termination(q, shifted, g, g, X0, cost, 1e-3)
         assert not stop and reason is None
-
-    def test_q1_variant_differs_at_fixed_point(self, f16, f16_solution):
-        # Subtracting the previous Q1 instead of Q2 leaves a gap of about
-        # x'(P2-P1)x, far above the stage cost, so that variant does not
-        # fire at the fixed point; the default does.
-        _, cost = f16
-        q = h_from_values(*f16, f16_solution.values)
-        g = f16_solution.gains
-        assert termination(q, q, g, g, X0, cost, 1e-3, "q2")[0]
-        assert not termination(q, q, g, g, X0, cost, 1e-3, "q1")[0]
-
-    def test_rejects_unknown_variant(self, f16, f16_solution):
-        q = h_from_values(*f16, f16_solution.values)
-        g = f16_solution.gains
-        with pytest.raises(ValueError, match="variant"):
-            termination(q, q, g, g, X0, f16[1], 1e-3, "q3")
 
 
 def _analytic_config(**kw):
@@ -295,6 +282,32 @@ class TestRunQLearning:
             )
             np.testing.assert_allclose(rep.q.H1, target.H1, atol=1e-8)
             np.testing.assert_allclose(rep.q.H2, target.H2, atol=1e-8)
+
+    @pytest.mark.parametrize("mode, branches", [("analytic", 1), ("mc", 10)])
+    @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+    def test_iterations_match_tuple_by_tuple(self, f16, case, mode, branches):
+        # The batched rows and the one-SVD solve give exactly the q of the
+        # per-tuple rows vech(zz') and targets on the same oracle calls; the
+        # second iteration has a nonzero continuation value.
+        sys_, cost = f16
+        cfg = _analytic_config(max_iters=2, noise_case=case,
+                               expectation_mode=mode, branches=branches)
+        rep = run_q_learning(SystemOracle(sys_, NoiseSource(4), X0), cost, cfg,
+                             f16_initial_gains(), X0)
+        oracle = SystemOracle(sys_, NoiseSource(4), X0)
+        gains, cont = f16_initial_gains(), ValuePair.zeros(3)
+        for i, it in enumerate(rep.history):
+            X, Y1, Y2 = _collect_tuples(oracle, cost, cont, gains, ProbingSchedule(case),
+                                        20 * i, 20, branches, mode)
+            q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
+            gains = gains_from_q(q)
+            cont = values_from_q(q, gains)
+            assert it.svmin == svmin
+            np.testing.assert_array_equal(it.values.P1, cont.P1)
+            np.testing.assert_array_equal(it.values.P2, cont.P2)
+        assert len(rep.history) == 2
+        np.testing.assert_array_equal(rep.q.H1, q.H1)
+        np.testing.assert_array_equal(rep.q.H2, q.H2)
 
     def test_analytic_run_matches_value_iteration(self, f16, f16_solution):
         sys_, cost = f16
@@ -330,18 +343,11 @@ class TestRunQLearning:
         for i in range(40):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            batch = DataBatch()
-            for _ in range(20):
-                x = oracle.state
-                e = probing_noise(schedule, k)
-                d1, d2, row = bellman_targets(
-                    oracle, cost, cont, gains, x, e, 1, "analytic"
-                )
-                batch.append(row, d1, d2, k)
-                oracle.apply(*probed_inputs(gains, x, e))
-                k += 1
-            X, Y1, Y2, _ = assemble_regression(batch)
-            q = least_squares_h(X, Y1, Y2, (3, 1, 1))
+            X, Y1, Y2 = _collect_tuples(
+                oracle, cost, cont, gains, schedule, k, 20, 1, "analytic"
+            )
+            k += 20
+            q, _ = least_squares_h(X, Y1, Y2, (3, 1, 1))
             assert np.abs(q.H1 - expected.H1).max() < 1e-8
             assert np.abs(q.H2 - expected.H2).max() < 1e-8
             gains = gains_from_q(q)
