@@ -1,12 +1,11 @@
-"""Sequential trajectory kernel, jitted when numba is present.
+"""Sequential closed-loop trajectory kernel, jitted when numba is present.
 
-The per-step state recursion cannot be vectorized over time, so this loop
-is the only compute-bound path in the package.  It has a single source of
-truth: the plain-Python body below, optionally compiled by numba.  The
-closed loop u = K2 x + e_u, v = K1 x + e_v runs it directly; the forced
-path of an exogenous disturbance is the same loop with K1 = 0, e_u = 0 and
-e_v = the disturbance.  Backend selection honors the STOCH_H2HINF_BACKEND
-env var (auto, numba, numpy); auto means numba when importable.
+The per-step recursion u = K2 x + e_u, v = K1 x + e_v cannot be vectorized
+over time.  Its one source of truth is the plain-Python body below,
+optionally compiled by numba; `forced_path` runs it with K1 = 0, e_u = 0 and
+e_v = an exogenous disturbance.  Empirical attenuation batches its
+replicates in `sim` instead.  STOCH_H2HINF_BACKEND selects the backend
+(auto, numba, numpy); auto means numba when importable.
 
 Noise is pre-drawn by the caller so the kernel stays deterministic and
 RNG-free.  A `bad` return of -1 means the path stayed inside the divergence
@@ -41,10 +40,11 @@ def _closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
     x = x0.copy()
     bad = -1
     for t in range(T):
-        u = K2 @ x + eu[t]
-        v = K1 @ x + ev[t]
-        mu = A1 @ x + B1 @ u + C1 @ v
-        s = A2 @ x + C2 @ v
+        # .dot, not @: the same products at about half the dispatch cost
+        u = K2.dot(x) + eu[t]
+        v = K1.dot(x) + ev[t]
+        mu = A1.dot(x) + B1.dot(u) + C1.dot(v)
+        s = A2.dot(x) + C2.dot(v)
         x = mu + omegas[t] * s
         us[t] = u
         vs[t] = v

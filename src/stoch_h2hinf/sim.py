@@ -19,6 +19,7 @@ _TAG_BRANCH = 0x51B2
 _TAG_RUN = 0x51B3
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
+_CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
 
 
 @dataclass
@@ -135,32 +136,23 @@ class Trajectory:
         return self.noises.shape[0]
 
     def to_csv(self, path):
-        n = self.states.shape[1]
-        m1 = self.inputs_u.shape[1]
-        m2 = self.inputs_v.shape[1]
-        header = (
-            ["k"]
-            + [f"x{i+1}" for i in range(n)]
-            + [f"u{i+1}" for i in range(m1)]
-            + [f"v{i+1}" for i in range(m2)]
-            + ["omega", "r1", "r2"]
-        )
-        lines = [",".join(header)]
-        for k in range(self.steps):
-            vals = (
-                [str(k)]
-                + [f"{x:.12g}" for x in self.states[k]]
-                + [f"{x:.12g}" for x in self.inputs_u[k]]
-                + [f"{x:.12g}" for x in self.inputs_v[k]]
-                + [f"{self.noises[k]:.12g}", f"{self.r1[k]:.12g}", f"{self.r2[k]:.12g}"]
-            )
-            lines.append(",".join(vals))
-        # terminal state row, inputs blank
-        tail = [str(self.steps)] + [f"{x:.12g}" for x in self.states[-1]]
-        tail += [""] * (m1 + m2 + 3)
-        lines.append(",".join(tail))
+        dims = (("x", self.states), ("u", self.inputs_u), ("v", self.inputs_v))
+        header = ["k", *(f"{c}{i+1}" for c, a in dims for i in range(a.shape[1]))]
+        header += ["omega", "r1", "r2"]
+        # k is an exact float in the block; "%.12g" prints like f"{x:.12g}"
+        row = "%d," + ",".join(["%.12g"] * (len(header) - 1)) + "\n"
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n")
+            for a in range(0, self.steps, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, self.steps)
+                block = np.column_stack((
+                    np.arange(a, b), self.states[a:b], self.inputs_u[a:b],
+                    self.inputs_v[a:b], self.noises[a:b], self.r1[a:b], self.r2[a:b],
+                ))
+                fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
+            # terminal state row, inputs blank
+            tail = [str(self.steps)] + [f"{x:.12g}" for x in self.states[-1]]
+            fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")
 
 
 def _probe_arrays(probe, k0, steps, m1, m2):
@@ -218,14 +210,22 @@ def empirical_attenuation(sys, cost, K2, disturbance, horizon, runs, seed):
     if denom == 0.0:
         raise ValueError("zero disturbance energy")
     noise = NoiseSource(seed)
-    x0 = np.zeros(sys.n)
-    total = 0.0
-    for r in range(runs):
-        omegas = noise.run_draws(r, horizon)
-        xs, us, bad = _kernels.forced_path(
-            sys.A1, sys.B1, sys.C1, sys.A2, sys.C2, K2, x0, disturbance, omegas
-        )
-        # a tripped guard still yields an astronomically large (honest) ratio
-        xQx = np.einsum("ij,jk,ik->", xs[:-1], cost.Q, xs[:-1])
-        total += float(xQx + np.einsum("ij,ij->", us, us))
-    return total / runs / denom
+    W = np.array([noise.run_draws(r, horizon) for r in range(runs)]).reshape(runs, horizon)
+    W = W.T[:, :, None]
+    CV1, CV2 = disturbance @ sys.C1.T, disturbance @ sys.C2.T
+    # all replicates at once; one that leaves the guard counts its states up
+    # to the offending one and its inputs before it, then stays frozen at 0
+    X = np.zeros((runs, sys.n))
+    live = np.ones(runs, dtype=bool)
+    energy = np.zeros(runs)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            U = X @ K2.T
+            energy += np.einsum("ij,jk,ik->i", X, cost.Q, X) + np.einsum("ij,ij->i", U, U)
+            X = X @ sys.A1.T + U @ sys.B1.T + CV1[t] + W[t] * (X @ sys.A2.T + CV2[t])
+            bad = live & ~(np.isfinite(X) & (np.abs(X) <= _kernels.GUARD)).all(axis=1)
+            if bad.any() and t + 1 < horizon:
+                energy[bad] += np.einsum("ij,jk,ik->i", X[bad], cost.Q, X[bad])
+            live &= ~bad
+            X[~live] = 0.0
+    return float(energy.sum()) / runs / denom

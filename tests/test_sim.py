@@ -14,10 +14,12 @@ from stoch_h2hinf import (
     empirical_attenuation,
     expected_next_quadratic,
     simulate_closed_loop,
+    solve_coupled_gare,
     stage_costs,
     step,
 )
 from stoch_h2hinf._kernels import HAVE_NUMBA, active_backend, forced_path
+from stoch_h2hinf.sim import _CSV_BLOCK
 
 
 class TestNoiseSource:
@@ -140,17 +142,33 @@ class TestSimulate:
         assert not traj.states.any() and not traj.r2.any()
         assert traj.steps == 20 and traj.states.shape == (21, 1)
 
-    def test_replay_consistency(self, f16, f16_solution):
+    def test_replay_consistency(self, f16, f16_solution, random_population):
+        # the kernel's states equal a step() replay bit for bit: F-16 under
+        # its solved gains, then every population member and a two-input,
+        # two-disturbance plant under random gains with probing
         sys_, cost = f16
-        traj = simulate_closed_loop(
-            sys_, cost, f16_solution.gains, [10.0, 5.0, -2.0], 50, NoiseSource(11)
+        cases = [(sys_, cost, f16_solution.gains, [10.0, 5.0, -2.0], None)]
+        rng = np.random.default_rng(17)
+        wide = SdltiSystem(
+            0.3 * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
+            0.1 * rng.standard_normal((3, 2)),
         )
-        for k in range(traj.steps):
-            expect = step(
-                sys_, traj.states[k], traj.inputs_u[k], traj.inputs_v[k],
-                traj.noises[k],
+        for s, c in random_population + [(wide, CostSpec(5.0, np.eye(3)))]:
+            gains = GainPair(
+                0.1 * rng.standard_normal((s.m2, s.n)),
+                0.1 * rng.standard_normal((s.m1, s.n)),
             )
-            np.testing.assert_array_equal(traj.states[k + 1], expect)
+            cases.append((s, c, gains, rng.standard_normal(s.n), ProbingSchedule("case1")))
+        assert (wide.m1, wide.m2) == (2, 2)
+        for s, c, gains, x0, probe in cases:
+            traj = simulate_closed_loop(s, c, gains, x0, 50, NoiseSource(11), probe=probe)
+            for k in range(traj.steps):
+                expect = step(
+                    s, traj.states[k], traj.inputs_u[k], traj.inputs_v[k],
+                    traj.noises[k],
+                )
+                np.testing.assert_array_equal(traj.states[k + 1], expect)
 
     def test_inputs_follow_policy_and_probe(self, f16, f16_solution):
         sys_, cost = f16
@@ -226,6 +244,34 @@ class TestSimulate:
         assert int(tail[0]) == 3
         assert tail[2:] == [""] * 5
 
+    @pytest.mark.parametrize("steps", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_trajectory_csv_matches_per_cell_writer(self, tmp_path, steps):
+        # the block writer against the per-cell f"{x:.12g}" writer it
+        # replaced, byte for byte, on m1 = m2 = 2 and awkward floats
+        rng = np.random.default_rng(steps)
+        special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300, 0.1]
+
+        def column(shape):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+            flat = a.reshape(-1)
+            flat[: len(special)] = special[: flat.size]
+            return a
+
+        traj = Trajectory(
+            column((steps + 1, 3)), column((steps, 2)), column((steps, 2)),
+            column(steps), column(steps), column(steps),
+        )
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        lines = ["k,x1,x2,x3,u1,u2,v1,v2,omega,r1,r2"]
+        for k in range(steps):
+            cells = [*traj.states[k], *traj.inputs_u[k], *traj.inputs_v[k],
+                     traj.noises[k], traj.r1[k], traj.r2[k]]
+            lines.append(",".join([str(k)] + [f"{x:.12g}" for x in cells]))
+        tail = [str(steps)] + [f"{x:.12g}" for x in traj.states[-1]]
+        lines.append(",".join(tail + [""] * 7))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestBackends:
     def test_active_backend_env(self, monkeypatch):
@@ -294,3 +340,56 @@ class TestAttenuation:
         v = rng.standard_normal((80, 1))
         ratio = empirical_attenuation(sys_, cost, np.zeros((1, 1)), v, 80, 3, 0)
         assert ratio > cost.gamma**2
+
+    @staticmethod
+    def _sequential(sys_, cost, K2, v, horizon, runs, seed):
+        # one forced_path per replicate, as empirical_attenuation ran before
+        # it batched the replicates; also returns each replicate's trip index
+        noise = NoiseSource(seed)
+        total, trips = 0.0, []
+        for r in range(runs):
+            xs, us, bad = forced_path(
+                sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K2,
+                np.zeros(sys_.n), v, noise.run_draws(r, horizon),
+            )
+            total += float(
+                np.einsum("ij,jk,ik->", xs[:-1], cost.Q, xs[:-1])
+                + np.einsum("ij,ij->", us, us)
+            )
+            trips.append(bad)
+        return total / runs / float(np.sum(v * v)), trips
+
+    def test_batched_matches_sequential(self, f16, f16_solution, random_population):
+        sys_, cost = f16
+        member, member_cost = random_population[3]
+        member_K2 = solve_coupled_gare(member, member_cost, tol=1e-10).gains.K2
+        for s, c, K2, seed in [
+            (sys_, cost, f16_solution.gains.K2, 0),
+            (member, member_cost, member_K2, 1),
+        ]:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD157)))
+            v = rng.standard_normal((200, s.m2)) * np.exp(-0.03 * np.arange(200))[:, None]
+            ratio = empirical_attenuation(s, c, K2, v, 200, 100, seed)
+            expect, trips = self._sequential(s, c, K2, v, 200, 100, seed)
+            assert trips == [-1] * 100
+            assert ratio == pytest.approx(expect, rel=1e-13)
+
+    def test_batched_tripped_guard(self):
+        # replicates leave the guard at different steps: each counts its
+        # states up to and including the offending one and its inputs
+        # before it; a trip at the last step leaves that state uncounted
+        sys_ = SdltiSystem([[1.3]], [[0.2]], [[0.0]], [[1.0]], [[0.1]])
+        cost = CostSpec(1.0, [[1.0]])
+        K2 = np.zeros((1, 1))
+        v = np.random.default_rng(1).standard_normal((150, 1))
+        expect, trips = self._sequential(sys_, cost, K2, v, 150, 5, 0)
+        assert all(0 < t < 150 for t in trips) and len(set(trips)) > 1
+        assert empirical_attenuation(sys_, cost, K2, v, 150, 5, 0) == pytest.approx(
+            expect, rel=1e-13
+        )
+        horizon = min(trips)
+        expect, trips = self._sequential(sys_, cost, K2, v[:horizon], horizon, 5, 0)
+        assert horizon in trips
+        assert empirical_attenuation(
+            sys_, cost, K2, v[:horizon], horizon, 5, 0
+        ) == pytest.approx(expect, rel=1e-13)
