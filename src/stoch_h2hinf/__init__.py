@@ -4,6 +4,8 @@ Model-based coupled-Riccati value iteration and model-free Q-learning from
 simulated trajectories, with the F-16 multiplicative-noise benchmark.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .model import (
@@ -71,4 +73,8 @@ from .qlearn import (
 )
 from .f16 import f16_initial_gains, f16_reference, f16_system
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above are the public names; submodules bound by them are not
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

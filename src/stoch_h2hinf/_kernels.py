@@ -1,11 +1,8 @@
-"""Sequential closed-loop trajectory kernel, jitted when numba is present.
+"""Sequential closed-loop trajectory kernel.
 
 The per-step recursion u = K2 x + e_u, v = K1 x + e_v cannot be vectorized
-over time.  Its one source of truth is the plain-Python body below,
-optionally compiled by numba; `forced_path` runs it with K1 = 0, e_u = 0 and
-e_v = an exogenous disturbance.  Empirical attenuation batches its
-replicates in `sim` instead.  STOCH_H2HINF_BACKEND selects the backend
-(auto, numba, numpy); auto means numba when importable.
+over time, so it is one plain loop.  Empirical attenuation batches its
+replicates in `sim` instead.
 
 Noise is pre-drawn by the caller so the kernel stays deterministic and
 RNG-free.  A `bad` return of -1 means the path stayed inside the divergence
@@ -13,24 +10,20 @@ guard; otherwise it is the index of the first offending state.
 """
 
 import math
-import os
 
 import numpy as np
 
-from .model import ConfigError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only when numba is missing
-    numba = None
-    HAVE_NUMBA = False
-
 GUARD = 1e12
 
+# HAVE_NUMBA and active_backend are read only by perfbench's environment line
+HAVE_NUMBA = False
 
-def _closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
+
+def active_backend():
+    return "numpy"
+
+
+def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
     T = omegas.shape[0]
     n = A1.shape[0]
     xs = np.zeros((T + 1, n))
@@ -57,35 +50,3 @@ def _closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
             bad = t + 1
             break
     return xs, us, vs, bad
-
-
-if HAVE_NUMBA:
-    _closed_loop_path_nb = numba.njit(cache=True)(_closed_loop_path)
-
-
-def active_backend():
-    """Resolve the kernel backend from env and availability."""
-    choice = os.environ.get("STOCH_H2HINF_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ConfigError(f"STOCH_H2HINF_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError("STOCH_H2HINF_BACKEND=numba but numba is not installed")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
-    if active_backend() == "numba":
-        return _closed_loop_path_nb(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev)
-    return _closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev)
-
-
-def forced_path(A1, B1, C1, A2, C2, K2, x0, vseq, omegas):
-    """u = K2 x against the exogenous v = vseq[t]: the closed loop with K1 = 0."""
-    K1 = np.zeros((C1.shape[1], A1.shape[0]))
-    eu = np.zeros((omegas.shape[0], B1.shape[1]))
-    xs, us, _, bad = closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, vseq)
-    return xs, us, bad

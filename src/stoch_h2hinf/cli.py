@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .f16 import X0, f16_initial_gains, f16_reference, f16_system
 from .gare import solve_coupled_gare
 from .model import (
@@ -200,7 +200,6 @@ def _check_trajectory_settings(cfg):
     """Settings of the closing trajectory, checked before any work is done."""
     if cfg.steps < 1:
         raise ConfigError("steps must be >= 1")
-    _kernels.active_backend()
 
 
 def _cmd_solve(cfg, outdir):

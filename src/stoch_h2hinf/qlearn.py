@@ -42,7 +42,8 @@ from .qfunction import (
     values_from_q,
     vech,
 )
-from .sim import _drift_and_noise, expected_next_quadratic, stage_costs, step
+from ._kernels import GUARD
+from .sim import _drift_and_noise, stage_costs, step
 
 _FUNCS = ("sin", "cos", "sin2", "cos2")
 
@@ -171,7 +172,7 @@ class SystemOracle(TrajectoryOracle):
         return self._k
 
     def _check(self, x, where):
-        if not np.isfinite(x).all() or np.abs(x).max() > 1e12:
+        if not np.isfinite(x).all() or np.abs(x).max() > GUARD:
             raise DivergenceError(where)
 
     def apply(self, u, v):
@@ -192,7 +193,11 @@ class SystemOracle(TrajectoryOracle):
         return out
 
     def expected_quadratic(self, P, u, v):
-        return expected_next_quadratic(self._sys, P, self._x, u, v)
+        # P is a member of a validated ValuePair: no symmetry check per call
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        mu, s = _drift_and_noise(self._sys, self._x, u, v)
+        return float(mu @ P @ mu + s @ P @ s)
 
     def reset(self, x):
         self._x = np.atleast_1d(np.asarray(x, dtype=float)).copy()

@@ -198,6 +198,8 @@ def empirical_attenuation(sys, cost, K2, disturbance, horizon, runs, seed):
     x0 = 0 is enforced; the numerator is averaged over `runs` seeded noise
     realizations.  The caller compares the result against gamma^2.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     K2 = np.asarray(K2, dtype=float)
     disturbance = np.asarray(disturbance, dtype=float)
     if disturbance.ndim == 1:

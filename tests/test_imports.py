@@ -2,13 +2,16 @@
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead: a name bound by a top-level import must be read
-somewhere in the module.
+somewhere in the module.  The package's star import is checked too.
 """
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import stoch_h2hinf
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stoch_h2hinf"
 # __init__.py imports names to re-export them, not to use them
@@ -41,3 +44,14 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_top_level_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_star_import_binds_no_module():
+    # __all__ is the package's import lists, without the submodules they bind
+    namespace = {}
+    exec("from stoch_h2hinf import *", namespace)
+    namespace.pop("__builtins__")
+    assert not [n for n, obj in namespace.items() if isinstance(obj, ModuleType)]
+    for name in stoch_h2hinf.__all__:
+        assert getattr(stoch_h2hinf, name) is namespace[name]
+    assert {"SdltiSystem", "run_q_learning", "f16_system"} <= set(namespace)

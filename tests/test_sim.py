@@ -18,7 +18,7 @@ from stoch_h2hinf import (
     stage_costs,
     step,
 )
-from stoch_h2hinf._kernels import HAVE_NUMBA, active_backend, forced_path
+from stoch_h2hinf._kernels import closed_loop_path
 from stoch_h2hinf.sim import _CSV_BLOCK
 
 
@@ -273,55 +273,21 @@ class TestSimulate:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-class TestBackends:
-    def test_active_backend_env(self, monkeypatch):
-        monkeypatch.setenv("STOCH_H2HINF_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv("STOCH_H2HINF_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            active_backend()
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_backends_agree(self, f16, f16_solution, monkeypatch):
-        sys_, cost = f16
-        out = {}
-        for backend in ("numpy", "numba"):
-            monkeypatch.setenv("STOCH_H2HINF_BACKEND", backend)
-            out[backend] = simulate_closed_loop(
-                sys_, cost, f16_solution.gains, [10.0, 5.0, -2.0], 300, NoiseSource(8)
-            )
-        np.testing.assert_allclose(
-            out["numpy"].states, out["numba"].states, rtol=1e-12, atol=1e-15
-        )
-
-
 class TestAttenuation:
-    def test_forced_path_replay(self, f16, f16_solution):
-        # the attenuation path is the closed-loop kernel with K1 = 0 and v
-        # given: each state equals a step() replay with u = K2 x and v the
-        # disturbance row, bit for bit
-        sys_, cost = f16
-        K2 = f16_solution.gains.K2
-        v = np.random.default_rng(12).standard_normal((50, 1))
-        omegas = NoiseSource(13).run_draws(0, 50)
-        xs, us, bad = forced_path(
-            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K2,
-            np.array([10.0, 5.0, -2.0]), v, omegas,
-        )
-        assert bad == -1
-        for k in range(50):
-            u = K2 @ xs[k]
-            np.testing.assert_array_equal(us[k], u)
-            np.testing.assert_array_equal(
-                xs[k + 1], step(sys_, xs[k], u, v[k], omegas[k])
-            )
-
     def test_zero_disturbance_rejected(self, f16, f16_solution):
         sys_, cost = f16
         with pytest.raises(ValueError, match="zero disturbance energy"):
             empirical_attenuation(
                 sys_, cost, f16_solution.gains.K2, np.zeros((10, 1)), 10, 5, 0
             )
+
+    def test_runs_below_one_rejected(self, f16, f16_solution):
+        sys_, cost = f16
+        for runs in (0, -2):
+            with pytest.raises(ValueError, match="runs must be >= 1"):
+                empirical_attenuation(
+                    sys_, cost, f16_solution.gains.K2, np.ones((10, 1)), 10, runs, 0
+                )
 
     def test_optimal_gain_attenuates(self, f16, f16_solution):
         sys_, cost = f16
@@ -343,14 +309,16 @@ class TestAttenuation:
 
     @staticmethod
     def _sequential(sys_, cost, K2, v, horizon, runs, seed):
-        # one forced_path per replicate, as empirical_attenuation ran before
-        # it batched the replicates; also returns each replicate's trip index
+        # one closed-loop kernel run per replicate, with K1 = 0, e_u = 0 and
+        # e_v = the disturbance; also returns each replicate's trip index
         noise = NoiseSource(seed)
+        K1 = np.zeros((sys_.m2, sys_.n))
+        eu = np.zeros((horizon, sys_.m1))
         total, trips = 0.0, []
         for r in range(runs):
-            xs, us, bad = forced_path(
-                sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K2,
-                np.zeros(sys_.n), v, noise.run_draws(r, horizon),
+            xs, us, _, bad = closed_loop_path(
+                sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K1, K2,
+                np.zeros(sys_.n), noise.run_draws(r, horizon), eu, v,
             )
             total += float(
                 np.einsum("ij,jk,ik->", xs[:-1], cost.Q, xs[:-1])
