@@ -28,7 +28,6 @@ from .qfunction import (
     h_from_values,
     mat_from_vecs,
     q_value,
-    stack_input,
     values_from_q,
     vech,
     vecs,
@@ -51,7 +50,6 @@ from .sim import (
     NoiseSource,
     Trajectory,
     empirical_attenuation,
-    expected_next_quadratic,
     simulate_closed_loop,
     stage_costs,
     step,

@@ -25,9 +25,11 @@ from .model import (
     ConvergenceError,
     CostSpec,
     DivergenceError,
+    EXPECTATION_MODES,
     ExcitationError,
     GainExtractionError,
     GainPair,
+    NOISE_CASES,
     SdltiSystem,
     validate_system,
 )
@@ -300,6 +302,10 @@ def _run_in(cfg, outdir, error=None):
             raise error
         if cfg.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
+        if f"case{cfg.case}" not in NOISE_CASES:
+            raise ConfigError(f"case must be 1, 2 or 3, got {cfg.case}")
+        if cfg.mode not in EXPECTATION_MODES:
+            raise ConfigError(f"mode must be analytic or mc, got {cfg.mode!r}")
         code, reason = handler(cfg, outdir)
     except ConfigError as exc:
         code, reason = 1, f"config error: {exc}"
@@ -343,15 +349,17 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--system", default=None, help="f16 or custom")
-        p.add_argument("--case", type=int, choices=(1, 2, 3), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--tuples", type=int, default=None)
-        p.add_argument("--branches", type=int, default=None)
-        p.add_argument("--mode", choices=("analytic", "mc"), default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
+        # values stay strings here and are converted like the config file's,
+        # so a bad one is a configuration error (exit 1 with a manifest)
+        p.add_argument("--case", default=None, help="probing case 1, 2 or 3")
+        p.add_argument("--seed", default=None)
+        p.add_argument("--tol", default=None)
+        p.add_argument("--max-iters", default=None)
+        p.add_argument("--tuples", default=None)
+        p.add_argument("--branches", default=None)
+        p.add_argument("--mode", default=None, help="analytic or mc")
+        p.add_argument("--steps", default=None)
+        p.add_argument("--gamma", default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--no-reference", action="store_true",
                        help="omit reference-error columns from the CSV")
@@ -369,13 +377,16 @@ def main(argv=None):
             values.update(parse_config_file(args.config))
         except ConfigError as exc:
             error = exc
-    for key in ("system", "case", "seed", "tol", "tuples", "branches",
+    for key in ("system", "case", "seed", "tol", "max_iters", "tuples", "branches",
                 "mode", "steps", "gamma", "out", "a1", "a2", "b1", "c1", "c2", "q"):
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    if args.max_iters is not None:
-        values["max_iters"] = args.max_iters
+        val = getattr(args, key)
+        if val is None:
+            continue
+        try:
+            values[key] = _FIELD_TYPES.get(key, str)(val)
+        except ValueError:
+            flag = "--" + key.replace("_", "-")
+            error = error or ConfigError(f"bad value for {flag}: {val!r}")
     if args.no_reference:
         values["reference"] = False
     env_seed = os.environ.get(SEED_ENV)

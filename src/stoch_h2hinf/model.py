@@ -251,7 +251,7 @@ class QPair:
         return self.n, self.m1, self.m2
 
 
-NOISE_CASES = ("case1", "case2", "case3", "custom")
+NOISE_CASES = ("case1", "case2", "case3")
 EXPECTATION_MODES = ("analytic", "mc")
 
 
@@ -261,7 +261,9 @@ class AlgoConfig:
 
     tol is the stopping tolerance eps, max_iters the iteration cap i_max,
     tuples_per_iter the batch size N, branches the Monte-Carlo branch count
-    N_u per collected tuple.
+    N_u per collected tuple, noise_case the probing case (case1, case2 or
+    case3).  seed is only recorded on the learner's report; the noise itself
+    comes from the oracle's NoiseSource.
     """
 
     tol: float = 1e-3

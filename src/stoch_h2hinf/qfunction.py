@@ -24,39 +24,29 @@ from .model import (
     symmetrize,
 )
 
+# symmetry tolerance of vecs and vech, relative to max(1, largest |entry|)
+_SYM_RTOL = 1e-9
+
 
 def block_slices(n, m1, m2):
     """Index ranges of the x, u, v blocks inside a p x p Q-matrix."""
     return slice(0, n), slice(n, n + m1), slice(n + m1, n + m1 + m2)
 
 
-def stack_input(sys, x, u, v):
-    """Concatenate [x; u; v] after checking the partition against sys."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if (x.size, u.size, v.size) != (sys.n, sys.m1, sys.m2):
-        raise ValueError(
-            f"partition ({x.size},{u.size},{v.size}) does not match "
-            f"system dims {sys.dims}"
-        )
-    return np.concatenate([x, u, v])
-
-
-def vecs(H, tol=1e-9):
+def vecs(H):
     """Upper-triangular row-major stack [H11, H12, ..., H1p, H22, ..., Hpp]."""
     H = np.asarray(H, dtype=float)
-    require_symmetric(H, "H", tol=tol * max(1.0, float(np.abs(H).max() or 1.0)))
+    require_symmetric(H, "H", tol=_SYM_RTOL * max(1.0, float(np.abs(H).max() or 1.0)))
     return H[np.triu_indices(H.shape[0])].copy()
 
 
-def vech(Z, tol=1e-9):
+def vech(Z):
     """Like vecs but off-diagonal entries doubled, so vech(Z).vecs(H) = Tr(ZH).
 
     A stack Z of shape (..., p, p) gives one row per matrix, shape (..., p(p+1)/2).
     """
     Z = np.asarray(Z, dtype=float)
-    require_symmetric(Z, "Z", tol=tol * max(1.0, float(np.abs(Z).max() or 1.0)))
+    require_symmetric(Z, "Z", tol=_SYM_RTOL * max(1.0, float(np.abs(Z).max() or 1.0)))
     p = Z.shape[-1]
     W = np.full((p, p), 2.0)
     np.fill_diagonal(W, 1.0)

@@ -29,6 +29,7 @@ from .model import (
     DivergenceError,
     ExcitationError,
     GainPair,
+    NOISE_CASES,
     QPair,
     ValuePair,
 )
@@ -45,42 +46,21 @@ from .qfunction import (
 from ._kernels import GUARD
 from .sim import _drift_and_noise, stage_costs, step
 
-_FUNCS = ("sin", "cos", "sin2", "cos2")
-
 
 @dataclass(frozen=True)
 class ProbingSchedule:
-    """Persistent-excitation schedule: sums of (squared) sinusoids of k.
+    """Persistent-excitation schedule: one of the three probing cases.
 
-    Constants and white noise are rejected at construction; their sample
+    Each case sums sinusoids and squared sinusoids of k; case3 is case1 +
+    case2.  None of them has a constant or white-noise part, whose sample
     mean would act as a constant regression column and break excitation.
-    Custom terms are (channel, func, freq, amplitude) with channel in
-    {"u", "v"} and func in {"sin", "cos", "sin2", "cos2"}.
     """
 
     case: str
-    active: bool = True
-    terms: tuple = ()
 
     def __post_init__(self):
-        if self.case not in ("case1", "case2", "case3", "custom"):
+        if self.case not in NOISE_CASES:
             raise ValueError(f"unknown probing case {self.case!r}")
-        if self.case == "custom":
-            if not self.terms:
-                raise ValueError("custom schedule needs at least one term")
-            for term in self.terms:
-                channel, func, freq, amp = term
-                if channel not in ("u", "v"):
-                    raise ValueError(f"term channel must be u or v, got {channel!r}")
-                if func not in _FUNCS:
-                    raise ValueError(f"term function must be one of {_FUNCS}")
-                if not np.isfinite(freq) or freq == 0.0:
-                    raise ValueError("term frequency must be finite and nonzero")
-                if not np.isfinite(amp):
-                    raise ValueError("term amplitude must be finite")
-        elif self.terms:
-            raise ValueError("terms are only allowed with case='custom'")
-        object.__setattr__(self, "terms", tuple(self.terms))
 
     def _scalars(self, t):
         if self.case == "case1":
@@ -93,36 +73,20 @@ class ProbingSchedule:
                 np.sin(0.9 * t) + np.cos(100.0 * t),
                 np.sin(10.0 * t) + np.cos(10.0 * t),
             )
-        if self.case == "case3":
-            u1, v1 = ProbingSchedule("case1")._scalars(t)
-            u2, v2 = ProbingSchedule("case2")._scalars(t)
-            return u1 + u2, v1 + v2
-        eu = ev = 0.0
-        for channel, func, freq, amp in self.terms:
-            w = freq * t
-            val = {
-                "sin": np.sin(w),
-                "cos": np.cos(w),
-                "sin2": np.sin(w) ** 2,
-                "cos2": np.cos(w) ** 2,
-            }[func] * amp
-            if channel == "u":
-                eu += val
-            else:
-                ev += val
-        return eu, ev
+        u1, v1 = ProbingSchedule("case1")._scalars(t)
+        u2, v2 = ProbingSchedule("case2")._scalars(t)
+        return u1 + u2, v1 + v2
 
     def evaluate(self, k, m1=1, m2=1):
         """Probe vectors at time k; components phase-shifted by their index."""
-        if not self.active:
-            return np.zeros(m1), np.zeros(m2)
-        eu = np.array([self._scalars(k + i)[0] for i in range(m1)])
-        ev = np.array([self._scalars(k + i)[1] for i in range(m2)])
+        pairs = [self._scalars(k + i) for i in range(max(m1, m2))]
+        eu = np.array([pair[0] for pair in pairs[:m1]])
+        ev = np.array([pair[1] for pair in pairs[:m2]])
         return eu, ev
 
 
 def probing_noise(schedule, k, m1=1, m2=1):
-    """(e_u, e_v) at time k; zeros when the schedule is absent or inactive."""
+    """(e_u, e_v) at time k; zeros when the schedule is absent."""
     if schedule is None:
         return np.zeros(m1), np.zeros(m2)
     return schedule.evaluate(k, m1, m2)
@@ -149,8 +113,9 @@ class TrajectoryOracle(ABC):
     def reset(self, x):
         """Move the plant to state x."""
 
-    def expected_quadratic(self, P, u, v):
-        """Exact E(x+' P x+) given the current state; testing-only privilege."""
+    def expected_quadratic(self, vals, u, v):
+        """Exact (E(x+' P1 x+), E(x+' P2 x+)) for the value pair vals given the
+        current state; testing-only privilege."""
         raise NotImplementedError("this oracle cannot take exact expectations")
 
 
@@ -192,12 +157,13 @@ class SystemOracle(TrajectoryOracle):
         self._check(out, self._k)
         return out
 
-    def expected_quadratic(self, P, u, v):
-        # P is a member of a validated ValuePair: no symmetry check per call
+    def expected_quadratic(self, vals, u, v):
+        # mu'P mu + s'P s for each member; one (mu, s) serves both, and the
+        # members of a validated ValuePair need no symmetry check per call
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         mu, s = _drift_and_noise(self._sys, self._x, u, v)
-        return float(mu @ P @ mu + s @ P @ s)
+        return tuple(float(mu @ P @ mu + s @ P @ s) for P in (vals.P1, vals.P2))
 
     def reset(self, x):
         self._x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
@@ -208,7 +174,7 @@ def least_squares_h(X, Y1, Y2, dims):
 
     q is the QPair (H1, H2) and svmin X's smallest singular value.  Raises ValueError when X has
     fewer rows than unknowns, and ExcitationError when X is numerically rank
-    deficient, which is what inactive or constant probing produces.
+    deficient, which is what absent or constant probing produces.
     """
     n, m1, m2 = dims
     rows, unknowns = X.shape
@@ -249,8 +215,7 @@ def bellman_targets(oracle, cost, cont, x, u, v, branches, mode):
     """
     r1, r2 = stage_costs(cost, x, u, v)
     if mode == "analytic":
-        c1 = oracle.expected_quadratic(cont.P1, u, v)
-        c2 = oracle.expected_quadratic(cont.P2, u, v)
+        c1, c2 = oracle.expected_quadratic(cont, u, v)
     elif mode == "mc":
         succ = oracle.branch(u, v, branches)
         if not np.isfinite(succ).all():
@@ -351,7 +316,7 @@ class QLearnReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None):
+def run_q_learning(oracle, cost, config, initial_gains, x0):
     """Algorithm-style learning loop against a black-box oracle.
 
     On stop (or on an exhausted iteration budget, which is reported rather
@@ -363,10 +328,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0, schedule=None):
     m1, m2 = initial_gains.K2.shape[0], initial_gains.K1.shape[0]
     p = n + m1 + m2
     config.validate_for(p)
-    if schedule is None:
-        if config.noise_case == "custom":
-            raise ValueError("custom probing requires an explicit schedule")
-        schedule = ProbingSchedule(config.noise_case)
+    schedule = ProbingSchedule(config.noise_case)
 
     q = QPair.zeros(n, m1, m2)
     gains = initial_gains

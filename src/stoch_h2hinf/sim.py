@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import ConfigError, DivergenceError, require_symmetric
+from .model import ConfigError, DivergenceError
 
 _TAG_MAIN = 0x51B1
 _TAG_BRANCH = 0x51B2
@@ -98,17 +98,6 @@ def stage_costs(cost, x, u, v):
     return r1, r2
 
 
-def expected_next_quadratic(sys, P, x, u, v):
-    """Exact E(x+' P x+) given (x, u, v): mu'P mu + s'P s."""
-    P = np.asarray(P, dtype=float)
-    require_symmetric(P, "P", tol=1e-9 * max(1.0, float(np.abs(P).max() or 1.0)))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    mu, s = _drift_and_noise(sys, x, u, v)
-    return float(mu @ P @ mu + s @ P @ s)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Closed-loop record: one more state than inputs, costs per step."""
@@ -158,7 +147,7 @@ class Trajectory:
 def _probe_arrays(probe, k0, steps, m1, m2):
     eu = np.zeros((steps, m1))
     ev = np.zeros((steps, m2))
-    if probe is not None and getattr(probe, "active", True):
+    if probe is not None:
         for t in range(steps):
             e_u, e_v = probe.evaluate(k0 + t, m1, m2)
             eu[t] = e_u
@@ -169,9 +158,9 @@ def _probe_arrays(probe, k0, steps, m1, m2):
 def simulate_closed_loop(sys, cost, gains, x0, steps, noise, probe=None, k0=0):
     """Run u = K2 x + e_u, v = K1 x + e_v for `steps` transitions.
 
-    The probe object only needs an evaluate(k, m1, m2) method and an
-    `active` flag; pass None for the plain closed loop.  Raises
-    DivergenceError when a state leaves the guard region.
+    The probe object only needs an evaluate(k, m1, m2) method; pass None
+    for the plain closed loop.  Raises DivergenceError when a state leaves
+    the guard region.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")

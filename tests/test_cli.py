@@ -145,6 +145,18 @@ class TestSolveCommand:
 
 
 class TestLearningCommands:
+    def test_excitation_failure_exit_2(self, tmp_path, capsys):
+        # a plant with A1 = A2 = B1 = C1 = C2 = 0 keeps every state after the
+        # first at 0, so no probe excites the regression
+        args = ["qlearn", "--system", "custom", "--out", str(tmp_path / "out")]
+        for name in ("a1", "a2", "b1", "c1", "c2"):
+            np.savetxt(tmp_path / f"{name}.txt", np.zeros((1, 1)))
+            args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        assert main(args) == 2
+        assert "insufficient excitation" in capsys.readouterr().out
+        reason = (tmp_path / "out" / "manifest.txt").read_text().splitlines()[-1]
+        assert reason.startswith("exit_reason = run failed: insufficient excitation")
+
     def test_qlearn_artifact_contract(self, tmp_path):
         out = str(tmp_path)
         code = main(["qlearn", "--mode", "analytic", "--max-iters", "3",
@@ -355,6 +367,10 @@ class TestConfigHandling:
         (["solve", "--tol", "-1"], "tol"),
         (["solve", "--max-iters", "0"], "max_iters"),
         (["qlearn", "--mode", "analytic", "--steps", "0"], "steps"),
+        (["solve", "--case", "4"], "case"),
+        (["qlearn", "--mode", "exact"], "mode"),
+        (["simulate", "--steps", "abc"], "steps"),
+        (["vi", "--seed", "x"], "seed"),
     ])
     def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1

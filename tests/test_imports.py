@@ -1,8 +1,10 @@
-"""Static check: every top-level import of a package module is used.
+"""Static checks: every top-level import and private name of the package is used.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead: a name bound by a top-level import must be read
-somewhere in the module.  The package's star import is checked too.
+somewhere in the module, and a private top-level name (a `_x` def, class
+or assignment) somewhere in the package.  The package's star import is
+checked too.
 """
 
 import ast
@@ -27,6 +29,39 @@ def unused_imports(source):
             bound.update((a.asname or a.name).split(".")[0] for a in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(bound - read)
+
+
+def unread_private_names(sources):
+    """Private top-level names defined in any of the sources and read in none."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - read)
+
+
+def test_detects_an_unread_private_name():
+    sources = [
+        "_USED = 1\n_LEFTOVER = ('a', 'b')\ndef _helper():\n    return 2\n",
+        "from .a import _helper\nx = _helper() + mod._USED\n",
+    ]
+    assert unread_private_names(sources) == ["_LEFTOVER"]
+
+
+def test_no_unread_private_name():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
 
 
 def test_detects_an_unused_import():

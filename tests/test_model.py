@@ -104,8 +104,9 @@ def test_algo_config_validation():
         AlgoConfig(tol=0.0)
     with pytest.raises(ValueError):
         AlgoConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        AlgoConfig(noise_case="case9")
+    for case in ("case9", "custom"):
+        with pytest.raises(ValueError):
+            AlgoConfig(noise_case=case)
     with pytest.raises(ValueError):
         AlgoConfig(expectation_mode="exact")
     cfg = AlgoConfig(tuples_per_iter=14)

@@ -17,7 +17,6 @@ from stoch_h2hinf import (
     mat_from_vecs,
     q_value,
     qlearn_value_update,
-    stack_input,
     values_from_q,
     vech,
     vecs,
@@ -136,13 +135,6 @@ def test_q_value_is_quadratic_form():
     H = M + M.T
     z = rng.standard_normal(5)
     assert q_value(H, z) == pytest.approx(z @ H @ z)
-
-
-def test_stack_input(scalar_sys):
-    z = stack_input(scalar_sys, np.array([2.0]), np.array([3.0]), np.array([4.0]))
-    np.testing.assert_array_equal(z, [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        stack_input(scalar_sys, np.array([2.0, 1.0]), np.array([3.0]), np.array([4.0]))
 
 
 def test_h_from_values_zero_gives_cost_blocks(scalar_sys, scalar_cost):

@@ -36,6 +36,8 @@ from stoch_h2hinf import (
     vecs,
     write_matrix_txt,
 )
+from stoch_h2hinf import qlearn as qlearn_module
+from stoch_h2hinf import sim as sim_module
 from stoch_h2hinf.f16 import X0
 
 
@@ -45,6 +47,9 @@ class TestProbingSchedule:
             e_u, e_v = ProbingSchedule(case).evaluate(0)
             assert e_u[0] == pytest.approx(expect)
             assert e_v[0] == pytest.approx(expect)
+        for case in ("case7", "custom"):
+            with pytest.raises(ValueError, match="unknown probing case"):
+                ProbingSchedule(case)
 
     def test_case1_formula(self):
         e_u, e_v = ProbingSchedule("case1").evaluate(3)
@@ -52,38 +57,25 @@ class TestProbingSchedule:
         assert e_v[0] == pytest.approx(np.sin(29.1) + np.cos(30.6) ** 2)
 
     def test_inactive_and_absent(self):
-        e_u, e_v = probing_noise(ProbingSchedule("case1", active=False), 5)
+        e_u, e_v = probing_noise(None, 5)
         assert e_u[0] == 0.0 and e_v[0] == 0.0
         e_u, e_v = probing_noise(None, 5, m1=2, m2=1)
         assert e_u.shape == (2,) and not e_u.any()
 
     def test_vector_broadcast_phase_shift(self):
-        sched = ProbingSchedule("case1")
-        e_u, _ = sched.evaluate(4, m1=3, m2=1)
-        for i in range(3):
-            assert e_u[i] == pytest.approx(sched.evaluate(4 + i)[0][0])
-
-    def test_custom_terms(self):
-        sched = ProbingSchedule(
-            "custom", terms=[("u", "sin", 2.0, 1.5), ("v", "cos2", 0.7, 1.0)]
-        )
-        e_u, e_v = sched.evaluate(1)
-        assert e_u[0] == pytest.approx(1.5 * np.sin(2.0))
-        assert e_v[0] == pytest.approx(np.cos(0.7) ** 2)
-
-    def test_custom_validation(self):
-        with pytest.raises(ValueError, match="at least one term"):
-            ProbingSchedule("custom")
-        with pytest.raises(ValueError, match="frequency"):
-            ProbingSchedule("custom", terms=[("u", "sin", 0.0, 1.0)])
-        with pytest.raises(ValueError, match="function"):
-            ProbingSchedule("custom", terms=[("u", "noise", 1.0, 1.0)])
-        with pytest.raises(ValueError, match="channel"):
-            ProbingSchedule("custom", terms=[("w", "sin", 1.0, 1.0)])
-        with pytest.raises(ValueError, match="unknown probing case"):
-            ProbingSchedule("case7")
-        with pytest.raises(ValueError, match="only allowed"):
-            ProbingSchedule("case1", terms=[("u", "sin", 1.0, 1.0)])
+        for case in ("case1", "case3"):
+            sched = ProbingSchedule(case)
+            e_u, _ = sched.evaluate(4, m1=3, m2=1)
+            _, e_v = sched.evaluate(4, m1=1, m2=2)
+            for i in range(3):
+                assert e_u[i] == sched.evaluate(4 + i)[0][0]
+            for i in range(2):
+                assert e_v[i] == sched.evaluate(4 + i)[1][0]
+        # case3 is case1 + case2, summed in that order
+        u1, v1 = ProbingSchedule("case1").evaluate(9)
+        u2, v2 = ProbingSchedule("case2").evaluate(9)
+        u3, v3 = ProbingSchedule("case3").evaluate(9)
+        assert (u3[0], v3[0]) == (u1[0] + u2[0], v1[0] + v2[0])
 
 
 class TestBellmanTargets:
@@ -206,7 +198,7 @@ class TestRegression:
 
     def test_inactive_probe_rank_deficient(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1", active=False))
+        X, Y1, Y2 = _collect_mc(sys_, cost, None)
         with pytest.raises(ExcitationError, match="insufficient excitation"):
             least_squares_h(X, Y1, Y2, (3, 1, 1))
 
@@ -460,24 +452,34 @@ class TestRunQLearning:
                 GainPair.zeros(1), np.ones(1),
             )
 
-    def test_inactive_probe_raises_excitation(self, f16):
-        sys_, cost = f16
-        oracle = SystemOracle(sys_, NoiseSource(0), X0)
-        with pytest.raises(ExcitationError):
+    def test_unexcitable_plant_raises_excitation(self):
+        # with A1 = A2 = B1 = C1 = C2 = 0 every state after the first is 0,
+        # so the probed inputs cannot excite the x-block of the regression
+        z = [[0.0]]
+        oracle = SystemOracle(SdltiSystem(z, z, z, z, z), NoiseSource(0), np.ones(1))
+        with pytest.raises(ExcitationError, match="insufficient excitation"):
             run_q_learning(
-                oracle, cost, _analytic_config(max_iters=3),
-                f16_initial_gains(), X0,
-                schedule=ProbingSchedule("case1", active=False),
+                oracle, CostSpec(1.0, [[1.0]]), _analytic_config(max_iters=3),
+                GainPair.zeros(1), np.ones(1),
             )
 
-    def test_custom_case_requires_schedule(self, f16):
+    def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
+        # analytic mode forms each tuple's (mu, s) twice: once for both
+        # members' expectation, once to apply the inputs
         sys_, cost = f16
-        oracle = SystemOracle(sys_, NoiseSource(0), X0)
-        with pytest.raises(ValueError, match="custom"):
-            run_q_learning(
-                oracle, cost, _analytic_config(noise_case="custom"),
-                f16_initial_gains(), X0,
-            )
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return drift(*args)
+
+        drift = sim_module._drift_and_noise
+        monkeypatch.setattr(sim_module, "_drift_and_noise", counted)
+        monkeypatch.setattr(qlearn_module, "_drift_and_noise", counted)
+        rep = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost,
+                             _analytic_config(max_iters=3), f16_initial_gains(), X0)
+        # plus one per step of the 100-step unprobed tail
+        assert len(calls) == 2 * 20 * rep.iterations + 100
 
     def test_oracle_without_expectations_rejects_analytic(self, f16):
         sys_, cost = f16

@@ -10,9 +10,10 @@ from stoch_h2hinf import (
     NoiseSource,
     ProbingSchedule,
     SdltiSystem,
+    SystemOracle,
     Trajectory,
+    ValuePair,
     empirical_attenuation,
-    expected_next_quadratic,
     simulate_closed_loop,
     solve_coupled_gare,
     stage_costs,
@@ -105,33 +106,42 @@ class TestStepAndCosts:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(r2))
 
     def test_expected_next_quadratic_examples(self, scalar_sys):
+        # SystemOracle.expected_quadratic gives E(x+' P x+) for both members
+        # of the value pair from one (mu, s)
         ident = SdltiSystem(
             np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)),
             np.zeros((2, 1)), np.zeros((2, 1)),
         )
-        x = np.array([3.0, 4.0])
-        assert expected_next_quadratic(ident, np.eye(2), x, [0.0], [0.0]) == 25.0
-        assert expected_next_quadratic(ident, np.zeros((2, 2)), x, [0.0], [0.0]) == 0.0
-        out = expected_next_quadratic(scalar_sys, [[1.0]], [1.0], [0.0], [0.0])
-        assert out == pytest.approx(0.65, abs=1e-15)
+        oracle = SystemOracle(ident, NoiseSource(0), [3.0, 4.0])
+        pair = ValuePair(np.eye(2), np.zeros((2, 2)))
+        assert oracle.expected_quadratic(pair, [0.0], [0.0]) == (25.0, 0.0)
+        oracle = SystemOracle(scalar_sys, NoiseSource(0), [1.0])
+        c1, c2 = oracle.expected_quadratic(ValuePair([[1.0]], [[2.0]]), [0.0], [0.0])
+        assert c1 == pytest.approx(0.65, abs=1e-15)
+        assert c2 == pytest.approx(1.3, abs=1e-15)
 
     def test_expected_next_quadratic_matches_sampling(self, random_population):
         sys_, _ = random_population[0]
         rng = np.random.default_rng(21)
-        M = rng.standard_normal((sys_.n, sys_.n))
-        P = M + M.T
+        M1 = rng.standard_normal((sys_.n, sys_.n))
+        M2 = rng.standard_normal((sys_.n, sys_.n))
+        vals = ValuePair(M1 + M1.T, M2 @ M2.T)
         x = rng.standard_normal(sys_.n)
         u = rng.standard_normal(sys_.m1)
         v = rng.standard_normal(sys_.m2)
-        exact = expected_next_quadratic(sys_, P, x, u, v)
+        exact = SystemOracle(sys_, NoiseSource(0), x).expected_quadratic(vals, u, v)
         mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
         s = sys_.A2 @ x + sys_.C2 @ v
         N = 40_000
         omegas = NoiseSource(3).branch_draws(0, N)
         succ = mu[None, :] + omegas[:, None] * s[None, :]
-        sample = np.einsum("ij,jk,ik->i", succ, P, succ).mean()
-        std = np.sqrt(4 * (mu @ P @ s) ** 2 + 2 * (s @ P @ s) ** 2)
-        assert abs(sample - exact) < 5.0 * std / np.sqrt(N) + 1e-12
+        assert len(exact) == 2
+        for P, c in zip((vals.P1, vals.P2), exact):
+            # each member is mu'P mu + s'P s bit for bit
+            assert c == float(mu @ P @ mu + s @ P @ s)
+            sample = np.einsum("ij,jk,ik->i", succ, P, succ).mean()
+            std = np.sqrt(4 * (mu @ P @ s) ** 2 + 2 * (s @ P @ s) ** 2)
+            assert abs(sample - c) < 5.0 * std / np.sqrt(N) + 1e-12
 
 
 class TestSimulate:
