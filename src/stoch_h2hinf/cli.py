@@ -93,30 +93,41 @@ _FIELD_TYPES = {
 
 
 def parse_config_file(path):
-    """Flat key = value lines; '#' starts a comment."""
-    values = {}
+    """Flat key = value lines; '#' starts a comment.
+
+    Every line is read before a bad one raises ConfigError; the error's
+    values then hold the keys that were read, a rejected value as its text,
+    so the manifest echoes what the file asked for.
+    """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    values, problems = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            problems.append(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            continue
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in ExperimentConfig.__dataclass_fields__:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "command":
-            raise ConfigError(f"{path}:{lineno}: the command is set on the command line only")
-        conv = _FIELD_TYPES.get(key, str)
-        try:
-            values[key] = conv(val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+            problems.append(f"{path}:{lineno}: unknown key {key!r}")
+        elif key == "command":
+            problems.append(f"{path}:{lineno}: the command is set on the command line only")
+        else:
+            try:
+                values[key] = _FIELD_TYPES.get(key, str)(val)
+            except ValueError:
+                values[key] = val
+                problems.append(f"{path}:{lineno}: bad value for {key}: {val!r}")
+    if problems:
+        err = ConfigError(problems[0])
+        err.values = values
+        raise err
     return values
 
 
@@ -376,6 +387,7 @@ def main(argv=None):
         try:
             values.update(parse_config_file(args.config))
         except ConfigError as exc:
+            values.update(getattr(exc, "values", {}))
             error = exc
     for key in ("system", "case", "seed", "tol", "max_iters", "tuples", "branches",
                 "mode", "steps", "gamma", "out", "a1", "a2", "b1", "c1", "c2", "q"):
@@ -385,6 +397,7 @@ def main(argv=None):
         try:
             values[key] = _FIELD_TYPES.get(key, str)(val)
         except ValueError:
+            values[key] = val
             flag = "--" + key.replace("_", "-")
             error = error or ConfigError(f"bad value for {flag}: {val!r}")
     if args.no_reference:
@@ -394,10 +407,12 @@ def main(argv=None):
         try:
             values["seed"] = int(env_seed)
         except ValueError:
+            values["seed"] = env_seed
             error = ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer")
-    # every key in values is a field, so this cannot fail; a settings error
-    # still gets a manifest, in the output directory known so far: --out,
-    # else the config file's out, else "."
+    # every key in values is a field, so this cannot fail; a rejected value
+    # stays in values as the text given, and a settings error still gets a
+    # manifest, in the output directory known so far: --out, else the config
+    # file's out, else "."
     return run_experiment(ExperimentConfig(**values), error)
 
 

@@ -13,6 +13,7 @@ stability of a realized closed loop is certified through the spectral
 radius of the Kronecker second-moment map.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,44 +33,45 @@ from .model import (
 _PD_TOL = 1e-12
 
 
-def closed_loop_quadratic_map(sys, X, Y1, Y2):
-    """A(X, Y1, Y2) = (A2+C2Y1)'X(A2+C2Y1) + (A1+B1Y2+C1Y1)'X(A1+B1Y2+C1Y1)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sys.n, sys.n):
-        raise ValueError(f"X must be {sys.n}x{sys.n}, got {X.shape}")
-    Ad = sys.A1 + sys.B1 @ Y2 + sys.C1 @ Y1
-    An = sys.A2 + sys.C2 @ Y1
+def _closed_loop(sys, K1, K2):
+    """Au = A1 + B1K2, Ad = Au + C1K1 and An = A2 + C2K1 of the loop (K1, K2)."""
+    Au = sys.A1 + sys.B1 @ K2
+    return Au, Au + sys.C1 @ K1, sys.A2 + sys.C2 @ K1
+
+
+def _policy_terms(sys, K1, K2):
+    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An."""
+    return (K1, K2.T @ K2) + _closed_loop(sys, K1, K2)
+
+
+def _quadratic_map(X, Ad, An):
     return symmetrize(An.T @ X @ An + Ad.T @ X @ Ad)
 
 
-def _delta_blocks(sys, cost, vals):
-    P1, P2 = vals.P1, vals.P2
-    g2 = cost.gamma**2
-    D1 = g2 * np.eye(sys.m2) + sys.C2.T @ P1 @ sys.C2 + sys.C1.T @ P1 @ sys.C1
+def _delta_blocks(sys, cost, P1, P2):
+    """Delta1 = g^2 I + C2'P1C2 + C1'P1C1 and Delta2 = I + B1'P2B1."""
+    D1 = (cost.gamma**2 * np.eye(sys.m2) + sys.C2.T @ P1 @ sys.C2
+          + sys.C1.T @ P1 @ sys.C1)
     D2 = np.eye(sys.m1) + sys.B1.T @ P2 @ sys.B1
     return D1, D2
 
 
-def gains_from_values(sys, cost, vals):
-    """Solve the stacked system for (K1, K2) at the current (P1, P2).
+def _extract_gains(sys, cost, P1, P2, D1, D2, blk):
+    """(K1, K2) from the stacked system, assembled in the (m2+m1)-square blk.
 
-    The stack is [[Delta1, C1'P1B1], [B1'P2C1, Delta2]] against
-    -[C1'P1A1 + C2'P1A2; B1'P2A1].  Delta1 and Delta2 must be positive
-    definite; losing that signals the attenuation level is infeasible.
+    Delta1 and Delta2 must be positive definite; losing that signals the
+    attenuation level is infeasible.
     """
-    P1, P2 = vals.P1, vals.P2
-    D1, D2 = _delta_blocks(sys, cost, vals)
     for name, D in (("Delta1", D1), ("Delta2", D2)):
         if float(np.linalg.eigvalsh(symmetrize(D)).min()) <= _PD_TOL:
             raise AttenuationInfeasibleError(
                 f"{name} is not positive definite; gamma={cost.gamma} too small"
             )
-    blk = np.block(
-        [
-            [D1, sys.C1.T @ P1 @ sys.B1],
-            [sys.B1.T @ P2 @ sys.C1, D2],
-        ]
-    )
+    m2 = sys.m2
+    blk[:m2, :m2] = D1
+    blk[:m2, m2:] = sys.C1.T @ P1 @ sys.B1
+    blk[m2:, :m2] = sys.B1.T @ P2 @ sys.C1
+    blk[m2:, m2:] = D2
     rhs = -np.vstack(
         [
             sys.C1.T @ P1 @ sys.A1 + sys.C2.T @ P1 @ sys.A2,
@@ -80,21 +82,68 @@ def gains_from_values(sys, cost, vals):
         KK = np.linalg.solve(blk, rhs)
     except np.linalg.LinAlgError as exc:
         raise GainExtractionError(f"stacked gain system is singular: {exc}") from exc
-    return GainPair(KK[: sys.m2], KK[sys.m2 :])
+    return KK[:m2], KK[m2:]
+
+
+def _value_update(cost, P1, P2, policy):
+    K1, K2tK2, _, Ad, An = policy
+    P1n = _quadratic_map(P1, Ad, An) - cost.Q - K2tK2 + cost.gamma**2 * (K1.T @ K1)
+    P2n = _quadratic_map(P2, Ad, An) + cost.Q + K2tK2
+    return symmetrize(P1n), symmetrize(P2n)
+
+
+def _residuals(sys, cost, P1, P2, D1, D2, policy):
+    """Left-hand sides of the coupled equations; D1, D2 are the Delta blocks at P."""
+    K1, K2tK2, Au, _, An = policy
+    M1 = Au.T @ P1 @ sys.C1 + sys.A2.T @ P1 @ sys.C2
+    try:
+        S1 = M1 @ np.linalg.solve(D1, M1.T)
+    except np.linalg.LinAlgError as exc:
+        raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
+    R1 = -P1 + Au.T @ P1 @ Au - cost.Q + sys.A2.T @ P1 @ sys.A2 - K2tK2 - S1
+
+    Av = sys.A1 + sys.C1 @ K1
+    M2 = Av.T @ P2 @ sys.B1
+    try:
+        S2 = M2 @ np.linalg.solve(D2, M2.T)
+    except np.linalg.LinAlgError as exc:
+        raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
+    R2 = -P2 + Av.T @ P2 @ Av + cost.Q + An.T @ P2 @ An - S2
+    return symmetrize(R1), symmetrize(R2)
+
+
+def _fro(M):
+    """Frobenius norm, summed in the order np.linalg.norm sums it."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def closed_loop_quadratic_map(sys, X, Y1, Y2):
+    """A(X, Y1, Y2) = (A2+C2Y1)'X(A2+C2Y1) + (A1+B1Y2+C1Y1)'X(A1+B1Y2+C1Y1)."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (sys.n, sys.n):
+        raise ValueError(f"X must be {sys.n}x{sys.n}, got {X.shape}")
+    _, Ad, An = _closed_loop(sys, Y1, Y2)
+    return _quadratic_map(X, Ad, An)
+
+
+def gains_from_values(sys, cost, vals):
+    """Solve the stacked system for (K1, K2) at the current (P1, P2).
+
+    The stack is [[Delta1, C1'P1B1], [B1'P2C1, Delta2]] against
+    -[C1'P1A1 + C2'P1A2; B1'P2A1].  Delta1 and Delta2 must be positive
+    definite; losing that signals the attenuation level is infeasible.
+    """
+    D1, D2 = _delta_blocks(sys, cost, vals.P1, vals.P2)
+    m = sys.m1 + sys.m2
+    blk = np.empty((m, m))
+    return GainPair(*_extract_gains(sys, cost, vals.P1, vals.P2, D1, D2, blk))
 
 
 def vi_value_update(sys, cost, vals, gains):
     """One value-iteration sweep using the supplied (current) gains."""
-    K1, K2 = gains.K1, gains.K2
-    g2 = cost.gamma**2
-    P1n = (
-        closed_loop_quadratic_map(sys, vals.P1, K1, K2)
-        - cost.Q
-        - K2.T @ K2
-        + g2 * (K1.T @ K1)
-    )
-    P2n = closed_loop_quadratic_map(sys, vals.P2, K1, K2) + cost.Q + K2.T @ K2
-    return ValuePair(symmetrize(P1n), symmetrize(P2n))
+    policy = _policy_terms(sys, gains.K1, gains.K2)
+    return ValuePair(*_value_update(cost, vals.P1, vals.P2, policy))
 
 
 def qlearn_value_update(sys, cost, vals):
@@ -108,27 +157,9 @@ def gare_residuals(sys, cost, vals, gains):
 
     Both come back as symmetric matrices; zero at an exact solution.
     """
-    P1, P2 = vals.P1, vals.P2
-    K1, K2 = gains.K1, gains.K2
-    g2 = cost.gamma**2
-    D1, D2 = _delta_blocks(sys, cost, vals)
-    Au = sys.A1 + sys.B1 @ K2
-    M1 = Au.T @ P1 @ sys.C1 + sys.A2.T @ P1 @ sys.C2
-    try:
-        S1 = M1 @ np.linalg.solve(D1, M1.T)
-    except np.linalg.LinAlgError as exc:
-        raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
-    R1 = -P1 + Au.T @ P1 @ Au - cost.Q + sys.A2.T @ P1 @ sys.A2 - K2.T @ K2 - S1
-
-    Av = sys.A1 + sys.C1 @ K1
-    An = sys.A2 + sys.C2 @ K1
-    M2 = Av.T @ P2 @ sys.B1
-    try:
-        S2 = M2 @ np.linalg.solve(D2, M2.T)
-    except np.linalg.LinAlgError as exc:
-        raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
-    R2 = -P2 + Av.T @ P2 @ Av + cost.Q + An.T @ P2 @ An - S2
-    return symmetrize(R1), symmetrize(R2)
+    D1, D2 = _delta_blocks(sys, cost, vals.P1, vals.P2)
+    policy = _policy_terms(sys, gains.K1, gains.K2)
+    return _residuals(sys, cost, vals.P1, vals.P2, D1, D2, policy)
 
 
 def ms_radius(Abar1, Abar2):
@@ -148,9 +179,7 @@ def ms_stable(Abar1, Abar2):
 
 def closed_loop_pair(sys, gains):
     """Drift and noise matrices of the loop u = K2 x, v = K1 x."""
-    Abar1 = sys.A1 + sys.B1 @ gains.K2 + sys.C1 @ gains.K1
-    Abar2 = sys.A2 + sys.C2 @ gains.K1
-    return Abar1, Abar2
+    return _closed_loop(sys, gains.K1, gains.K2)[1:]
 
 
 @dataclass(frozen=True)
@@ -187,31 +216,53 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     """Iterate the coupled value recursion from (0, 0) to its fixed point.
 
     Stops when both Frobenius iterate differences fall below tol; raises
-    ConvergenceError(report attached) if max_iters is exhausted first.
+    ConvergenceError(report attached) if max_iters is exhausted first, or
+    if an iterate leaves the finite range (the report then ends at the last
+    finite one).  The Delta blocks computed for one sweep's residual are
+    the next sweep's gain system.
     """
     if not tol > 0:
         raise ConfigError("tol must be positive")
     if max_iters < 1:
         raise ConfigError("max_iters must be a positive integer")
-    vals = ValuePair.zeros(sys.n)
-    gains = GainPair.zeros(sys.n, sys.m1, sys.m2)
+    n, m1, m2 = sys.dims
+    P1 = P2 = np.zeros((n, n))
+    K1, K2 = np.zeros((m2, n)), np.zeros((m1, n))
+    D1, D2 = _delta_blocks(sys, cost, P1, P2)
+    blk = np.empty((m2 + m1, m2 + m1))
     history = []
-    for _ in range(max_iters):
-        nxt, gains = qlearn_value_update(sys, cost, vals)
-        d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
-        d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
-        R1, R2 = gare_residuals(sys, cost, nxt, gains)
-        history.append((d1, d2, float(np.linalg.norm(R1)), float(np.linalg.norm(R2))))
-        vals = nxt
-        converged = d1 < tol and d2 < tol
-        if converged:
-            break
-    report = SolveReport(
-        vals, gains, tuple(history), ms_stable(*closed_loop_pair(sys, gains))
-    )
+    converged, diverged_at = False, None
+    # overflow and inf - inf only occur once the iteration diverges, which
+    # the finiteness check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iters + 1):
+            K1n, K2n = _extract_gains(sys, cost, P1, P2, D1, D2, blk)
+            policy = _policy_terms(sys, K1n, K2n)
+            P1n, P2n = _value_update(cost, P1, P2, policy)
+            d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
+            # dP overflows well before the entries do: only then are they read
+            if not math.isfinite(d1 + d2) and not (
+                np.isfinite(P1n).all() and np.isfinite(P2n).all()
+            ):
+                diverged_at = sweep
+                break
+            D1, D2 = _delta_blocks(sys, cost, P1n, P2n)
+            R1, R2 = _residuals(sys, cost, P1n, P2n, D1, D2, policy)
+            history.append((d1, d2, _fro(R1), _fro(R2)))
+            P1, P2, K1, K2 = P1n, P2n, K1n, K2n
+            if d1 < tol and d2 < tol:
+                converged = True
+                break
+        gains = GainPair(K1, K2)
+        report = SolveReport(
+            ValuePair(P1, P2), gains, tuple(history),
+            ms_stable(*closed_loop_pair(sys, gains)),
+        )
     if converged:
         return report
     err = ConvergenceError(
+        f"no fixed point: the iterate left the finite range at sweep {diverged_at}"
+        if diverged_at else
         f"no fixed point within {max_iters} iterations (tol={tol:g}); "
         f"last dP=({history[-1][0]:.3e}, {history[-1][1]:.3e})"
     )

@@ -144,6 +144,23 @@ class TestSolveCommand:
         assert main(args) == 3
 
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_diverging_iteration_exit_2(self, tmp_path, capsys, command):
+        # a1 = 1.5 with no inputs: the value iterates grow by 2.25 per sweep
+        # until they overflow
+        args = [command, "--system", "custom", "--out", str(tmp_path / "out")]
+        for name, value in (("a1", 1.5), ("a2", 0.0), ("b1", 0.0), ("c1", 0.0),
+                            ("c2", 0.0)):
+            np.savetxt(tmp_path / f"{name}.txt", [[value]])
+            args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        assert main(args) == 2
+        message = "run failed: no fixed point: the iterate left the finite range at sweep 875"
+        assert capsys.readouterr().out == message + "\n"
+        assert os.listdir(tmp_path / "out") == ["manifest.txt"]
+        reason = (tmp_path / "out" / "manifest.txt").read_text().splitlines()[-1]
+        assert reason == "exit_reason = " + message
+
+
 class TestLearningCommands:
     def test_excitation_failure_exit_2(self, tmp_path, capsys):
         # a plant with A1 = A2 = B1 = C1 = C2 = 0 keeps every state after the
@@ -351,6 +368,25 @@ class TestConfigHandling:
         assert main(["solve", "--out", str(out)]) == 1
         assert "not an integer" in capsys.readouterr().out
         _assert_config_manifest_only(out, "not an integer")
+        assert "seed = nine" in (out / "manifest.txt").read_text().splitlines()
+
+    def test_rejected_flag_value_echoed(self, tmp_path):
+        assert main(["simulate", "--steps", "abc", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "steps = abc" in lines and "steps = 100" not in lines
+        assert lines[-1] == "exit_reason = config error: bad value for --steps: 'abc'"
+
+    def test_rejected_config_value_echoed(self, tmp_path):
+        # a bad line keeps the file's other keys and shows the rejected text
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nsteps = abc\ntol = 1e-5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert {"seed = 5", "steps = abc", "tol = 1e-05"} <= set(lines)
+        assert "steps = 100" not in lines
+        assert lines[-1] == f"exit_reason = config error: {cfg}:2: bad value for steps: 'abc'"
+        _assert_config_manifest_only(out, f"{cfg}:2: ")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,7 @@
 """Coupled-equation algebra, the solver, and the comparison-sequence bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from stoch_h2hinf import (
     ms_radius,
     ms_stable,
     qlearn_value_update,
+    random_feasible_system,
     solve_coupled_gare,
     vi_value_update,
 )
@@ -275,3 +278,124 @@ def test_random_population_feasible(random_population):
         assert rep.stable
         a1, a2 = closed_loop_pair(sys_, rep.gains)
         assert ms_radius(a1, a2) < 1.0
+
+
+def _public_solve(sys_, cost, tol, max_iters, history):
+    """The value recursion written on the public helpers, one ValuePair and
+    one GainPair per sweep; fills history and returns (values, gains, converged).
+
+    solve_coupled_gare runs the same recursion on raw arrays and must match
+    it bit for bit.
+    """
+    vals = ValuePair.zeros(sys_.n)
+    gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
+    for _ in range(max_iters):
+        nxt, gains = qlearn_value_update(sys_, cost, vals)
+        d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
+        d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
+        R1, R2 = gare_residuals(sys_, cost, nxt, gains)
+        history.append((d1, d2, float(np.linalg.norm(R1)), float(np.linalg.norm(R2))))
+        vals = nxt
+        if d1 < tol and d2 < tol:
+            return vals, gains, True
+    return vals, gains, False
+
+
+def _assert_same_report(report, vals, gains, history):
+    assert report.history == tuple(history)
+    np.testing.assert_array_equal(report.values.P1, vals.P1)
+    np.testing.assert_array_equal(report.values.P2, vals.P2)
+    np.testing.assert_array_equal(report.gains.K1, gains.K1)
+    np.testing.assert_array_equal(report.gains.K2, gains.K2)
+
+
+def _assert_bit_identical(sys_, cost, tol):
+    history = []
+    vals, gains, converged = _public_solve(sys_, cost, tol, 10000, history)
+    assert converged
+    _assert_same_report(solve_coupled_gare(sys_, cost, tol=tol, max_iters=10000),
+                        vals, gains, history)
+
+
+def test_solver_bit_identical_f16(f16, f16_solution):
+    history = []
+    vals, gains, _ = _public_solve(*f16, 1e-12, 10000, history)
+    assert len(history) == 865
+    _assert_same_report(f16_solution, vals, gains, history)
+
+
+def test_solver_bit_identical_population(random_population):
+    for sys_, cost in random_population:
+        _assert_bit_identical(sys_, cost, 1e-9)
+
+
+def test_solver_bit_identical_two_inputs_each():
+    # m1 = m2 = 2 fills every block of the stacked gain system beyond 1x1
+    sys_, cost = random_feasible_system(np.random.default_rng(3), n=3, m1=2, m2=2)
+    assert sys_.dims == (3, 2, 2)
+    _assert_bit_identical(sys_, cost, 1e-12)
+
+
+def test_solver_infeasible_gamma_same_error_same_sweep():
+    sys_ = SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.5]])
+    cost = CostSpec(0.9, [[1.0]])
+    history = []
+    with pytest.raises(AttenuationInfeasibleError) as ref:
+        _public_solve(sys_, cost, 1e-12, 10000, history)
+    failing = len(history) + 1
+    assert failing > 1
+    with pytest.raises(AttenuationInfeasibleError) as got:
+        solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=failing)
+    assert str(got.value) == str(ref.value)
+    # the sweeps before the failing one complete as in the public recursion
+    with pytest.raises(ConvergenceError) as short:
+        solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=failing - 1)
+    assert short.value.report.history == tuple(history)
+
+
+def test_solver_max_iters_report_equal(f16):
+    sys_, cost = f16
+    history = []
+    vals, gains, converged = _public_solve(sys_, cost, 1e-9, 3, history)
+    assert not converged
+    with pytest.raises(ConvergenceError, match="no fixed point within 3 iterations") as exc:
+        solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=3)
+    _assert_same_report(exc.value.report, vals, gains, history)
+    assert exc.value.report.stable == ms_stable(*closed_loop_pair(sys_, gains))
+
+
+def test_solver_divergence_is_convergence_error():
+    # P1 and P2 grow by a1^2 = 2.25 per sweep until they overflow
+    sys_ = SdltiSystem([[1.5]], [[0.0]], [[0.0]], [[0.0]], [[0.0]])
+    cost = CostSpec(1.0, [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=5000)
+    message = str(exc.value)
+    assert message == "no fixed point: the iterate left the finite range at sweep 875"
+    report = exc.value.report
+    assert report.iterations == 874
+    assert np.isfinite(report.values.P1).all() and np.isfinite(report.values.P2).all()
+    assert report.values.P2[0, 0] > 1e307
+
+
+def test_solver_builds_value_and_gain_pairs_once(f16, monkeypatch):
+    # the loop runs on raw arrays: the number of validated model objects a
+    # solve builds must not grow with its sweep count
+    built = []
+    for cls in (ValuePair, GainPair):
+        original = cls.__post_init__
+
+        def counting(self, _original=original, _name=cls.__name__):
+            built.append(_name)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    counts = {}
+    for tol in (1e-6, 1e-12):
+        built.clear()
+        report = solve_coupled_gare(*f16, tol=tol, max_iters=10000)
+        counts[report.iterations] = sorted(built)
+    assert 865 in counts and len(counts) == 2
+    assert all(c == ["GainPair", "ValuePair"] for c in counts.values())
