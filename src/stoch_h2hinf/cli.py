@@ -137,9 +137,14 @@ def _load_matrix(path, name):
     if not os.path.exists(path):
         raise ConfigError(f"matrix file for {name} not found: {path}")
     try:
-        return np.loadtxt(path, ndmin=2)
-    except ValueError as exc:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        # loadtxt only warns about a file without data, then returns (0, 1)
+        if any(line.split("#", 1)[0].strip() for line in lines):
+            return np.loadtxt(lines, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse matrix file {path}: {exc}") from exc
+    raise ConfigError(f"matrix file for {name} is empty: {path}")
 
 
 def build_system(cfg):

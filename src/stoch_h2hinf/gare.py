@@ -212,60 +212,72 @@ class SolveReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
-    """Iterate the coupled value recursion from (0, 0) to its fixed point.
+def _value_iteration(sys, cost, tol, max_iters):
+    """The coupled value recursion from (0, 0), one item per sweep.
 
-    Stops when both Frobenius iterate differences fall below tol; raises
-    ConvergenceError(report attached) if max_iters is exhausted first, or
-    if an iterate leaves the finite range (the report then ends at the last
-    finite one).  The Delta blocks computed for one sweep's residual are
-    the next sweep's gain system.
+    Yields (K1, K2, P1, P2, row, stop): the gains extracted at the previous
+    values, the updated values, row = (dP1, dP2, res1, res2) Frobenius norms,
+    and whether both dP fell below tol, which ends the iteration.  Raises
+    ConvergenceError when max_iters runs out or an iterate leaves the finite
+    range (that sweep is not yielded).  The Delta blocks computed for one
+    sweep's residual are the next sweep's gain system.
     """
     if not tol > 0:
         raise ConfigError("tol must be positive")
     if max_iters < 1:
         raise ConfigError("max_iters must be a positive integer")
-    n, m1, m2 = sys.dims
-    P1 = P2 = np.zeros((n, n))
-    K1, K2 = np.zeros((m2, n)), np.zeros((m1, n))
+    P1 = P2 = np.zeros((sys.n, sys.n))
     D1, D2 = _delta_blocks(sys, cost, P1, P2)
-    blk = np.empty((m2 + m1, m2 + m1))
-    history = []
-    converged, diverged_at = False, None
-    # overflow and inf - inf only occur once the iteration diverges, which
-    # the finiteness check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(1, max_iters + 1):
-            K1n, K2n = _extract_gains(sys, cost, P1, P2, D1, D2, blk)
-            policy = _policy_terms(sys, K1n, K2n)
+    blk = np.empty((sys.m2 + sys.m1,) * 2)
+    for sweep in range(1, max_iters + 1):
+        # overflow and inf - inf only occur once the iteration diverges, which
+        # the finiteness check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            K1, K2 = _extract_gains(sys, cost, P1, P2, D1, D2, blk)
+            policy = _policy_terms(sys, K1, K2)
             P1n, P2n = _value_update(cost, P1, P2, policy)
             d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
             # dP overflows well before the entries do: only then are they read
             if not math.isfinite(d1 + d2) and not (
                 np.isfinite(P1n).all() and np.isfinite(P2n).all()
             ):
-                diverged_at = sweep
-                break
+                raise ConvergenceError(f"no fixed point: the iterate left the "
+                                       f"finite range at sweep {sweep}")
             D1, D2 = _delta_blocks(sys, cost, P1n, P2n)
             R1, R2 = _residuals(sys, cost, P1n, P2n, D1, D2, policy)
-            history.append((d1, d2, _fro(R1), _fro(R2)))
-            P1, P2, K1, K2 = P1n, P2n, K1n, K2n
-            if d1 < tol and d2 < tol:
-                converged = True
-                break
-        gains = GainPair(K1, K2)
-        report = SolveReport(
-            ValuePair(P1, P2), gains, tuple(history),
-            ms_stable(*closed_loop_pair(sys, gains)),
-        )
-    if converged:
-        return report
-    err = ConvergenceError(
-        f"no fixed point: the iterate left the finite range at sweep {diverged_at}"
-        if diverged_at else
+            row = (d1, d2, _fro(R1), _fro(R2))
+        stop = d1 < tol and d2 < tol
+        yield K1, K2, P1n, P2n, row, stop
+        if stop:
+            return
+        P1, P2 = P1n, P2n
+    raise ConvergenceError(
         f"no fixed point within {max_iters} iterations (tol={tol:g}); "
-        f"last dP=({history[-1][0]:.3e}, {history[-1][1]:.3e})"
+        f"last dP=({d1:.3e}, {d2:.3e})"
     )
+
+
+def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
+    """Iterate the coupled value recursion from (0, 0) to its fixed point.
+
+    Stops when both Frobenius iterate differences fall below tol; raises
+    ConvergenceError(report attached) if max_iters is exhausted first, or
+    if an iterate leaves the finite range (the report then ends at the last
+    finite one).
+    """
+    history, err = [], None
+    try:
+        for K1, K2, P1, P2, row, _ in _value_iteration(sys, cost, tol, max_iters):
+            history.append(row)
+    except ConvergenceError as exc:
+        # never before sweep 1 is yielded (its P = (-Q, Q) is finite), so
+        # K1, K2, P1, P2 hold the last finite sweep
+        err = exc
+    gains = GainPair(K1, K2)
+    report = SolveReport(ValuePair(P1, P2), gains, tuple(history),
+                         ms_stable(*closed_loop_pair(sys, gains)))
+    if err is None:
+        return report
     err.report = report
     raise err
 
@@ -276,8 +288,6 @@ def fixed_policy_value_sequence(sys, cost, eta1, eta2, iters):
     Returns the whole list [(0,0), step1, ..., step_iters]; used by the
     comparison arguments that sandwich the optimal recursion.
     """
-    eta1 = np.asarray(eta1, dtype=float)
-    eta2 = np.asarray(eta2, dtype=float)
     gains = GainPair(eta1, eta2)
     seq = [ValuePair.zeros(sys.n)]
     for _ in range(iters):

@@ -14,7 +14,7 @@ a designated probe state).
 
 The engine touches the plant only through a TrajectoryOracle, never through
 system matrices; model knowledge lives on the simulator side of that
-interface.
+interface and in the VI mirror, which runs gare's value-iteration loop.
 """
 
 from abc import ABC, abstractmethod
@@ -33,7 +33,7 @@ from .model import (
     QPair,
     ValuePair,
 )
-from .gare import gains_from_values, vi_value_update
+from .gare import _value_iteration
 from .qfunction import (
     block_slices,
     gains_from_q,
@@ -131,10 +131,6 @@ class SystemOracle(TrajectoryOracle):
     @property
     def state(self):
         return self._x.copy()
-
-    @property
-    def step_index(self):
-        return self._k
 
     def _check(self, x, where):
         if not np.isfinite(x).all() or np.abs(x).max() > GUARD:
@@ -385,47 +381,36 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
         reason += f"; unprobed tail diverged at step {exc.step}"
 
     return QLearnReport(
-        q, tuple(history), reason, getattr(config, "seed", None),
-        np.vstack(final_states),
+        q, tuple(history), reason, config.seed, np.vstack(final_states),
     )
 
 
 def run_value_iteration(sys, cost, config):
     """Model-based mirror of the learning loop, aligned iterate for iterate.
 
-    Iteration i records H(i+1) = h_from_values(P(i)) and the updated values,
-    exactly what an unbiased estimator would produce, so reports from the
-    two routes are directly comparable.  Stops when both value differences
-    fall below tol; raises ConvergenceError (report attached) at max_iters.
+    Consumes the solver's value-iteration loop, stop and divergence rules
+    included, and records per iteration H(i) = h_from_values(P(i-1)), exactly
+    what an unbiased estimator would produce, so reports from the two routes
+    are directly comparable.  A ConvergenceError from the loop carries the
+    report up to the last finite iterate.
     """
     vals = ValuePair.zeros(sys.n)
     q = QPair.zeros(sys.n, sys.m1, sys.m2)
     history = []
-    reason = f"max_iters {config.max_iters} reached without stop"
-    for i in range(config.max_iters):
-        q_next = h_from_values(sys, cost, vals)
-        gains_next = gains_from_values(sys, cost, vals)
-        vals_next = vi_value_update(sys, cost, vals, gains_next)
-        dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
-        dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
-        dp1 = float(np.linalg.norm(vals_next.P1 - vals.P1))
-        dp2 = float(np.linalg.norm(vals_next.P2 - vals.P2))
-        stop = dp1 < config.tol and dp2 < config.tol
-        history.append(Iterate(dh1, dh2, gains_next, vals_next, stop))
-        q, vals = q_next, vals_next
-        if stop:
-            reason = (
-                f"stopped at iteration {i + 1}: value changes "
-                f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}"
-            )
-            break
-    report = QLearnReport(
-        q, tuple(history), reason, getattr(config, "seed", None), None
-    )
-    if history[-1].stop:
-        return report
-    err = ConvergenceError(
-        f"value iteration did not converge in {config.max_iters} iterations"
-    )
-    err.report = report
-    raise err
+    sweeps = _value_iteration(sys, cost, config.tol, config.max_iters)
+    try:
+        for K1, K2, P1, P2, (dp1, dp2, _, _), stop in sweeps:
+            # H(P(i-1)) is built only once sweep i came back finite
+            q_next = h_from_values(sys, cost, vals)
+            # dH's squared norm overflows long before a diverging iterate does
+            with np.errstate(over="ignore"):
+                dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
+                dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
+            q, vals = q_next, ValuePair(P1, P2)
+            history.append(Iterate(dh1, dh2, GainPair(K1, K2), vals, stop))
+    except ConvergenceError as err:
+        err.report = QLearnReport(q, tuple(history), str(err), config.seed, None)
+        raise
+    reason = (f"stopped at iteration {len(history)}: value changes "
+              f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}")
+    return QLearnReport(q, tuple(history), reason, config.seed, None)

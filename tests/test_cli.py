@@ -144,11 +144,12 @@ class TestSolveCommand:
         assert main(args) == 3
 
 
-    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("command", ["solve", "simulate", "vi"])
     def test_diverging_iteration_exit_2(self, tmp_path, capsys, command):
         # a1 = 1.5 with no inputs: the value iterates grow by 2.25 per sweep
-        # until they overflow
-        args = [command, "--system", "custom", "--out", str(tmp_path / "out")]
+        # until they overflow, after vi's default budget of 500 sweeps
+        args = [command, "--system", "custom", "--max-iters", "5000",
+                "--out", str(tmp_path / "out")]
         for name, value in (("a1", 1.5), ("a2", 0.0), ("b1", 0.0), ("c1", 0.0),
                             ("c2", 0.0)):
             np.savetxt(tmp_path / f"{name}.txt", [[value]])
@@ -407,6 +408,8 @@ class TestConfigHandling:
         (["qlearn", "--mode", "exact"], "mode"),
         (["simulate", "--steps", "abc"], "steps"),
         (["vi", "--seed", "x"], "seed"),
+        (["solve", "--system", "custom", "--a1", os.devnull],
+         "matrix file for A1 is empty"),
     ])
     def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1

@@ -543,19 +543,52 @@ class TestRunValueIteration:
         np.testing.assert_allclose(rep.values.P1, -np.eye(2), atol=1e-14)
         np.testing.assert_allclose(rep.values.P2, np.eye(2), atol=1e-14)
 
-    def test_scalar_matches_solver(self, scalar_sys, scalar_cost):
-        rep = run_value_iteration(
-            scalar_sys, scalar_cost, _analytic_config(tol=1e-11, max_iters=2000)
-        )
-        direct = solve_coupled_gare(scalar_sys, scalar_cost, tol=1e-11, max_iters=2000)
-        assert abs(rep.values.P1[0, 0] - direct.values.P1[0, 0]) < 1e-9
-        assert abs(rep.values.P2[0, 0] - direct.values.P2[0, 0]) < 1e-9
+    def test_scalar_matches_solver(self, scalar_sys, scalar_cost, f16,
+                                   random_population):
+        # the mirror runs the solver's own loop: the same sweeps, bit for bit
+        for sys_, cost in [(scalar_sys, scalar_cost), f16, *random_population]:
+            rep = run_value_iteration(
+                sys_, cost, _analytic_config(tol=1e-9, max_iters=5000)
+            )
+            direct = solve_coupled_gare(sys_, cost, tol=1e-9)
+            assert rep.iterations == direct.iterations
+            np.testing.assert_array_equal(rep.values.P1, direct.values.P1)
+            np.testing.assert_array_equal(rep.values.P2, direct.values.P2)
+            np.testing.assert_array_equal(rep.gains.K1, direct.gains.K1)
+            np.testing.assert_array_equal(rep.gains.K2, direct.gains.K2)
+            prev = [ValuePair.zeros(sys_.n)] + [it.values for it in rep.history]
+            dP = [(np.linalg.norm(b.P1 - a.P1), np.linalg.norm(b.P2 - a.P2))
+                  for a, b in zip(prev, prev[1:])]
+            assert dP == [row[:2] for row in direct.history]
 
     def test_nonconvergence_attaches_report(self, f16):
         sys_, cost = f16
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(ConvergenceError, match="no fixed point within 5 iter") as exc:
             run_value_iteration(sys_, cost, _analytic_config(max_iters=5))
         assert exc.value.report.iterations == 5
+        assert exc.value.report.termination == str(exc.value)
+
+    def test_divergence_report_ends_at_last_finite_sweep(self):
+        # P1 and P2 grow by a1^2 = 2.25 per sweep until they overflow; the
+        # mirror stops where the solver does, without a warning
+        sys_ = SdltiSystem([[1.5]], [[0.0]], [[0.0]], [[0.0]], [[0.0]])
+        cost = CostSpec(1.0, [[1.0]])
+        reports = []
+        for run in (
+            lambda: run_value_iteration(sys_, cost, _analytic_config(max_iters=5000)),
+            lambda: solve_coupled_gare(sys_, cost, max_iters=5000),
+        ):
+            with pytest.raises(ConvergenceError) as exc:
+                run()
+            assert str(exc.value) == (
+                "no fixed point: the iterate left the finite range at sweep 875"
+            )
+            reports.append(exc.value.report)
+        vi, direct = reports
+        assert vi.iterations == direct.iterations == 874
+        assert np.isfinite(vi.q.H2).all()
+        np.testing.assert_array_equal(vi.values.P1, direct.values.P1)
+        np.testing.assert_array_equal(vi.values.P2, direct.values.P2)
 
 
 class TestReportExport:
