@@ -11,6 +11,7 @@ h_from_values, and gains/values are read back out of H by gains_from_q
 and values_from_q.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -33,11 +34,25 @@ def block_slices(n, m1, m2):
     return slice(0, n), slice(n, n + m1), slice(n + m1, n + m1 + m2)
 
 
+@functools.cache
+def _triangle(p):
+    """Read-only (rows, cols, weights) of the p x p upper triangle, row-major.
+
+    weights is 1 on the diagonal and 2 off it, vech's doubling.
+    """
+    rows, cols = np.triu_indices(p)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    for a in (rows, cols, weights):
+        a.flags.writeable = False
+    return rows, cols, weights
+
+
 def vecs(H):
     """Upper-triangular row-major stack [H11, H12, ..., H1p, H22, ..., Hpp]."""
     H = np.asarray(H, dtype=float)
     require_symmetric(H, "H", tol=_SYM_RTOL * max(1.0, float(np.abs(H).max() or 1.0)))
-    return H[np.triu_indices(H.shape[0])].copy()
+    rows, cols, _ = _triangle(H.shape[0])
+    return H[rows, cols]
 
 
 def vech(Z):
@@ -47,11 +62,9 @@ def vech(Z):
     """
     Z = np.asarray(Z, dtype=float)
     require_symmetric(Z, "Z", tol=_SYM_RTOL * max(1.0, float(np.abs(Z).max() or 1.0)))
-    p = Z.shape[-1]
-    W = np.full((p, p), 2.0)
-    np.fill_diagonal(W, 1.0)
-    rows, cols = np.triu_indices(p)
-    return (Z * W)[..., rows, cols]
+    rows, cols, weights = _triangle(Z.shape[-1])
+    # doubling is exact, so weighting the triangle equals weighting all of Z
+    return Z[..., rows, cols] * weights
 
 
 def mat_from_vecs(s):
@@ -61,7 +74,8 @@ def mat_from_vecs(s):
     if p * (p + 1) // 2 != s.size:
         raise ValueError(f"length {s.size} is not a triangular number")
     H = np.zeros((p, p))
-    H[np.triu_indices(p)] = s
+    rows, cols, _ = _triangle(p)
+    H[rows, cols] = s
     return H + np.triu(H, 1).T
 
 
@@ -108,12 +122,11 @@ def gains_from_q(q):
     """
     n, m1, m2 = q.dims
     sx, su, sv = block_slices(n, m1, m2)
-    blk = np.block(
-        [
-            [q.H1[sv, sv], q.H1[su, sv].T],
-            [q.H2[su, sv], q.H2[su, su]],
-        ]
-    )
+    blk = np.empty((m2 + m1, m2 + m1))
+    blk[:m2, :m2] = q.H1[sv, sv]
+    blk[:m2, m2:] = q.H1[su, sv].T
+    blk[m2:, :m2] = q.H2[su, sv]
+    blk[m2:, m2:] = q.H2[su, su]
     rhs = np.vstack([q.H1[sx, sv].T, q.H2[sx, su].T])
     try:
         KK = -np.linalg.solve(blk, rhs)

@@ -4,17 +4,21 @@ Each iteration drives the plant with probed inputs u = K2 x + e_u,
 v = K1 x + e_v, collects N tuples, and solves a least-squares problem for
 the next (H1, H2): the row for a tuple is vech(zz') with z = [x; u; v], the
 target is the stage cost plus the averaged continuation value of the
-UNPROBED policy at the successor state.  The per-tuple loop only reads the
-state, queries the continuation value and applies the inputs; the rows of
-all N tuples come from one stacked vech call, and one SVD of the (N, p(p+1)/2)
-regression matrix gives the excitation check and both solutions.  Gains
-come out of H by a block solve, and the run stops on the three-part rule
-(both H changes below eps plus a Lyapunov-flavored admissibility margin at
-a designated probe state).
+UNPROBED policy at the successor state.  One oracle call per iteration,
+TrajectoryOracle.rollout, returns the window's N rows z and targets; the
+regression rows of all N tuples come from one stacked vech call, and one SVD
+of the (N, p(p+1)/2) regression matrix gives the excitation check and both
+solutions.  Gains come out of H by a block solve, and the run stops on the
+three-part rule (both H changes below eps plus a Lyapunov-flavored
+admissibility margin at a designated probe state).
 
-The engine touches the plant only through a TrajectoryOracle, never through
-system matrices; model knowledge lives on the simulator side of that
-interface and in the VI mirror, which runs gare's value-iteration loop.
+The engine touches the plant only through a TrajectoryOracle (state,
+apply, branch, rollout and the optional expected_quadratic), never through
+system matrices.  rollout's base default reads the state, forms the targets
+and applies the inputs tuple by tuple; SystemOracle overrides it with one
+noise draw and one trajectory-kernel pass per window, bit-identical to the
+default.  Model knowledge lives on the simulator side of that interface and
+in the VI mirror, which runs gare's value-iteration loop.
 """
 
 from abc import ABC, abstractmethod
@@ -43,7 +47,7 @@ from .qfunction import (
     values_from_q,
     vech,
 )
-from ._kernels import GUARD
+from ._kernels import GUARD, closed_loop_path
 from .sim import _drift_and_noise, stage_costs, step
 
 
@@ -118,6 +122,26 @@ class TrajectoryOracle(ABC):
         current state; testing-only privilege."""
         raise NotImplementedError("this oracle cannot take exact expectations")
 
+    def rollout(self, gains, probes, cost, cont, branches, mode):
+        """Advance len(probes) steps under u = K2 x + e_u, v = K1 x + e_v.
+
+        probes holds one (e_u, e_v) pair per step.  Returns the (N, p) rows
+        z = [x; u; v] and the (N, 2) Bellman targets of each step, in order.
+        This default asks the oracle tuple by tuple through state,
+        bellman_targets and apply; an oracle that can step a whole window at
+        once may override it with the same values.
+        """
+        N = len(probes)
+        Z = np.empty((N, gains.K1.shape[1] + gains.K2.shape[0] + gains.K1.shape[0]))
+        Y = np.empty((N, 2))
+        for t, e in enumerate(probes):
+            x = self.state
+            u, v = probed_inputs(gains, x, e)
+            Y[t] = bellman_targets(self, cost, cont, x, u, v, branches, mode)
+            Z[t] = np.concatenate([x, u, v])
+            self.apply(u, v)
+        return Z, Y
+
 
 class SystemOracle(TrajectoryOracle):
     """Simulator-backed oracle with seeded, order-independent branch noise."""
@@ -133,7 +157,8 @@ class SystemOracle(TrajectoryOracle):
         return self._x.copy()
 
     def _check(self, x, where):
-        if not np.isfinite(x).all() or np.abs(x).max() > GUARD:
+        # NaN compares false, so it trips the guard like an infinity does
+        if not (np.abs(x) <= GUARD).all():
             raise DivergenceError(where)
 
     def apply(self, u, v):
@@ -159,10 +184,51 @@ class SystemOracle(TrajectoryOracle):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         mu, s = _drift_and_noise(self._sys, self._x, u, v)
-        return tuple(float(mu @ P @ mu + s @ P @ s) for P in (vals.P1, vals.P2))
+        return tuple(float(mu.dot(P).dot(mu) + s.dot(P).dot(s))
+                     for P in (vals.P1, vals.P2))
 
     def reset(self, x):
         self._x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+
+    def rollout(self, gains, probes, cost, cont, branches, mode):
+        # One draw(N) gives the values of N draw(1) calls, and the kernel's
+        # states equal step()'s bit for bit.  Each row's targets use the
+        # expressions of stage_costs, expected_quadratic and branch, so the
+        # window equals the default's tuple-by-tuple result exactly.
+        if mode not in ("analytic", "mc"):
+            raise ValueError(f"mode must be analytic or mc, got {mode!r}")
+        sys_, k, N = self._sys, self._k, len(probes)
+        eu = np.array([e[0] for e in probes]).reshape(N, sys_.m1)
+        ev = np.array([e[1] for e in probes]).reshape(N, sys_.m2)
+        omegas = self._noise.draw(N)
+        xs, us, vs, bad = closed_loop_path(
+            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2,
+            gains.K1, gains.K2, self._x, omegas, eu, ev,
+        )
+        Q, g2, P1, P2 = cost.Q, cost.gamma**2, cont.P1, cont.P2
+        Y = np.empty((N, 2))
+        # rows before a guard trip still run in order, so a branch guard
+        # tripping on an earlier row raises first, as it does step by step
+        for t in range(N if bad < 0 else bad):
+            x, u, v = xs[t], us[t], vs[t]
+            r2 = float(x.dot(Q).dot(x) + u.dot(u))
+            r1 = float(g2 * v.dot(v) - r2)
+            mu, s = _drift_and_noise(sys_, x, u, v)
+            if mode == "analytic":
+                c1 = float(mu.dot(P1).dot(mu) + s.dot(P1).dot(s))
+                c2 = float(mu.dot(P2).dot(mu) + s.dot(P2).dot(s))
+            else:
+                w = self._noise.branch_draws(k + t, branches)
+                succ = mu[None, :] + w[:, None] * s[None, :]
+                self._check(succ, k + t)
+                c1 = float(np.einsum("ij,jk,ik->i", succ, P1, succ).mean())
+                c2 = float(np.einsum("ij,jk,ik->i", succ, P2, succ).mean())
+            Y[t] = r1 + c1, r2 + c2
+        if bad >= 0:
+            self._x, self._k = xs[bad - 1].copy(), k + bad
+            raise DivergenceError(k + bad)
+        self._x, self._k = xs[N].copy(), k + N
+        return np.hstack([xs[:-1], us, vs]), Y
 
 
 def least_squares_h(X, Y1, Y2, dims):
@@ -337,18 +403,10 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
 
     N = config.tuples_per_iter
     for i in range(config.max_iters):
-        Z = np.empty((N, p))
-        Y = np.empty((N, 2))
-        for t in range(N):
-            x = oracle.state
-            u, v = probed_inputs(gains, x, probing_noise(schedule, k, m1, m2))
-            Y[t] = bellman_targets(
-                oracle, cost, vals, x, u, v, config.branches,
-                config.expectation_mode,
-            )
-            Z[t] = np.concatenate([x, u, v])
-            oracle.apply(u, v)
-            k += 1
+        probes = [probing_noise(schedule, k + t, m1, m2) for t in range(N)]
+        Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
+                              config.expectation_mode)
+        k += N
         X = vech(Z[:, :, None] * Z[:, None, :])
         q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
         if config.expectation_mode == "analytic":

@@ -70,7 +70,9 @@ class NoiseSource:
 
 def _drift_and_noise(sys, x, u, v):
     """(mu, s) = (A1 x + B1 u + C1 v, A2 x + C2 v); the successor is mu + omega s."""
-    return sys.A1 @ x + sys.B1 @ u + sys.C1 @ v, sys.A2 @ x + sys.C2 @ v
+    # .dot, not @: the same products at about half the dispatch cost
+    return (sys.A1.dot(x) + sys.B1.dot(u) + sys.C1.dot(v),
+            sys.A2.dot(x) + sys.C2.dot(v))
 
 
 def step(sys, x, u, v, omega):
@@ -93,8 +95,8 @@ def stage_costs(cost, x, u, v):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if x.size != cost.Q.shape[0]:
         raise ValueError(f"x of length {x.size} does not match Q {cost.Q.shape}")
-    r2 = float(x @ cost.Q @ x + u @ u)
-    r1 = float(cost.gamma**2 * (v @ v) - r2)
+    r2 = float(x.dot(cost.Q).dot(x) + u.dot(u))
+    r1 = float(cost.gamma**2 * v.dot(v) - r2)
     return r1, r2
 
 

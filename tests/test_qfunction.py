@@ -229,3 +229,57 @@ def test_gains_from_q_singular_block():
     q = QPair(np.zeros((3, 3)), np.zeros((3, 3)), 1, 1, 1)
     with pytest.raises(GainExtractionError):
         gains_from_q(q)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_cached_triangle_matches_the_direct_formulas():
+    # vech, mat_from_vecs and gains_from_q read a cached index table; their
+    # results equal the formulas that rebuild it per call, bit for bit and
+    # signed zeros included
+    from stoch_h2hinf import QPair
+    from stoch_h2hinf.qfunction import _triangle
+
+    def vech_formula(Z):
+        p = Z.shape[-1]
+        W = np.full((p, p), 2.0)
+        np.fill_diagonal(W, 1.0)
+        rows, cols = np.triu_indices(p)
+        return (Z * W)[..., rows, cols]
+
+    def mat_formula(s):
+        p = (int(np.sqrt(8 * s.size + 1)) - 1) // 2
+        H = np.zeros((p, p))
+        H[np.triu_indices(p)] = s
+        return H + np.triu(H, 1).T
+
+    def gains_formula(H1, H2, n, m1, m2):
+        x, u, v = slice(0, n), slice(n, n + m1), slice(n + m1, None)
+        blk = np.block([[H1[v, v], H1[u, v].T], [H2[u, v], H2[u, u]]])
+        KK = -np.linalg.solve(blk, np.vstack([H1[x, v].T, H2[x, u].T]))
+        return KK[:m2], KK[m2:]
+
+    rng = np.random.default_rng(41)
+    for n, m1, m2 in ((3, 1, 1), (2, 2, 2), (4, 1, 2)):
+        p = n + m1 + m2
+        z = rng.standard_normal((30, p))
+        z[0, 1] = -0.0
+        stack = z[:, :, None] * z[:, None, :]
+        assert _same_bits(vech(stack), vech_formula(stack))
+        assert _same_bits(vech(stack[0]), vech_formula(stack[0]))
+        H1, H2 = (M + M.T + 8.0 * np.eye(p) for M in rng.standard_normal((2, p, p)))
+        H1[0, p - 1] = H1[p - 1, 0] = -0.0
+        s = vecs(H1)
+        s[0] = -0.0
+        assert _same_bits(mat_from_vecs(s), mat_formula(s))
+        q = QPair(H1, H2, n, m1, m2)
+        K1, K2 = gains_formula(q.H1, q.H2, n, m1, m2)
+        g = gains_from_q(q)
+        assert _same_bits(g.K1, K1) and _same_bits(g.K2, K2)
+        for a in _triangle(p):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]

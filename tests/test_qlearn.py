@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoch_h2hinf import (
     AlgoConfig,
     AttenuationInfeasibleError,
     ConvergenceError,
     CostSpec,
+    DivergenceError,
     ExcitationError,
     GainPair,
     NoiseSource,
@@ -464,8 +467,8 @@ class TestRunQLearning:
             )
 
     def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
-        # analytic mode forms each tuple's (mu, s) twice: once for both
-        # members' expectation, once to apply the inputs
+        # analytic mode forms each tuple's (mu, s) once, for both members'
+        # expectation; the window's states come from the trajectory kernel
         sys_, cost = f16
         calls = []
 
@@ -479,7 +482,7 @@ class TestRunQLearning:
         rep = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost,
                              _analytic_config(max_iters=3), f16_initial_gains(), X0)
         # plus one per step of the 100-step unprobed tail
-        assert len(calls) == 2 * 20 * rep.iterations + 100
+        assert len(calls) == 20 * rep.iterations + 100
 
     def test_oracle_without_expectations_rejects_analytic(self, f16):
         sys_, cost = f16
@@ -520,6 +523,84 @@ class TestRunQLearning:
         assert all(it.svmin > 0 for it in rep.history)
         hist = np.array([row[:2] for row in rep.history], dtype=float)
         assert np.isfinite(hist).all()
+
+
+def _wide_plant():
+    """A two-input, two-disturbance plant (m1 = m2 = 2)."""
+    rng = np.random.default_rng(17)
+    sys_ = SdltiSystem(
+        0.3 * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal((3, 3)),
+        rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
+        0.1 * rng.standard_normal((3, 2)),
+    )
+    return sys_, CostSpec(5.0, np.eye(3))
+
+
+def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, seed):
+    """One window from SystemOracle.rollout and one from the base default.
+
+    Each runs on its own oracle, advanced `lead` unforced steps first.  A
+    path gives (Z, Y, state, step counter, noise position) bytes, or the
+    (step, message) of the DivergenceError it raised.
+    """
+    out = []
+    for rollout in (SystemOracle.rollout, TrajectoryOracle.rollout):
+        noise = NoiseSource(seed)
+        oracle = SystemOracle(sys_, noise, x0)
+        for _ in range(lead):
+            oracle.apply(np.zeros(sys_.m1), np.zeros(sys_.m2))
+        probes = [probing_noise(ProbingSchedule(case), lead + t, sys_.m1, sys_.m2)
+                  for t in range(N)]
+        try:
+            Z, Y = rollout(oracle, gains, probes, cost, cont, branches, mode)
+        except DivergenceError as exc:
+            out.append((exc.step, str(exc)))
+        else:
+            out.append((Z.shape, Z.tobytes(), Y.shape, Y.tobytes(),
+                        oracle.state.tobytes(), oracle._k, noise.position))
+    return out
+
+
+class TestRollout:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(["case1", "case2", "case3"]),
+           member=st.integers(0, 19), seed=st.integers(0, 2**16),
+           lead=st.integers(0, 3), N=st.integers(1, 25))
+    @pytest.mark.parametrize("mode", ["analytic", "mc"])
+    @pytest.mark.parametrize("plant", ["f16", "population", "wide"])
+    def test_window_equals_per_tuple_default(self, f16, random_population, plant,
+                                             mode, case, member, seed, lead, N):
+        # the kernel window and the tuple-by-tuple default give the same
+        # rows, targets, next state, step counter and noise position
+        sys_, cost = {"f16": f16, "population": random_population[member],
+                      "wide": _wide_plant()}[plant]
+        rng = np.random.default_rng(seed)
+        n, m1, m2 = sys_.dims
+        gains = GainPair(0.3 * rng.standard_normal((m2, n)),
+                         0.3 * rng.standard_normal((m1, n)))
+        M1, M2 = rng.standard_normal((2, n, n))
+        cont = ValuePair(M1 + M1.T, M2 + M2.T)
+        fast, default = _rollout_both(
+            sys_, cost, gains, cont, rng.standard_normal(n), lead, N, case,
+            1 + seed % 40, mode, seed,
+        )
+        assert fast == default
+
+    def test_divergence_step_and_message_agree(self):
+        # x grows about twofold per step, so the state guard trips inside the
+        # window; with 100 branches the widest successor crosses the guard
+        # at an earlier row, and that branch guard raises first
+        sys_ = SdltiSystem([[2.0]], [[0.5]], [[0.0]], [[0.0]], [[0.0]])
+        steps = {}
+        for mode in ("analytic", "mc"):
+            fast, default = _rollout_both(
+                sys_, CostSpec(1.0, [[1.0]]), GainPair.zeros(1),
+                ValuePair.zeros(1), np.ones(1), 20, 40, "case1", 100, mode, 9,
+            )
+            assert fast == default
+            steps[mode] = fast[0]
+            assert fast[1] == f"state exceeded divergence guard at step {fast[0]}"
+        assert 20 < steps["mc"] < steps["analytic"] < 60
 
 
 class TestRunValueIteration:

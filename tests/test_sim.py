@@ -105,6 +105,23 @@ class TestStepAndCosts:
             rhs = scalar_cost.gamma**2 * v * v
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(r2))
 
+    def test_dot_products_equal_matmul_formulas(self, f16, random_population):
+        # step and stage_costs take their products with .dot; each value
+        # equals the @ formula bit for bit, on rows of a window as well
+        rng = np.random.default_rng(29)
+        wide = SdltiSystem(*(rng.standard_normal((3, k)) for k in (3, 3, 2, 2, 2)))
+        for sys_, cost in [f16, *random_population, (wide, CostSpec(5.0, np.eye(3)))]:
+            for x, u, v, w in zip(rng.standard_normal((20, sys_.n)),
+                                  rng.standard_normal((20, sys_.m1)),
+                                  rng.standard_normal((20, sys_.m2)),
+                                  rng.standard_normal(20)):
+                mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
+                s = sys_.A2 @ x + sys_.C2 @ v
+                assert step(sys_, x, u, v, w).tobytes() == (mu + w * s).tobytes()
+                r2 = float(x @ cost.Q @ x + u @ u)
+                assert stage_costs(cost, x, u, v) == (
+                    float(cost.gamma**2 * (v @ v) - r2), r2)
+
     def test_expected_next_quadratic_examples(self, scalar_sys):
         # SystemOracle.expected_quadratic gives E(x+' P x+) for both members
         # of the value pair from one (mu, s)
