@@ -14,11 +14,14 @@ admissibility margin at a designated probe state).
 
 The engine touches the plant only through a TrajectoryOracle (state,
 apply, branch, rollout and the optional expected_quadratic), never through
-system matrices.  rollout's base default reads the state, forms the targets
-and applies the inputs tuple by tuple; SystemOracle overrides it with one
-noise draw and one trajectory-kernel pass per window, bit-identical to the
-default.  Model knowledge lives on the simulator side of that interface and
-in the VI mirror, which runs gare's value-iteration loop.
+system matrices.  The learner asks ProbingSchedule.window for each
+window's probes at once.  rollout's base default reads the state, forms the
+targets and applies the inputs tuple by tuple; SystemOracle overrides it
+with one noise draw and one trajectory-kernel pass per window, and forms
+the window's drifts, stage costs and continuation values as stacked
+products over all N rows, still bit-identical to the default.  Model
+knowledge lives on the simulator side of that interface and in the VI
+mirror, which runs gare's value-iteration loop.
 """
 
 from abc import ABC, abstractmethod
@@ -66,27 +69,37 @@ class ProbingSchedule:
         if self.case not in NOISE_CASES:
             raise ValueError(f"unknown probing case {self.case!r}")
 
-    def _scalars(self, t):
+    def _terms(self, t):
+        # float_power squares with C pow, as np.float64 ** 2 does; an array's
+        # ** 2 is c * c, which differs from it in the last bit
         if self.case == "case1":
             return (
-                np.sin(1.009 * t) + np.cos(0.538 * t) ** 2,
-                np.sin(9.7 * t) + np.cos(10.2 * t) ** 2,
+                np.sin(1.009 * t) + np.float_power(np.cos(0.538 * t), 2.0),
+                np.sin(9.7 * t) + np.float_power(np.cos(10.2 * t), 2.0),
             )
         if self.case == "case2":
             return (
                 np.sin(0.9 * t) + np.cos(100.0 * t),
                 np.sin(10.0 * t) + np.cos(10.0 * t),
             )
-        u1, v1 = ProbingSchedule("case1")._scalars(t)
-        u2, v2 = ProbingSchedule("case2")._scalars(t)
+        u1, v1 = ProbingSchedule("case1")._terms(t)
+        u2, v2 = ProbingSchedule("case2")._terms(t)
         return u1 + u2, v1 + v2
 
+    def window(self, k, N, m1=1, m2=1):
+        """Probe rows of steps k..k+N-1 as (EU (N, m1), EV (N, m2)).
+
+        Row t is the probe at time k + t; component i is phase-shifted by its
+        index, so it reads the schedule at time k + t + i.
+        """
+        t = k + np.add.outer(np.arange(N), np.arange(max(m1, m2)))
+        eu, ev = self._terms(t)
+        return eu[:, :m1], ev[:, :m2]
+
     def evaluate(self, k, m1=1, m2=1):
-        """Probe vectors at time k; components phase-shifted by their index."""
-        pairs = [self._scalars(k + i) for i in range(max(m1, m2))]
-        eu = np.array([pair[0] for pair in pairs[:m1]])
-        ev = np.array([pair[1] for pair in pairs[:m2]])
-        return eu, ev
+        """Probe vectors at time k: row 0 of window(k, 1, m1, m2)."""
+        eu, ev = self.window(k, 1, m1, m2)
+        return eu[0], ev[0]
 
 
 def probing_noise(schedule, k, m1=1, m2=1):
@@ -123,18 +136,19 @@ class TrajectoryOracle(ABC):
         raise NotImplementedError("this oracle cannot take exact expectations")
 
     def rollout(self, gains, probes, cost, cont, branches, mode):
-        """Advance len(probes) steps under u = K2 x + e_u, v = K1 x + e_v.
+        """Advance N steps under u = K2 x + e_u, v = K1 x + e_v.
 
-        probes holds one (e_u, e_v) pair per step.  Returns the (N, p) rows
-        z = [x; u; v] and the (N, 2) Bellman targets of each step, in order.
-        This default asks the oracle tuple by tuple through state,
-        bellman_targets and apply; an oracle that can step a whole window at
-        once may override it with the same values.
+        probes is the window's (EU (N, m1), EV (N, m2)) pair, one row per
+        step.  Returns the (N, p) rows z = [x; u; v] and the (N, 2) Bellman
+        targets of each step, in order.  This default asks the oracle tuple
+        by tuple through state, bellman_targets and apply; an oracle that can
+        step a whole window at once may override it with the same values.
         """
-        N = len(probes)
-        Z = np.empty((N, gains.K1.shape[1] + gains.K2.shape[0] + gains.K1.shape[0]))
+        EU, EV = probes
+        N = len(EU)
+        Z = np.empty((N, gains.K1.shape[1] + EU.shape[1] + EV.shape[1]))
         Y = np.empty((N, 2))
-        for t, e in enumerate(probes):
+        for t, e in enumerate(zip(EU, EV)):
             x = self.state
             u, v = probed_inputs(gains, x, e)
             Y[t] = bellman_targets(self, cost, cont, x, u, v, branches, mode)
@@ -192,43 +206,80 @@ class SystemOracle(TrajectoryOracle):
 
     def rollout(self, gains, probes, cost, cont, branches, mode):
         # One draw(N) gives the values of N draw(1) calls, and the kernel's
-        # states equal step()'s bit for bit.  Each row's targets use the
-        # expressions of stage_costs, expected_quadratic and branch, so the
-        # window equals the default's tuple-by-tuple result exactly.
+        # states equal step()'s bit for bit.  The targets are stacked
+        # products that run, row by row, the BLAS call of the per-tuple .dot
+        # (gemv for A x and x'P, ddot for inner products), and the branch
+        # means share _branch_mean with bellman_targets, so the window equals
+        # the default's tuple-by-tuple result exactly.  X @ Q (a gemm) or
+        # einsum row sums would move the last bits.
         if mode not in ("analytic", "mc"):
             raise ValueError(f"mode must be analytic or mc, got {mode!r}")
-        sys_, k, N = self._sys, self._k, len(probes)
-        eu = np.array([e[0] for e in probes]).reshape(N, sys_.m1)
-        ev = np.array([e[1] for e in probes]).reshape(N, sys_.m2)
-        omegas = self._noise.draw(N)
+        sys_, k = self._sys, self._k
+        EU, EV = probes
+        N = len(EU)
         xs, us, vs, bad = closed_loop_path(
             sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2,
-            gains.K1, gains.K2, self._x, omegas, eu, ev,
+            gains.K1, gains.K2, self._x, self._noise.draw(N), EU, EV,
         )
-        Q, g2, P1, P2 = cost.Q, cost.gamma**2, cont.P1, cont.P2
-        Y = np.empty((N, 2))
-        # rows before a guard trip still run in order, so a branch guard
-        # tripping on an earlier row raises first, as it does step by step
-        for t in range(N if bad < 0 else bad):
-            x, u, v = xs[t], us[t], vs[t]
-            r2 = float(x.dot(Q).dot(x) + u.dot(u))
-            r1 = float(g2 * v.dot(v) - r2)
-            mu, s = _drift_and_noise(sys_, x, u, v)
-            if mode == "analytic":
-                c1 = float(mu.dot(P1).dot(mu) + s.dot(P1).dot(s))
-                c2 = float(mu.dot(P2).dot(mu) + s.dot(P2).dot(s))
-            else:
-                w = self._noise.branch_draws(k + t, branches)
-                succ = mu[None, :] + w[:, None] * s[None, :]
-                self._check(succ, k + t)
-                c1 = float(np.einsum("ij,jk,ik->i", succ, P1, succ).mean())
-                c2 = float(np.einsum("ij,jk,ik->i", succ, P2, succ).mean())
-            Y[t] = r1 + c1, r2 + c2
+        rows = N if bad < 0 else bad
+        X, U, V = xs[:rows], us[:rows], vs[:rows]
+        MU = _rows_times(sys_.A1, X) + _rows_times(sys_.B1, U) + _rows_times(sys_.C1, V)
+        S = _rows_times(sys_.A2, X) + _rows_times(sys_.C2, V)
+        if mode == "mc":
+            W = np.array([self._noise.branch_draws(k + t, branches)
+                          for t in range(rows)]).reshape(rows, branches)
+            # successor coordinates first: (n, rows, branches)
+            succ = MU.T[:, :, None] + W * S.T[:, :, None]
+            # rows before a state-guard trip still count, so a branch guard
+            # tripping on an earlier row raises first, as it does step by step
+            ok = (np.abs(succ) <= GUARD).all(axis=(0, 2))
+            if not ok.all():
+                raise DivergenceError(k + int(np.argmin(ok)))
         if bad >= 0:
             self._x, self._k = xs[bad - 1].copy(), k + bad
             raise DivergenceError(k + bad)
+        if mode == "analytic":
+            c1 = _quad_rows(MU, cont.P1) + _quad_rows(S, cont.P1)
+            c2 = _quad_rows(MU, cont.P2) + _quad_rows(S, cont.P2)
+        else:
+            c1, c2 = _branch_mean(succ, cont.P1), _branch_mean(succ, cont.P2)
+        r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
+        r1 = cost.gamma**2 * _dot_rows(V, V) - r2
         self._x, self._k = xs[N].copy(), k + N
-        return np.hstack([xs[:-1], us, vs]), Y
+        return np.hstack([xs[:-1], us, vs]), np.column_stack([r1 + c1, r2 + c2])
+
+
+def _rows_times(A, X):
+    """A x for each row x of X: one gemv per row, as A.dot(x)."""
+    return np.matmul(A, X[:, :, None])[:, :, 0]
+
+
+def _dot_rows(X, Y):
+    """x'y for each row pair: one ddot per row, as x.dot(y)."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _quad_rows(X, P):
+    """x'P x for each row x of X, with the products of x.dot(P).dot(x)."""
+    return _dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
+
+
+def _branch_mean(succ, P):
+    """Mean of x'P x over the last axis of succ, successor coordinates first.
+
+    succ is (n, ..., branches).  The terms (x_j P_jk) x_k are summed from
+    zero in one fixed j-major order, which is the order
+    einsum("ij,jk,ik->i") takes on the F-16 runs' shapes, so their targets
+    keep their bits.  einsum picks its order by array shape (a 2-state plant
+    with one or two branches sums in another), so one einsum over a window
+    would not match a single tuple's.
+    """
+    n = succ.shape[0]
+    acc = np.zeros(succ.shape[1:])
+    for j in range(n):
+        for k in range(n):
+            acc += (succ[j] * P[j, k]) * succ[k]
+    return acc.mean(axis=-1)
 
 
 def least_squares_h(X, Y1, Y2, dims):
@@ -282,8 +333,8 @@ def bellman_targets(oracle, cost, cont, x, u, v, branches, mode):
         succ = oracle.branch(u, v, branches)
         if not np.isfinite(succ).all():
             raise DivergenceError(None, "non-finite branched successor")
-        c1 = float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
-        c2 = float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
+        c1 = float(_branch_mean(succ.T, cont.P1))
+        c2 = float(_branch_mean(succ.T, cont.P2))
     else:
         raise ValueError(f"mode must be analytic or mc, got {mode!r}")
     return r1 + c1, r2 + c2
@@ -403,12 +454,19 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
 
     N = config.tuples_per_iter
     for i in range(config.max_iters):
-        probes = [probing_noise(schedule, k + t, m1, m2) for t in range(N)]
-        Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
-                              config.expectation_mode)
+        Z, Y = oracle.rollout(gains, schedule.window(k, N, m1, m2), cost, vals,
+                              config.branches, config.expectation_mode)
         k += N
         X = vech(Z[:, :, None] * Z[:, None, :])
-        q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
+        try:
+            q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
+        except ExcitationError as exc:
+            # a rank loss late in a run follows a destabilized loop: say
+            # where, and how far the window's state had grown
+            first, last = np.linalg.norm(Z[[0, -1], :n], axis=1)
+            raise ExcitationError(
+                f"{exc} at iteration {i + 1}, window |x| {first:.3e} -> {last:.3e}"
+            ) from exc
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
             # losing its definiteness means gamma is infeasible

@@ -175,6 +175,19 @@ class TestLearningCommands:
         reason = (tmp_path / "out" / "manifest.txt").read_text().splitlines()[-1]
         assert reason.startswith("exit_reason = run failed: insufficient excitation")
 
+    def test_mc_rank_loss_names_iteration_and_state_growth(self, tmp_path, capsys):
+        # seed 2 of the benchmark's Monte-Carlo pool loses rank after its
+        # learned policy let the state grow; the reason keeps the excitation
+        # prefix and says at which iteration and how far |x| had grown
+        out = tmp_path / "out"
+        assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
+                     "--max-iters", "60", "--seed", "2", "--out", str(out)]) == 2
+        message = ("run failed: insufficient excitation: singular values span "
+                   "1.879e+08..1.814e-04 at iteration 58, window |x| 3.100e+02 -> 5.361e+03")
+        assert capsys.readouterr().out == message + "\n"
+        reason = (out / "manifest.txt").read_text().splitlines()[-1]
+        assert reason == "exit_reason = " + message
+
     def test_qlearn_artifact_contract(self, tmp_path):
         out = str(tmp_path)
         code = main(["qlearn", "--mode", "analytic", "--max-iters", "3",

@@ -44,6 +44,20 @@ from stoch_h2hinf import sim as sim_module
 from stoch_h2hinf.f16 import X0
 
 
+def _scalar_probe(case, t):
+    """The schedule's (e_u, e_v) scalars at integer time t, one np.float64 at a
+    time; the reference the seeded artifacts were made with."""
+    if case == "case1":
+        return (np.sin(1.009 * t) + np.cos(0.538 * t) ** 2,
+                np.sin(9.7 * t) + np.cos(10.2 * t) ** 2)
+    if case == "case2":
+        return (np.sin(0.9 * t) + np.cos(100.0 * t),
+                np.sin(10.0 * t) + np.cos(10.0 * t))
+    u1, v1 = _scalar_probe("case1", t)
+    u2, v2 = _scalar_probe("case2", t)
+    return u1 + u2, v1 + v2
+
+
 class TestProbingSchedule:
     def test_case_values_at_zero(self):
         for case, expect in (("case1", 1.0), ("case2", 1.0), ("case3", 2.0)):
@@ -79,6 +93,24 @@ class TestProbingSchedule:
         u2, v2 = ProbingSchedule("case2").evaluate(9)
         u3, v3 = ProbingSchedule("case3").evaluate(9)
         assert (u3[0], v3[0]) == (u1[0] + u2[0], v1[0] + v2[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(["case1", "case2", "case3"]),
+           k=st.integers(0, 10**7), N=st.integers(1, 200),
+           m1=st.integers(1, 3), m2=st.integers(1, 3))
+    def test_window_equals_stacked_evaluate(self, case, k, N, m1, m2):
+        # whole-window probes carry the bits of the per-step scalars; an
+        # array's c ** 2 (c * c) would differ from them in the last bit
+        sched = ProbingSchedule(case)
+        EU, EV = sched.window(k, N, m1, m2)
+        assert EU.shape == (N, m1) and EV.shape == (N, m2)
+        steps = [sched.evaluate(k + t, m1, m2) for t in range(N)]
+        assert EU.tobytes() == np.array([e[0] for e in steps]).tobytes()
+        assert EV.tobytes() == np.array([e[1] for e in steps]).tobytes()
+        ref = [[_scalar_probe(case, k + t + i) for i in range(max(m1, m2))]
+               for t in range(N)]
+        assert EU.tobytes() == np.array([[r[0] for r in row[:m1]] for row in ref]).tobytes()
+        assert EV.tobytes() == np.array([[r[1] for r in row[:m2]] for row in ref]).tobytes()
 
 
 class TestBellmanTargets:
@@ -143,6 +175,24 @@ class TestBellmanTargets:
             ref2 = r2 + np.einsum("ij,jk,ik->i", Z, q.H2, Z).mean()
             assert d1 == pytest.approx(ref1, rel=1e-12)
             assert d2 == pytest.approx(ref2, rel=1e-12)
+
+    @pytest.mark.parametrize("branches", [10, 30, 100])
+    def test_mc_branch_mean_keeps_einsum_bits_on_f16(self, f16, branches):
+        # the seeded F-16 Monte-Carlo artifacts were made with this einsum;
+        # the fixed-order branch mean must reproduce it bit for bit
+        sys_, cost = f16
+        rng = np.random.default_rng(branches)
+        for _ in range(20):
+            x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 4)
+            u, v = rng.standard_normal((2, 1))
+            M1, M2 = rng.standard_normal((2, 3, 3))
+            cont = ValuePair(M1 + M1.T, M2 + M2.T)
+            oracle = SystemOracle(sys_, NoiseSource(int(rng.integers(1000))), x)
+            d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, branches, "mc")
+            succ = oracle.branch(u, v, branches)
+            r1, r2 = stage_costs(cost, x, u, v)
+            assert d1 == r1 + float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
+            assert d2 == r2 + float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
 
     def test_mc_approaches_analytic(self, f16, f16_solution):
         sys_, cost = f16
@@ -467,8 +517,8 @@ class TestRunQLearning:
             )
 
     def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
-        # analytic mode forms each tuple's (mu, s) once, for both members'
-        # expectation; the window's states come from the trajectory kernel
+        # the window's states come from the trajectory kernel and its (mu, s)
+        # from stacked products, so no tuple of a window asks for its drift
         sys_, cost = f16
         calls = []
 
@@ -481,8 +531,9 @@ class TestRunQLearning:
         monkeypatch.setattr(qlearn_module, "_drift_and_noise", counted)
         rep = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost,
                              _analytic_config(max_iters=3), f16_initial_gains(), X0)
-        # plus one per step of the 100-step unprobed tail
-        assert len(calls) == 20 * rep.iterations + 100
+        # only the steps of the 100-step unprobed tail do
+        assert rep.iterations == 3
+        assert len(calls) == 100
 
     def test_oracle_without_expectations_rejects_analytic(self, f16):
         sys_, cost = f16
@@ -525,15 +576,15 @@ class TestRunQLearning:
         assert np.isfinite(hist).all()
 
 
-def _wide_plant():
-    """A two-input, two-disturbance plant (m1 = m2 = 2)."""
+def _wide_plant(n=3):
+    """A two-input, two-disturbance plant (m1 = m2 = 2) with n states."""
     rng = np.random.default_rng(17)
     sys_ = SdltiSystem(
-        0.3 * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal((3, 3)),
-        rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
-        0.1 * rng.standard_normal((3, 2)),
+        0.3 * rng.standard_normal((n, n)), 0.1 * rng.standard_normal((n, n)),
+        rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        0.1 * rng.standard_normal((n, 2)),
     )
-    return sys_, CostSpec(5.0, np.eye(3))
+    return sys_, CostSpec(5.0, np.eye(n))
 
 
 def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, seed):
@@ -549,8 +600,7 @@ def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, se
         oracle = SystemOracle(sys_, noise, x0)
         for _ in range(lead):
             oracle.apply(np.zeros(sys_.m1), np.zeros(sys_.m2))
-        probes = [probing_noise(ProbingSchedule(case), lead + t, sys_.m1, sys_.m2)
-                  for t in range(N)]
+        probes = ProbingSchedule(case).window(lead, N, sys_.m1, sys_.m2)
         try:
             Z, Y = rollout(oracle, gains, probes, cost, cont, branches, mode)
         except DivergenceError as exc:
@@ -567,13 +617,15 @@ class TestRollout:
            member=st.integers(0, 19), seed=st.integers(0, 2**16),
            lead=st.integers(0, 3), N=st.integers(1, 25))
     @pytest.mark.parametrize("mode", ["analytic", "mc"])
-    @pytest.mark.parametrize("plant", ["f16", "population", "wide"])
+    @pytest.mark.parametrize("plant", ["f16", "population", "wide", "wide4", "wide5"])
     def test_window_equals_per_tuple_default(self, f16, random_population, plant,
                                              mode, case, member, seed, lead, N):
-        # the kernel window and the tuple-by-tuple default give the same
-        # rows, targets, next state, step counter and noise position
+        # the stacked window and the tuple-by-tuple default give the same
+        # rows, targets, next state, step counter and noise position; from
+        # n = 4 on, a gemm (X @ Q) no longer matches the per-row gemv bits
         sys_, cost = {"f16": f16, "population": random_population[member],
-                      "wide": _wide_plant()}[plant]
+                      "wide": _wide_plant(3), "wide4": _wide_plant(4),
+                      "wide5": _wide_plant(5)}[plant]
         rng = np.random.default_rng(seed)
         n, m1, m2 = sys_.dims
         gains = GainPair(0.3 * rng.standard_normal((m2, n)),
