@@ -226,8 +226,7 @@ class SystemOracle(TrajectoryOracle):
         MU = _rows_times(sys_.A1, X) + _rows_times(sys_.B1, U) + _rows_times(sys_.C1, V)
         S = _rows_times(sys_.A2, X) + _rows_times(sys_.C2, V)
         if mode == "mc":
-            W = np.array([self._noise.branch_draws(k + t, branches)
-                          for t in range(rows)]).reshape(rows, branches)
+            W = self._noise.branch_window(k, rows, branches)
             # successor coordinates first: (n, rows, branches)
             succ = MU.T[:, :, None] + W * S.T[:, :, None]
             # rows before a state-guard trip still count, so a branch guard

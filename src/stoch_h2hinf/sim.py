@@ -5,6 +5,13 @@ keyed by (seed, stream tag), per-step branch draws by (seed, tag, step), and
 per-run draws by (seed, tag, run), so results never depend on evaluation
 order.  Branch draw j at step k is the j-th element of the (seed, k) stream,
 which realizes the (run seed, step index, branch index) derivation rule.
+
+A derived stream is pinned to numpy: its draws are those of
+default_rng(SeedSequence((seed, tag, key))).  Rather than build a
+SeedSequence per key, NoiseSource hashes a block of keys at once with
+SeedSequence's pool hash (numpy/random/bit_generator.pyx) and applies
+PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905) to each, then
+samples every key from one reused generator.
 """
 
 from dataclasses import dataclass
@@ -20,6 +27,78 @@ _TAG_RUN = 0x51B3
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
 _CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
+
+# SeedSequence's hash constants (default pool of four words) and PCG64's
+# 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_SEED_BLOCK = 512  # derived-stream keys hashed per vectorized pass
+
+
+def _words(n):
+    """n as SeedSequence reads an int: little-endian uint32 words, at least one."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash(value, h, mult):
+    """SeedSequence's multiply-xorshift of uint32 words; h is the running constant."""
+    value = value ^ np.uint32(h)
+    h = h * mult & _MASK32
+    value = value * np.uint32(h)
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
+
+
+def _pcg_seeds(entropy):
+    """PCG64 (state, inc) of default_rng(SeedSequence(e)) for each row e.
+
+    entropy holds one uint32 array per entropy word, one entry per row:
+    the rows' assembled entropy.  All rows are hashed at once.
+    """
+    h = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        word = entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])
+        word, h = _hash(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, h = _hash(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL:]:
+        for dst in range(_POOL):
+            word, h = _hash(extra, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # little-endian into (initstate hi, lo, initseq hi, lo)
+    h, state = _INIT_B, []
+    for i in range(8):
+        word, h = _hash(pool[i % _POOL], h, _MULT_B)
+        state.append(word.astype(np.uint64))
+    halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+    seeds = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+        # PCG64's srandom: two LCG steps from state 0, initstate added between
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state0 = (s_hi << 64 | s_lo) + inc
+        seeds.append((state0 * _PCG_MULT + inc & _MASK128, inc))
+    return seeds
 
 
 @dataclass
@@ -42,6 +121,10 @@ class NoiseSource:
         )
         if self.position:
             self._sample(self._rng, self.position)
+        # derived streams: one generator reseeded per key, and the PCG64
+        # seeds of the last two key blocks hashed
+        self._derived = np.random.Generator(np.random.PCG64(0))
+        self._blocks = {}
 
     def _sample(self, rng, count):
         if self.distribution == "gaussian":
@@ -53,19 +136,46 @@ class NoiseSource:
         self.position += int(count)
         return self._sample(self._rng, int(count))
 
+    def _block_seeds(self, tag, block):
+        """PCG64 (state, inc) for keys block * _SEED_BLOCK onward, hashed once."""
+        cache_key = (int(self.seed), tag, block)
+        if cache_key not in self._blocks:
+            keys = range(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK)
+            # _SEED_BLOCK divides 2^32, so every key of a block has as many
+            # words as its first and the block shares one entropy layout
+            entropy = [np.full(_SEED_BLOCK, w, dtype=np.uint32)
+                       for w in _words(self.seed) + _words(tag)]
+            entropy += [np.array([k >> shift & _MASK32 for k in keys], dtype=np.uint32)
+                        for shift in range(0, 32 * len(_words(keys[0])), 32)]
+            if len(self._blocks) >= 2:
+                del self._blocks[next(iter(self._blocks))]
+            self._blocks[cache_key] = _pcg_seeds(entropy)
+        return self._blocks[cache_key]
+
+    def _window(self, tag, key, rows, count):
+        """(rows, count) draws; row t is default_rng(SeedSequence((seed, tag, key + t)))'s."""
+        key, rows, count = int(key), int(rows), int(count)
+        out = np.empty((rows, count))
+        bitgen = self._derived.bit_generator
+        for t in range(rows):
+            block, i = divmod(key + t, _SEED_BLOCK)
+            state, inc = self._block_seeds(tag, block)[i]
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            out[t] = self._sample(self._derived, count)
+        return out
+
+    def branch_window(self, step, rows, count):
+        """branch_draws(step + t, count) for t < rows, as a (rows, count) array."""
+        return self._window(_TAG_BRANCH, step, rows, count)
+
     def branch_draws(self, step, count):
         """Draws j=0..count-1 for branches at time `step`; pure in (seed, step)."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(self.seed), _TAG_BRANCH, int(step)))
-        )
-        return self._sample(rng, int(count))
+        return self.branch_window(step, 1, count)[0]
 
     def run_draws(self, run, count):
         """Noise for an independent replicate `run`; pure in (seed, run)."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(self.seed), _TAG_RUN, int(run)))
-        )
-        return self._sample(rng, int(count))
+        return self._window(_TAG_RUN, run, 1, count)[0]
 
 
 def _drift_and_noise(sys, x, u, v):
@@ -202,9 +312,7 @@ def empirical_attenuation(sys, cost, K2, disturbance, horizon, runs, seed):
     denom = float(np.einsum("ij,ij->", disturbance, disturbance))
     if denom == 0.0:
         raise ValueError("zero disturbance energy")
-    noise = NoiseSource(seed)
-    W = np.array([noise.run_draws(r, horizon) for r in range(runs)]).reshape(runs, horizon)
-    W = W.T[:, :, None]
+    W = NoiseSource(seed)._window(_TAG_RUN, 0, runs, horizon).T[:, :, None]
     CV1, CV2 = disturbance @ sys.C1.T, disturbance @ sys.C2.T
     # all replicates at once; one that leaves the guard counts its states up
     # to the offending one and its inputs before it, then stays frozen at 0

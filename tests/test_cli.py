@@ -188,6 +188,19 @@ class TestLearningCommands:
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message
 
+    @pytest.mark.parametrize("seed, step", [(0, 948), (14, 1096), (15, 739)])
+    def test_mc_divergence_names_step(self, tmp_path, capsys, seed, step):
+        # seeds 0, 14 and 15 of the benchmark's Monte-Carlo pool learn a
+        # policy that drives the state past the divergence guard; the branch
+        # draws and the kernel's trip index both decide the step
+        out = tmp_path / "out"
+        assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
+                     "--max-iters", "60", "--seed", str(seed), "--out", str(out)]) == 2
+        message = f"run failed: state exceeded divergence guard at step {step}"
+        assert capsys.readouterr().out == message + "\n"
+        reason = (out / "manifest.txt").read_text().splitlines()[-1]
+        assert reason == "exit_reason = " + message
+
     def test_qlearn_artifact_contract(self, tmp_path):
         out = str(tmp_path)
         code = main(["qlearn", "--mode", "analytic", "--max-iters", "3",

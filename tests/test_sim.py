@@ -1,7 +1,12 @@
 """Noise streams, single transitions, trajectory plumbing, attenuation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoch_h2hinf import (
     CostSpec,
@@ -19,8 +24,20 @@ from stoch_h2hinf import (
     stage_costs,
     step,
 )
-from stoch_h2hinf._kernels import closed_loop_path
-from stoch_h2hinf.sim import _CSV_BLOCK
+from stoch_h2hinf._kernels import _BLOCK, GUARD, closed_loop_path
+from stoch_h2hinf.sim import _CSV_BLOCK, _TAG_BRANCH, _TAG_RUN, DISTRIBUTIONS
+
+
+def _numpy_rows(seed, tag, key, rows, count, dist):
+    """Row t: the first `count` draws of default_rng(SeedSequence((seed, tag, key + t)))."""
+    out = np.empty((rows, count))
+    for t in range(rows):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, tag, key + t)))
+        if dist == "gaussian":
+            out[t] = rng.standard_normal(count)
+        else:
+            out[t] = rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
+    return out
 
 
 class TestNoiseSource:
@@ -66,6 +83,43 @@ class TestNoiseSource:
         ns = NoiseSource(9)
         np.testing.assert_array_equal(ns.run_draws(2, 6), ns.run_draws(2, 6))
         assert not np.array_equal(ns.run_draws(1, 6), ns.run_draws(2, 6))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                          st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140)),
+           key=st.one_of(st.integers(0, 3000), st.integers(2**32 - 40, 2**32 + 2),
+                         st.integers(2**64 - 40, 2**64 + 2)),
+           rows=st.integers(1, 45), count=st.integers(1, 9),
+           dist=st.sampled_from(DISTRIBUTIONS))
+    def test_derived_streams_are_numpys(self, seed, key, rows, count, dist):
+        # the block-hashed seeding reproduces SeedSequence and PCG64 bit for
+        # bit: seeds of one to five words, windows across 2^32 and 2^64
+        # (a key's word count changes there) and across hashing blocks, and
+        # odd Rademacher counts, which leave a buffered half word behind
+        ns = NoiseSource(seed, distribution=dist)
+        window = ns.branch_window(key, rows, count)
+        expect = _numpy_rows(seed, _TAG_BRANCH, key, rows, count, dist)
+        assert window.tobytes() == expect.tobytes()
+        t = rows // 2
+        assert ns.run_draws(key + t, count).tobytes() == _numpy_rows(
+            seed, _TAG_RUN, key + t, 1, count, dist).tobytes()
+        assert ns.branch_draws(key + t, count).tobytes() == expect[t].tobytes()
+
+    def test_negative_seed_or_key_rejected_like_seedsequence(self):
+        for entropy in ((-1, 0), (3, _TAG_BRANCH, -1)):
+            with pytest.raises(ValueError):
+                np.random.SeedSequence(entropy)
+        with pytest.raises(ValueError):
+            NoiseSource(-1)
+        ns = NoiseSource(3)
+        with pytest.raises(ValueError):
+            ns.branch_draws(-1, 4)
+        with pytest.raises(ValueError):
+            ns.branch_window(-3, 5, 4)
+        ns.seed = -2**70
+        for call in (lambda: ns.branch_draws(0, 4), lambda: ns.run_draws(7, 4)):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestStepAndCosts:
@@ -298,6 +352,64 @@ class TestSimulate:
         tail = [str(steps)] + [f"{x:.12g}" for x in traj.states[-1]]
         lines.append(",".join(tail + [""] * 7))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _reference_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
+    """The per-step kernel loop: the guard checked after every state, stop at the first trip."""
+    T = omegas.shape[0]
+    n = A1.shape[0]
+    xs = np.zeros((T + 1, n))
+    us = np.zeros((T, B1.shape[1]))
+    vs = np.zeros((T, C1.shape[1]))
+    xs[0] = x0
+    x = x0.copy()
+    bad = -1
+    for t in range(T):
+        u = K2.dot(x) + eu[t]
+        v = K1.dot(x) + ev[t]
+        mu = A1.dot(x) + B1.dot(u) + C1.dot(v)
+        s = A2.dot(x) + C2.dot(v)
+        x = mu + omegas[t] * s
+        us[t] = u
+        vs[t] = v
+        xs[t + 1] = x
+        ok = True
+        for j in range(n):
+            if not math.isfinite(x[j]) or abs(x[j]) > GUARD:
+                ok = False
+        if not ok:
+            bad = t + 1
+            break
+    return xs, us, vs, bad
+
+
+class TestKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), m1=st.integers(1, 3), m2=st.integers(1, 3),
+           T=st.one_of(st.integers(1, 30), st.integers(_BLOCK - 2, _BLOCK + 2),
+                       st.integers(2 * _BLOCK - 2, 2 * _BLOCK + 2)),
+           rho=st.sampled_from([0.5, 0.9, 1.06, 1.1, 1e3, 1e200]), seed=st.integers(0, 2**16))
+    def test_blocked_loop_equals_per_step_reference(self, n, m1, m2, T, rho, seed):
+        # probed paths of lengths around the guard-check blocks; rho = 1.06
+        # and 1.1 trip the guard late in the first block or in the second,
+        # 1e3 within a few steps, and 1e200 by overflow, which runs on to
+        # inf and NaN within the block yet warns of nothing
+        rng = np.random.default_rng(seed)
+        A1 = rho * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        B1, C1 = rng.standard_normal((n, m1)), rng.standard_normal((n, m2))
+        A2, C2 = 0.1 * rng.standard_normal((n, n)), rng.standard_normal((n, m2))
+        K1, K2 = 0.01 * rng.standard_normal((m2, n)), 0.01 * rng.standard_normal((m1, n))
+        args = (A1, B1, C1, A2, C2, K1, K2, rng.standard_normal(n),
+                rng.standard_normal(T), rng.standard_normal((T, m1)),
+                rng.standard_normal((T, m2)))
+        with np.errstate(all="ignore"):
+            expect = _reference_path(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = closed_loop_path(*args)
+        assert got[3] == expect[3]
+        for a, b in zip(got[:3], expect[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestAttenuation:
