@@ -63,7 +63,6 @@ from .qlearn import (
     bellman_targets,
     least_squares_h,
     probed_inputs,
-    probing_noise,
     run_q_learning,
     run_value_iteration,
     termination,

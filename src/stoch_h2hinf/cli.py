@@ -49,7 +49,7 @@ _COMMANDS = ("solve", "vi", "qlearn", "simulate", "bench-f16")
 @dataclass
 class ExperimentConfig:
     """Effective run settings; tol and max_iters default per command
-    (solve: 1e-9 / 5000, everything else: 1e-3 / 500)."""
+    (solve and simulate: 1e-9 / 5000; vi, qlearn and bench-f16: 1e-3 / 500)."""
 
     command: str = "solve"
     system: str = "f16"
@@ -192,13 +192,18 @@ def _write_gains_values(outdir, gains, vals):
     write_matrix_txt(vals.P2, os.path.join(outdir, "p2.txt"))
 
 
+def _solve_settings(cfg):
+    """(tol, max_iters) of a fixed-point solve: the flags, else 1e-9 / 5000."""
+    return (cfg.tol if cfg.tol is not None else 1e-9,
+            cfg.max_iters if cfg.max_iters is not None else 5000)
+
+
 def _algo_config(cfg):
     return AlgoConfig(
         tol=cfg.tol if cfg.tol is not None else 1e-3,
         max_iters=cfg.max_iters if cfg.max_iters is not None else 500,
         tuples_per_iter=cfg.tuples,
         branches=cfg.branches,
-        seed=cfg.seed,
         noise_case=f"case{cfg.case}",
         expectation_mode=cfg.mode,
     )
@@ -222,9 +227,7 @@ def _check_trajectory_settings(cfg):
 
 def _cmd_solve(cfg, outdir):
     sys_, cost = build_system(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 5000
-    report = solve_coupled_gare(sys_, cost, tol=tol, max_iters=max_iters)
+    report = solve_coupled_gare(sys_, cost, *_solve_settings(cfg))
     report.to_csv(os.path.join(outdir, "solve.csv"))
     _write_gains_values(outdir, report.gains, report.values)
     print(
@@ -258,7 +261,8 @@ def _cmd_qlearn(cfg, outdir):
     report.to_csv(os.path.join(outdir, "convergence.csv"), _reference_for(cfg))
     _write_gains_values(outdir, report.gains, report.values)
     reason = report.termination
-    # trajectory under the learned controller, probe off, from the benchmark x0
+    # the paper's final unprobed run: the learned controller, probe off,
+    # from the benchmark x0
     try:
         traj = simulate_closed_loop(
             sys_, cost, report.gains, x0, cfg.steps, NoiseSource(cfg.seed + 1)
@@ -273,7 +277,7 @@ def _cmd_qlearn(cfg, outdir):
 def _cmd_simulate(cfg, outdir):
     _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
-    solved = solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=5000)
+    solved = solve_coupled_gare(sys_, cost, *_solve_settings(cfg))
     traj = simulate_closed_loop(
         sys_, cost, solved.gains, _x0_for(sys_, cfg), cfg.steps, NoiseSource(cfg.seed)
     )

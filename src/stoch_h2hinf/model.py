@@ -262,15 +262,14 @@ class AlgoConfig:
     tol is the stopping tolerance eps, max_iters the iteration cap i_max,
     tuples_per_iter the batch size N, branches the Monte-Carlo branch count
     N_u per collected tuple, noise_case the probing case (case1, case2 or
-    case3).  seed is only recorded on the learner's report; the noise itself
-    comes from the oracle's NoiseSource.
+    case3), expectation_mode analytic or mc.  The noise, and with it the
+    seed, belongs to the oracle's NoiseSource.
     """
 
     tol: float = 1e-3
     max_iters: int = 500
     tuples_per_iter: int = 20
     branches: int = 100
-    seed: int = 0
     noise_case: str = "case1"
     expectation_mode: str = "mc"
 

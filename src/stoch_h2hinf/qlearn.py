@@ -96,18 +96,6 @@ class ProbingSchedule:
         eu, ev = self._terms(t)
         return eu[:, :m1], ev[:, :m2]
 
-    def evaluate(self, k, m1=1, m2=1):
-        """Probe vectors at time k: row 0 of window(k, 1, m1, m2)."""
-        eu, ev = self.window(k, 1, m1, m2)
-        return eu[0], ev[0]
-
-
-def probing_noise(schedule, k, m1=1, m2=1):
-    """(e_u, e_v) at time k; zeros when the schedule is absent."""
-    if schedule is None:
-        return np.zeros(m1), np.zeros(m2)
-    return schedule.evaluate(k, m1, m2)
-
 
 class TrajectoryOracle(ABC):
     """Black-box plant interface; the learner sees states, never matrices."""
@@ -395,8 +383,6 @@ class QLearnReport:
     q: QPair
     history: tuple
     termination: str
-    seed: Optional[int]
-    final_trajectory: Optional[np.ndarray]
 
     @property
     def gains(self):
@@ -431,9 +417,11 @@ class QLearnReport:
 def run_q_learning(oracle, cost, config, initial_gains, x0):
     """Algorithm-style learning loop against a black-box oracle.
 
-    On stop (or on an exhausted iteration budget, which is reported rather
-    than raised) probing is deactivated and a final unprobed closed-loop
-    trajectory of 100 steps is recorded through the oracle.
+    Runs until the stop rule fires or the iteration budget is exhausted,
+    which is reported rather than raised, and returns the learned pair.  It
+    runs no closing trajectory: the paper's final unprobed run under the
+    learned gains is the caller's, e.g. the qlearn command's trajectory.csv
+    from simulate_closed_loop.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -463,8 +451,10 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
             # a rank loss late in a run follows a destabilized loop: say
             # where, and how far the window's state had grown
             first, last = np.linalg.norm(Z[[0, -1], :n], axis=1)
+            cols = np.linalg.norm(X, axis=0)
             raise ExcitationError(
-                f"{exc} at iteration {i + 1}, window |x| {first:.3e} -> {last:.3e}"
+                f"{exc} at iteration {i + 1}, window |x| {first:.3e} -> {last:.3e}, "
+                f"X column norms {cols.max():.3e}..{cols.min():.3e}"
             ) from exc
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
@@ -485,19 +475,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
             break
     if reason is None:
         reason = f"max_iters {config.max_iters} reached without stop"
-
-    final_states = [oracle.state]
-    try:
-        for _ in range(100):
-            x = oracle.state
-            oracle.apply(gains.K2 @ x, gains.K1 @ x)
-            final_states.append(oracle.state)
-    except DivergenceError as exc:
-        reason += f"; unprobed tail diverged at step {exc.step}"
-
-    return QLearnReport(
-        q, tuple(history), reason, config.seed, np.vstack(final_states),
-    )
+    return QLearnReport(q, tuple(history), reason)
 
 
 def run_value_iteration(sys, cost, config):
@@ -524,8 +502,8 @@ def run_value_iteration(sys, cost, config):
             q, vals = q_next, ValuePair(P1, P2)
             history.append(Iterate(dh1, dh2, GainPair(K1, K2), vals, stop))
     except ConvergenceError as err:
-        err.report = QLearnReport(q, tuple(history), str(err), config.seed, None)
+        err.report = QLearnReport(q, tuple(history), str(err))
         raise
     reason = (f"stopped at iteration {len(history)}: value changes "
               f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}")
-    return QLearnReport(q, tuple(history), reason, config.seed, None)
+    return QLearnReport(q, tuple(history), reason)

@@ -25,7 +25,6 @@ _TAG_MAIN = 0x51B1
 _TAG_BRANCH = 0x51B2
 _TAG_RUN = 0x51B3
 
-DISTRIBUTIONS = ("gaussian", "rademacher")
 _CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
 
 # SeedSequence's hash constants (default pool of four words) and PCG64's
@@ -103,38 +102,27 @@ def _pcg_seeds(entropy):
 
 @dataclass
 class NoiseSource:
-    """Deterministic scalar white-noise stream, E(w)=0, E(w^2)=1.
+    """Deterministic scalar Gaussian white-noise stream, E(w)=0, E(w^2)=1.
 
-    Single-owner mutable: draw() advances the stream position.  Branch and
-    run draws use derived sub-seeds and leave the main stream untouched.
+    The seed is its one setting.  Single-owner mutable: draw() advances the
+    main stream.  Branch and run draws use derived sub-seeds and leave the
+    main stream untouched.
     """
 
     seed: int
-    distribution: str = "gaussian"
-    position: int = 0
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
         self._rng = np.random.default_rng(
             np.random.SeedSequence((int(self.seed), _TAG_MAIN))
         )
-        if self.position:
-            self._sample(self._rng, self.position)
         # derived streams: one generator reseeded per key, and the PCG64
         # seeds of the last two key blocks hashed
         self._derived = np.random.Generator(np.random.PCG64(0))
         self._blocks = {}
 
-    def _sample(self, rng, count):
-        if self.distribution == "gaussian":
-            return rng.standard_normal(count)
-        return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
-
     def draw(self, count=1):
         """Next `count` draws of the main stream."""
-        self.position += int(count)
-        return self._sample(self._rng, int(count))
+        return self._rng.standard_normal(int(count))
 
     def _block_seeds(self, tag, block):
         """PCG64 (state, inc) for keys block * _SEED_BLOCK onward, hashed once."""
@@ -162,7 +150,7 @@ class NoiseSource:
             state, inc = self._block_seeds(tag, block)[i]
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
-            out[t] = self._sample(self._derived, count)
+            out[t] = self._derived.standard_normal(count)
         return out
 
     def branch_window(self, step, rows, count):
@@ -256,32 +244,19 @@ class Trajectory:
             fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")
 
 
-def _probe_arrays(probe, k0, steps, m1, m2):
-    eu = np.zeros((steps, m1))
-    ev = np.zeros((steps, m2))
-    if probe is not None:
-        for t in range(steps):
-            e_u, e_v = probe.evaluate(k0 + t, m1, m2)
-            eu[t] = e_u
-            ev[t] = e_v
-    return eu, ev
+def simulate_closed_loop(sys, cost, gains, x0, steps, noise):
+    """Run the plain closed loop u = K2 x, v = K1 x for `steps` transitions.
 
-
-def simulate_closed_loop(sys, cost, gains, x0, steps, noise, probe=None, k0=0):
-    """Run u = K2 x + e_u, v = K1 x + e_v for `steps` transitions.
-
-    The probe object only needs an evaluate(k, m1, m2) method; pass None
-    for the plain closed loop.  Raises DivergenceError when a state leaves
-    the guard region.
+    No probe is added.  Raises DivergenceError when a state leaves the guard
+    region.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     omegas = noise.draw(steps)
-    eu, ev = _probe_arrays(probe, k0, steps, sys.m1, sys.m2)
     xs, us, vs, bad = _kernels.closed_loop_path(
-        sys.A1, sys.B1, sys.C1, sys.A2, sys.C2,
-        gains.K1, gains.K2, x0, omegas, eu, ev,
+        sys.A1, sys.B1, sys.C1, sys.A2, sys.C2, gains.K1, gains.K2, x0, omegas,
+        np.zeros((steps, sys.m1)), np.zeros((steps, sys.m2)),
     )
     if bad >= 0:
         raise DivergenceError(bad)

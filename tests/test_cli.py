@@ -30,6 +30,7 @@ from stoch_h2hinf.cli import (
     main,
     parse_config_file,
 )
+from stoch_h2hinf.f16 import X0
 
 # Exact fixed point of the bundled benchmark, frozen from an independent
 # high-precision solve (tol 1e-12); the 4-decimal bundled reference sits
@@ -183,7 +184,22 @@ class TestLearningCommands:
         assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
                      "--max-iters", "60", "--seed", "2", "--out", str(out)]) == 2
         message = ("run failed: insufficient excitation: singular values span "
-                   "1.879e+08..1.814e-04 at iteration 58, window |x| 3.100e+02 -> 5.361e+03")
+                   "1.879e+08..1.814e-04 at iteration 58, window |x| 3.100e+02 -> 5.361e+03, "
+                   "X column norms 1.273e+08..7.178e+01")
+        assert capsys.readouterr().out == message + "\n"
+        reason = (out / "manifest.txt").read_text().splitlines()[-1]
+        assert reason == "exit_reason = " + message
+
+    def test_mc_rank_loss_names_column_norm_span(self, tmp_path, capsys):
+        # seed 5 of the pool loses rank in its last iteration, with |x| grown
+        # to 7.7e6: X's column norms then span 9.8e14..2.3e10, so the rank
+        # loss is the scale of a destabilized loop, not a missing probe
+        out = tmp_path / "out"
+        assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
+                     "--max-iters", "60", "--seed", "5", "--out", str(out)]) == 2
+        message = ("run failed: insufficient excitation: singular values span "
+                   "1.431e+15..1.495e-03 at iteration 60, window |x| 2.371e+01 -> 7.678e+06, "
+                   "X column norms 9.832e+14..2.320e+10")
         assert capsys.readouterr().out == message + "\n"
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message
@@ -217,6 +233,14 @@ class TestLearningCommands:
         assert all(c != "" for c in cells[3:7])
         traj = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(traj) == 22
+        # the closing run is the learned loop with probing off: it starts at
+        # X0, and every row has u = K2 x and v = K1 x to print precision
+        K1, K2 = np.loadtxt(tmp_path / "gains.txt")
+        rows = np.array([line.split(",") for line in traj[1:-1]], dtype=float)
+        x, u, v = rows[:, 1:4], rows[:, 4], rows[:, 5]
+        np.testing.assert_array_equal(x[0], X0)
+        for got, K in ((u, K2), (v, K1)):
+            assert (np.abs(got - x @ K) <= 1e-10 * (np.abs(x) @ np.abs(K))).all()
 
     def test_no_reference_blanks(self, tmp_path):
         code = main(["qlearn", "--mode", "analytic", "--max-iters", "2",
@@ -277,6 +301,13 @@ class TestLearningCommands:
         assert main(["simulate", "--steps", "50", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 52
+
+    def test_simulate_honours_solver_flags(self, tmp_path):
+        # simulate's solve runs at the --tol/--max-iters it echoes, as solve does
+        assert main(["simulate", "--max-iters", "1", "--out", str(tmp_path)]) == 2
+        reason = (tmp_path / "manifest.txt").read_text().splitlines()[-1]
+        assert reason.startswith("exit_reason = run failed: no fixed point within 1 iterations")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_backend_variable_ignored(self, tmp_path, monkeypatch):
         # STOCH_H2HINF_BACKEND once chose a second kernel; any value now

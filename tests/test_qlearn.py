@@ -26,11 +26,11 @@ from stoch_h2hinf import (
     h_from_values,
     least_squares_h,
     probed_inputs,
-    probing_noise,
     q_value,
     qlearn_value_update,
     run_q_learning,
     run_value_iteration,
+    simulate_closed_loop,
     solve_coupled_gare,
     stage_costs,
     termination,
@@ -61,52 +61,47 @@ def _scalar_probe(case, t):
 class TestProbingSchedule:
     def test_case_values_at_zero(self):
         for case, expect in (("case1", 1.0), ("case2", 1.0), ("case3", 2.0)):
-            e_u, e_v = ProbingSchedule(case).evaluate(0)
-            assert e_u[0] == pytest.approx(expect)
-            assert e_v[0] == pytest.approx(expect)
+            e_u, e_v = ProbingSchedule(case).window(0, 1)
+            assert e_u[0, 0] == pytest.approx(expect)
+            assert e_v[0, 0] == pytest.approx(expect)
         for case in ("case7", "custom"):
             with pytest.raises(ValueError, match="unknown probing case"):
                 ProbingSchedule(case)
 
     def test_case1_formula(self):
-        e_u, e_v = ProbingSchedule("case1").evaluate(3)
-        assert e_u[0] == pytest.approx(np.sin(3.027) + np.cos(1.614) ** 2)
-        assert e_v[0] == pytest.approx(np.sin(29.1) + np.cos(30.6) ** 2)
-
-    def test_inactive_and_absent(self):
-        e_u, e_v = probing_noise(None, 5)
-        assert e_u[0] == 0.0 and e_v[0] == 0.0
-        e_u, e_v = probing_noise(None, 5, m1=2, m2=1)
-        assert e_u.shape == (2,) and not e_u.any()
+        e_u, e_v = ProbingSchedule("case1").window(3, 1)
+        assert e_u[0, 0] == pytest.approx(np.sin(3.027) + np.cos(1.614) ** 2)
+        assert e_v[0, 0] == pytest.approx(np.sin(29.1) + np.cos(30.6) ** 2)
 
     def test_vector_broadcast_phase_shift(self):
         for case in ("case1", "case3"):
             sched = ProbingSchedule(case)
-            e_u, _ = sched.evaluate(4, m1=3, m2=1)
-            _, e_v = sched.evaluate(4, m1=1, m2=2)
+            e_u, _ = sched.window(4, 1, m1=3, m2=1)
+            _, e_v = sched.window(4, 1, m1=1, m2=2)
             for i in range(3):
-                assert e_u[i] == sched.evaluate(4 + i)[0][0]
+                assert e_u[0, i] == sched.window(4 + i, 1)[0][0, 0]
             for i in range(2):
-                assert e_v[i] == sched.evaluate(4 + i)[1][0]
+                assert e_v[0, i] == sched.window(4 + i, 1)[1][0, 0]
         # case3 is case1 + case2, summed in that order
-        u1, v1 = ProbingSchedule("case1").evaluate(9)
-        u2, v2 = ProbingSchedule("case2").evaluate(9)
-        u3, v3 = ProbingSchedule("case3").evaluate(9)
-        assert (u3[0], v3[0]) == (u1[0] + u2[0], v1[0] + v2[0])
+        u1, v1 = ProbingSchedule("case1").window(9, 1)
+        u2, v2 = ProbingSchedule("case2").window(9, 1)
+        u3, v3 = ProbingSchedule("case3").window(9, 1)
+        assert (u3[0, 0], v3[0, 0]) == (u1[0, 0] + u2[0, 0], v1[0, 0] + v2[0, 0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=st.sampled_from(["case1", "case2", "case3"]),
            k=st.integers(0, 10**7), N=st.integers(1, 200),
            m1=st.integers(1, 3), m2=st.integers(1, 3))
     def test_window_equals_stacked_evaluate(self, case, k, N, m1, m2):
-        # whole-window probes carry the bits of the per-step scalars; an
-        # array's c ** 2 (c * c) would differ from them in the last bit
+        # a window is its one-step windows stacked, and carries the bits of
+        # the per-step scalars; an array's c ** 2 (c * c) would differ from
+        # them in the last bit
         sched = ProbingSchedule(case)
         EU, EV = sched.window(k, N, m1, m2)
         assert EU.shape == (N, m1) and EV.shape == (N, m2)
-        steps = [sched.evaluate(k + t, m1, m2) for t in range(N)]
-        assert EU.tobytes() == np.array([e[0] for e in steps]).tobytes()
-        assert EV.tobytes() == np.array([e[1] for e in steps]).tobytes()
+        steps = [sched.window(k + t, 1, m1, m2) for t in range(N)]
+        assert EU.tobytes() == np.vstack([e[0] for e in steps]).tobytes()
+        assert EV.tobytes() == np.vstack([e[1] for e in steps]).tobytes()
         ref = [[_scalar_probe(case, k + t + i) for i in range(max(m1, m2))]
                for t in range(N)]
         assert EU.tobytes() == np.array([[r[0] for r in row[:m1]] for row in ref]).tobytes()
@@ -118,9 +113,8 @@ class TestBellmanTargets:
         sys_, cost = f16
         for mode in ("analytic", "mc"):
             oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
-            u, v = probed_inputs(
-                GainPair.zeros(3), np.zeros(3), ProbingSchedule("case1").evaluate(0)
-            )
+            e = [row[0] for row in ProbingSchedule("case1").window(0, 1)]
+            u, v = probed_inputs(GainPair.zeros(3), np.zeros(3), e)
             d1, d2 = bellman_targets(
                 oracle, cost, ValuePair.zeros(3), np.zeros(3), u, v, 50, mode
             )
@@ -199,7 +193,7 @@ class TestBellmanTargets:
         gains = f16_solution.gains
         cont = values_from_q(h_from_values(sys_, cost, f16_solution.values), gains)
         x = np.array([2.0, -1.0, 0.5])
-        e = ProbingSchedule("case1").evaluate(7)
+        e = [row[0] for row in ProbingSchedule("case1").window(7, 1)]
         oracle = SystemOracle(sys_, NoiseSource(2), x)
         u, v = probed_inputs(gains, x, e)
         d1_exact, d2_exact = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
@@ -217,32 +211,37 @@ class TestBellmanTargets:
             )
 
 
-def _collect_tuples(oracle, cost, cont, gains, schedule, k, tuples, branches, mode):
-    """Tuple-by-tuple reference collection: rows vech(zz') and targets."""
+def _collect_tuples(oracle, cost, cont, gains, probes, branches, mode):
+    """Tuple-by-tuple reference collection over the window's probe rows:
+    rows vech(zz') and targets."""
     rows, Y1, Y2 = [], [], []
-    for _ in range(tuples):
+    for e in zip(*probes):
         x = oracle.state
-        u, v = probed_inputs(gains, x, probing_noise(schedule, k))
+        u, v = probed_inputs(gains, x, e)
         d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, branches, mode)
         z = np.concatenate([x, u, v])
         rows.append(vech(np.outer(z, z)))
         Y1.append(d1)
         Y2.append(d2)
         oracle.apply(u, v)
-        k += 1
     return np.array(rows), np.array(Y1), np.array(Y2)
 
 
-def _collect_mc(sys_, cost, schedule, tuples=20):
+def _collect_mc(sys_, cost, case, tuples=20):
+    """F-16 tuples under the initial gains; case None leaves probing off."""
+    if case is None:
+        probes = np.zeros((tuples, 1)), np.zeros((tuples, 1))
+    else:
+        probes = ProbingSchedule(case).window(0, tuples)
     oracle = SystemOracle(sys_, NoiseSource(0), X0)
     return _collect_tuples(oracle, cost, ValuePair.zeros(3), f16_initial_gains(),
-                           schedule, 0, tuples, 5, "mc")
+                           probes, 5, "mc")
 
 
 class TestRegression:
     def test_full_rank_with_case1(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1"))
+        X, Y1, Y2 = _collect_mc(sys_, cost, "case1")
         assert X.shape == (20, 15)
         q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
         assert svmin > 0
@@ -262,7 +261,7 @@ class TestRegression:
 
     def test_too_few_rows_rejected(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, ProbingSchedule("case1"), tuples=14)
+        X, Y1, Y2 = _collect_mc(sys_, cost, "case1", tuples=14)
         with pytest.raises(ValueError, match="15"):
             least_squares_h(X, Y1, Y2, (3, 1, 1))
 
@@ -305,7 +304,7 @@ class TestTermination:
 def _analytic_config(**kw):
     base = dict(
         tol=1e-3, max_iters=500, tuples_per_iter=20, branches=1,
-        seed=0, noise_case="case1", expectation_mode="analytic",
+        noise_case="case1", expectation_mode="analytic",
     )
     base.update(kw)
     return AlgoConfig(**base)
@@ -342,8 +341,9 @@ class TestRunQLearning:
         oracle = SystemOracle(sys_, NoiseSource(4), X0)
         gains, cont = f16_initial_gains(), ValuePair.zeros(3)
         for i, it in enumerate(rep.history):
-            X, Y1, Y2 = _collect_tuples(oracle, cost, cont, gains, ProbingSchedule(case),
-                                        20 * i, 20, branches, mode)
+            X, Y1, Y2 = _collect_tuples(oracle, cost, cont, gains,
+                                        ProbingSchedule(case).window(20 * i, 20),
+                                        branches, mode)
             q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
             gains = gains_from_q(q)
             cont = values_from_q(q, gains)
@@ -370,11 +370,9 @@ class TestRunQLearning:
         assert np.linalg.norm(rep.gains.K1 - f16_solution.gains.K1) < 2e-3
         assert np.linalg.norm(rep.gains.K2 - f16_solution.gains.K2) < 2e-3
         assert len(rep.history) == rep.iterations
-        assert rep.final_trajectory is not None
-        # unprobed tail decays
-        head = np.linalg.norm(rep.final_trajectory[0])
-        tail = np.linalg.norm(rep.final_trajectory[-1])
-        assert tail < head
+        # the learned gains' unprobed closed loop decays
+        traj = simulate_closed_loop(sys_, cost, rep.gains, X0, 100, NoiseSource(1))
+        assert np.linalg.norm(traj.states[-1]) < np.linalg.norm(traj.states[0])
 
     def test_unbiasedness_each_iteration(self, f16):
         # Ops-level loop: with exact targets, the regression returns
@@ -389,7 +387,7 @@ class TestRunQLearning:
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
             X, Y1, Y2 = _collect_tuples(
-                oracle, cost, cont, gains, schedule, k, 20, 1, "analytic"
+                oracle, cost, cont, gains, schedule.window(k, 20), 1, "analytic"
             )
             k += 20
             q, _ = least_squares_h(X, Y1, Y2, (3, 1, 1))
@@ -450,7 +448,7 @@ class TestRunQLearning:
 
         cfg = AlgoConfig(
             tol=1e-3, max_iters=4, tuples_per_iter=20, branches=10,
-            seed=3, noise_case="case1", expectation_mode="mc",
+            noise_case="case1", expectation_mode="mc",
         )
         tape = RecordingOracle(SystemOracle(sys_, NoiseSource(3), X0))
         first = run_q_learning(tape, cost, cfg, f16_initial_gains(), X0)
@@ -479,7 +477,7 @@ class TestRunQLearning:
             for nu in devs:
                 cfg = AlgoConfig(
                     tol=1e-3, max_iters=2, tuples_per_iter=20, branches=nu,
-                    seed=seed, noise_case="case1", expectation_mode="mc",
+                    noise_case="case1", expectation_mode="mc",
                 )
                 oracle = SystemOracle(sys_, NoiseSource(seed), X0)
                 rep = run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0)
@@ -518,7 +516,8 @@ class TestRunQLearning:
 
     def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
         # the window's states come from the trajectory kernel and its (mu, s)
-        # from stacked products, so no tuple of a window asks for its drift
+        # from stacked products, so no tuple of a window asks for its drift,
+        # and the learner runs no closing trajectory that would
         sys_, cost = f16
         calls = []
 
@@ -531,9 +530,8 @@ class TestRunQLearning:
         monkeypatch.setattr(qlearn_module, "_drift_and_noise", counted)
         rep = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost,
                              _analytic_config(max_iters=3), f16_initial_gains(), X0)
-        # only the steps of the 100-step unprobed tail do
         assert rep.iterations == 3
-        assert len(calls) == 100
+        assert len(calls) == 0
 
     def test_oracle_without_expectations_rejects_analytic(self, f16):
         sys_, cost = f16
@@ -566,7 +564,7 @@ class TestRunQLearning:
         sys_, cost = f16
         cfg = AlgoConfig(
             tol=1e-3, max_iters=8, tuples_per_iter=20, branches=100,
-            seed=0, noise_case="case1", expectation_mode="mc",
+            noise_case="case1", expectation_mode="mc",
         )
         oracle = SystemOracle(sys_, NoiseSource(0), X0)
         rep = run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0)
@@ -591,8 +589,8 @@ def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, se
     """One window from SystemOracle.rollout and one from the base default.
 
     Each runs on its own oracle, advanced `lead` unforced steps first.  A
-    path gives (Z, Y, state, step counter, noise position) bytes, or the
-    (step, message) of the DivergenceError it raised.
+    path gives (Z, Y, state, step counter, next main-stream draw) bytes, or
+    the (step, message) of the DivergenceError it raised.
     """
     out = []
     for rollout in (SystemOracle.rollout, TrajectoryOracle.rollout):
@@ -607,7 +605,7 @@ def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, se
             out.append((exc.step, str(exc)))
         else:
             out.append((Z.shape, Z.tobytes(), Y.shape, Y.tobytes(),
-                        oracle.state.tobytes(), oracle._k, noise.position))
+                        oracle.state.tobytes(), oracle._k, noise.draw(1).tobytes()))
     return out
 
 
@@ -621,7 +619,7 @@ class TestRollout:
     def test_window_equals_per_tuple_default(self, f16, random_population, plant,
                                              mode, case, member, seed, lead, N):
         # the stacked window and the tuple-by-tuple default give the same
-        # rows, targets, next state, step counter and noise position; from
+        # rows, targets, next state, step counter and next noise draw; from
         # n = 4 on, a gemm (X @ Q) no longer matches the per-row gemv bits
         sys_, cost = {"f16": f16, "population": random_population[member],
                       "wide": _wide_plant(3), "wide4": _wide_plant(4),

@@ -25,18 +25,15 @@ from stoch_h2hinf import (
     step,
 )
 from stoch_h2hinf._kernels import _BLOCK, GUARD, closed_loop_path
-from stoch_h2hinf.sim import _CSV_BLOCK, _TAG_BRANCH, _TAG_RUN, DISTRIBUTIONS
+from stoch_h2hinf.sim import _CSV_BLOCK, _TAG_BRANCH, _TAG_RUN
 
 
-def _numpy_rows(seed, tag, key, rows, count, dist):
+def _numpy_rows(seed, tag, key, rows, count):
     """Row t: the first `count` draws of default_rng(SeedSequence((seed, tag, key + t)))."""
     out = np.empty((rows, count))
     for t in range(rows):
         rng = np.random.default_rng(np.random.SeedSequence((seed, tag, key + t)))
-        if dist == "gaussian":
-            out[t] = rng.standard_normal(count)
-        else:
-            out[t] = rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
+        out[t] = rng.standard_normal(count)
     return out
 
 
@@ -47,28 +44,13 @@ class TestNoiseSource:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, NoiseSource(43).draw(100))
 
-    def test_position_replay(self):
-        full = NoiseSource(5).draw(10)
-        resumed = NoiseSource(5, position=4)
-        np.testing.assert_array_equal(resumed.draw(6), full[4:])
-        assert resumed.position == 10
-
-    def test_rademacher_support(self):
-        draws = NoiseSource(1, distribution="rademacher").draw(1000)
-        assert set(np.unique(draws)) == {-1.0, 1.0}
-
-    def test_rejects_unknown_distribution(self):
-        with pytest.raises(ValueError):
-            NoiseSource(0, distribution="uniform")
-
-    @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
-    def test_moments(self, dist):
+    def test_moments(self):
         n = 1_000_000
-        draws = NoiseSource(7, distribution=dist).draw(n)
-        # 5 sigma on the mean and on the variance estimator.
+        draws = NoiseSource(7).draw(n)
+        # 5 sigma on the mean and on the variance estimator (Gaussian
+        # kurtosis 3)
         assert abs(draws.mean()) < 5.0 / np.sqrt(n)
-        kurt = 3.0 if dist == "gaussian" else 1.0
-        assert abs(draws.var() - 1.0) < 5.0 * np.sqrt((kurt - 1.0) / n) + 1e-6
+        assert abs(draws.var() - 1.0) < 5.0 * np.sqrt(2.0 / n) + 1e-6
 
     def test_branch_draws_pure(self):
         ns = NoiseSource(9)
@@ -89,20 +71,18 @@ class TestNoiseSource:
                           st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140)),
            key=st.one_of(st.integers(0, 3000), st.integers(2**32 - 40, 2**32 + 2),
                          st.integers(2**64 - 40, 2**64 + 2)),
-           rows=st.integers(1, 45), count=st.integers(1, 9),
-           dist=st.sampled_from(DISTRIBUTIONS))
-    def test_derived_streams_are_numpys(self, seed, key, rows, count, dist):
+           rows=st.integers(1, 45), count=st.integers(1, 9))
+    def test_derived_streams_are_numpys(self, seed, key, rows, count):
         # the block-hashed seeding reproduces SeedSequence and PCG64 bit for
-        # bit: seeds of one to five words, windows across 2^32 and 2^64
-        # (a key's word count changes there) and across hashing blocks, and
-        # odd Rademacher counts, which leave a buffered half word behind
-        ns = NoiseSource(seed, distribution=dist)
+        # bit: seeds of one to five words, and windows across 2^32 and 2^64
+        # (a key's word count changes there) and across hashing blocks
+        ns = NoiseSource(seed)
         window = ns.branch_window(key, rows, count)
-        expect = _numpy_rows(seed, _TAG_BRANCH, key, rows, count, dist)
+        expect = _numpy_rows(seed, _TAG_BRANCH, key, rows, count)
         assert window.tobytes() == expect.tobytes()
         t = rows // 2
         assert ns.run_draws(key + t, count).tobytes() == _numpy_rows(
-            seed, _TAG_RUN, key + t, 1, count, dist).tobytes()
+            seed, _TAG_RUN, key + t, 1, count).tobytes()
         assert ns.branch_draws(key + t, count).tobytes() == expect[t].tobytes()
 
     def test_negative_seed_or_key_rejected_like_seedsequence(self):
@@ -224,48 +204,52 @@ class TestSimulate:
         assert traj.steps == 20 and traj.states.shape == (21, 1)
 
     def test_replay_consistency(self, f16, f16_solution, random_population):
-        # the kernel's states equal a step() replay bit for bit: F-16 under
-        # its solved gains, then every population member and a two-input,
-        # two-disturbance plant under random gains with probing
+        # the kernel's states equal a step() replay bit for bit: F-16's plain
+        # closed loop under its solved gains, then every population member
+        # and a two-input, two-disturbance plant under random gains with
+        # window probes
         sys_, cost = f16
-        cases = [(sys_, cost, f16_solution.gains, [10.0, 5.0, -2.0], None)]
+        traj = simulate_closed_loop(
+            sys_, cost, f16_solution.gains, [10.0, 5.0, -2.0], 50, NoiseSource(11)
+        )
+        paths = [(sys_, traj.states, traj.inputs_u, traj.inputs_v, traj.noises)]
         rng = np.random.default_rng(17)
         wide = SdltiSystem(
             0.3 * rng.standard_normal((3, 3)), 0.1 * rng.standard_normal((3, 3)),
             rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
             0.1 * rng.standard_normal((3, 2)),
         )
-        for s, c in random_population + [(wide, CostSpec(5.0, np.eye(3)))]:
+        for s in [member for member, _ in random_population] + [wide]:
             gains = GainPair(
                 0.1 * rng.standard_normal((s.m2, s.n)),
                 0.1 * rng.standard_normal((s.m1, s.n)),
             )
-            cases.append((s, c, gains, rng.standard_normal(s.n), ProbingSchedule("case1")))
+            omegas = NoiseSource(11).draw(50)
+            xs, us, vs, bad = closed_loop_path(
+                s.A1, s.B1, s.C1, s.A2, s.C2, gains.K1, gains.K2,
+                rng.standard_normal(s.n), omegas,
+                *ProbingSchedule("case1").window(0, 50, s.m1, s.m2),
+            )
+            assert bad == -1
+            paths.append((s, xs, us, vs, omegas))
         assert (wide.m1, wide.m2) == (2, 2)
-        for s, c, gains, x0, probe in cases:
-            traj = simulate_closed_loop(s, c, gains, x0, 50, NoiseSource(11), probe=probe)
-            for k in range(traj.steps):
-                expect = step(
-                    s, traj.states[k], traj.inputs_u[k], traj.inputs_v[k],
-                    traj.noises[k],
-                )
-                np.testing.assert_array_equal(traj.states[k + 1], expect)
+        for s, xs, us, vs, omegas in paths:
+            for k in range(50):
+                expect = step(s, xs[k], us[k], vs[k], omegas[k])
+                np.testing.assert_array_equal(xs[k + 1], expect)
 
     def test_inputs_follow_policy_and_probe(self, f16, f16_solution):
-        sys_, cost = f16
+        sys_, _ = f16
         g = f16_solution.gains
         sched = ProbingSchedule("case1")
-        traj = simulate_closed_loop(
-            sys_, cost, g, [10.0, 5.0, -2.0], 10, NoiseSource(3), probe=sched
+        xs, us, vs, _ = closed_loop_path(
+            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1, g.K2,
+            np.array([10.0, 5.0, -2.0]), NoiseSource(3).draw(10), *sched.window(0, 10),
         )
-        for k in range(traj.steps):
-            e_u, e_v = sched.evaluate(k, 1, 1)
-            np.testing.assert_allclose(
-                traj.inputs_u[k], g.K2 @ traj.states[k] + e_u, atol=1e-13
-            )
-            np.testing.assert_allclose(
-                traj.inputs_v[k], g.K1 @ traj.states[k] + e_v, atol=1e-13
-            )
+        for k in range(10):
+            e_u, e_v = sched.window(k, 1)
+            np.testing.assert_allclose(us[k], g.K2 @ xs[k] + e_u[0], atol=1e-13)
+            np.testing.assert_allclose(vs[k], g.K1 @ xs[k] + e_v[0], atol=1e-13)
 
     def test_bit_determinism(self, f16, f16_solution):
         sys_, cost = f16
