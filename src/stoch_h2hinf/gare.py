@@ -11,6 +11,21 @@ with A(X, Y1, Y2) the closed-loop quadratic map, converges monotonically
 (P1 nonincreasing, P2 nondecreasing) for feasible gamma.  Mean-square
 stability of a realized closed loop is certified through the spectral
 radius of the Kronecker second-moment map.
+
+One sweep of the recursion (`_value_iteration`) does no work twice, and
+gives the same bits as the expressions above written one product at a time:
+
+- Python evaluates X'P Y as (X'P) Y, so a left factor computed once gives
+  the bits of every product it starts.  C1'P1, C2'P1 and B1'P2 serve both
+  the Delta blocks and the next sweep's gain system; Au'P1, A2'P1 and
+  Av'P2 serve both M and R of the residuals; C1K1 serves Ad and Av.
+- The pair A(P1), A(P2) is one stacked product on PP = (P1, P2) of shape
+  (2, n, n), symmetrized through swapaxes.  A stacked matmul runs the same
+  gemm as the 2-D one on each item, so each item keeps its bits.
+- g^2 I and I of the Delta blocks are built once per solve.
+- A 1x1 Delta block is read directly in the positive-definiteness check:
+  eigvalsh of a 1x1 matrix returns its entry, inf and NaN included.
+  Larger blocks go through eigvalsh.
 """
 
 import math
@@ -34,50 +49,58 @@ _PD_TOL = 1e-12
 
 
 def _closed_loop(sys, K1, K2):
-    """Au = A1 + B1K2, Ad = Au + C1K1 and An = A2 + C2K1 of the loop (K1, K2)."""
+    """Au = A1 + B1K2, Ad = Au + C1K1, An = A2 + C2K1 and Av = A1 + C1K1."""
+    C1K1 = sys.C1 @ K1
     Au = sys.A1 + sys.B1 @ K2
-    return Au, Au + sys.C1 @ K1, sys.A2 + sys.C2 @ K1
+    return Au, Au + C1K1, sys.A2 + sys.C2 @ K1, sys.A1 + C1K1
 
 
 def _policy_terms(sys, K1, K2):
-    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An."""
+    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An, Av."""
     return (K1, K2.T @ K2) + _closed_loop(sys, K1, K2)
 
 
 def _quadratic_map(X, Ad, An):
+    """A(X) = An'X An + Ad'X Ad, symmetrized, for X or a stack (..., n, n) of them."""
     return symmetrize(An.T @ X @ An + Ad.T @ X @ Ad)
 
 
-def _delta_blocks(sys, cost, P1, P2):
-    """Delta1 = g^2 I + C2'P1C2 + C1'P1C1 and Delta2 = I + B1'P2B1."""
-    D1 = (cost.gamma**2 * np.eye(sys.m2) + sys.C2.T @ P1 @ sys.C2
-          + sys.C1.T @ P1 @ sys.C1)
-    D2 = np.eye(sys.m1) + sys.B1.T @ P2 @ sys.B1
-    return D1, D2
+def _delta_constants(sys, cost):
+    """The constant terms g^2 I (m2-square) and I (m1-square) of the Delta blocks."""
+    return cost.gamma**2 * np.eye(sys.m2), np.eye(sys.m1)
 
 
-def _extract_gains(sys, cost, P1, P2, D1, D2, blk):
+def _delta_blocks(sys, P1, P2, consts):
+    """Delta1 = g^2 I + C2'P1C2 + C1'P1C1, Delta2 = I + B1'P2B1 and the left
+    factors C1'P1, C2'P1, B1'P2, which the stacked gain system reuses."""
+    g2I, I1 = consts
+    C1P1, C2P1, B1P2 = sys.C1.T @ P1, sys.C2.T @ P1, sys.B1.T @ P2
+    D1 = g2I + C2P1 @ sys.C2 + C1P1 @ sys.C1
+    D2 = I1 + B1P2 @ sys.B1
+    return D1, D2, C1P1, C2P1, B1P2
+
+
+def _extract_gains(sys, cost, blocks, blk):
     """(K1, K2) from the stacked system, assembled in the (m2+m1)-square blk.
 
-    Delta1 and Delta2 must be positive definite; losing that signals the
-    attenuation level is infeasible.
+    blocks is what _delta_blocks returns.  Delta1 and Delta2 must be
+    positive definite; losing that signals the attenuation level is
+    infeasible.
     """
+    D1, D2, C1P1, C2P1, B1P2 = blocks
     for name, D in (("Delta1", D1), ("Delta2", D2)):
-        if float(np.linalg.eigvalsh(symmetrize(D)).min()) <= _PD_TOL:
+        # eigvalsh of a 1x1 block returns its entry, inf and NaN included
+        low = D[0, 0] if len(D) == 1 else np.linalg.eigvalsh(symmetrize(D)).min()
+        if float(low) <= _PD_TOL:
             raise AttenuationInfeasibleError(
                 f"{name} is not positive definite; gamma={cost.gamma} too small"
             )
     m2 = sys.m2
     blk[:m2, :m2] = D1
-    blk[:m2, m2:] = sys.C1.T @ P1 @ sys.B1
-    blk[m2:, :m2] = sys.B1.T @ P2 @ sys.C1
+    blk[:m2, m2:] = C1P1 @ sys.B1
+    blk[m2:, :m2] = B1P2 @ sys.C1
     blk[m2:, m2:] = D2
-    rhs = -np.vstack(
-        [
-            sys.C1.T @ P1 @ sys.A1 + sys.C2.T @ P1 @ sys.A2,
-            sys.B1.T @ P2 @ sys.A1,
-        ]
-    )
+    rhs = -np.concatenate((C1P1 @ sys.A1 + C2P1 @ sys.A2, B1P2 @ sys.A1))
     try:
         KK = np.linalg.solve(blk, rhs)
     except np.linalg.LinAlgError as exc:
@@ -85,30 +108,38 @@ def _extract_gains(sys, cost, P1, P2, D1, D2, blk):
     return KK[:m2], KK[m2:]
 
 
-def _value_update(cost, P1, P2, policy):
-    K1, K2tK2, _, Ad, An = policy
-    P1n = _quadratic_map(P1, Ad, An) - cost.Q - K2tK2 + cost.gamma**2 * (K1.T @ K1)
-    P2n = _quadratic_map(P2, Ad, An) + cost.Q + K2tK2
-    return symmetrize(P1n), symmetrize(P2n)
+def _value_update(cost, PP, policy):
+    """The stack (P1+, P2+) from the stack PP = (P1, P2), shape (2, n, n)."""
+    K1, K2tK2, _, Ad, An, _ = policy
+    PPn = _quadratic_map(PP, Ad, An)
+    P1n, P2n = PPn
+    P1n -= cost.Q
+    P1n -= K2tK2
+    P1n += cost.gamma**2 * (K1.T @ K1)
+    P2n += cost.Q
+    P2n += K2tK2
+    return symmetrize(PPn)
 
 
-def _residuals(sys, cost, P1, P2, D1, D2, policy):
-    """Left-hand sides of the coupled equations; D1, D2 are the Delta blocks at P."""
-    K1, K2tK2, Au, _, An = policy
-    M1 = Au.T @ P1 @ sys.C1 + sys.A2.T @ P1 @ sys.C2
+def _residuals(sys, cost, P1, P2, blocks, policy):
+    """Left-hand sides of the coupled equations; blocks is _delta_blocks at P."""
+    D1, D2 = blocks[:2]
+    _, K2tK2, Au, _, An, Av = policy
+    AuP1, A2P1 = Au.T @ P1, sys.A2.T @ P1
+    M1 = AuP1 @ sys.C1 + A2P1 @ sys.C2
     try:
         S1 = M1 @ np.linalg.solve(D1, M1.T)
     except np.linalg.LinAlgError as exc:
         raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
-    R1 = -P1 + Au.T @ P1 @ Au - cost.Q + sys.A2.T @ P1 @ sys.A2 - K2tK2 - S1
+    R1 = -P1 + AuP1 @ Au - cost.Q + A2P1 @ sys.A2 - K2tK2 - S1
 
-    Av = sys.A1 + sys.C1 @ K1
-    M2 = Av.T @ P2 @ sys.B1
+    AvP2 = Av.T @ P2
+    M2 = AvP2 @ sys.B1
     try:
         S2 = M2 @ np.linalg.solve(D2, M2.T)
     except np.linalg.LinAlgError as exc:
         raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
-    R2 = -P2 + Av.T @ P2 @ Av + cost.Q + An.T @ P2 @ An - S2
+    R2 = -P2 + AvP2 @ Av + cost.Q + An.T @ P2 @ An - S2
     return symmetrize(R1), symmetrize(R2)
 
 
@@ -123,7 +154,7 @@ def closed_loop_quadratic_map(sys, X, Y1, Y2):
     X = np.asarray(X, dtype=float)
     if X.shape != (sys.n, sys.n):
         raise ValueError(f"X must be {sys.n}x{sys.n}, got {X.shape}")
-    _, Ad, An = _closed_loop(sys, Y1, Y2)
+    _, Ad, An, _ = _closed_loop(sys, Y1, Y2)
     return _quadratic_map(X, Ad, An)
 
 
@@ -134,16 +165,15 @@ def gains_from_values(sys, cost, vals):
     -[C1'P1A1 + C2'P1A2; B1'P2A1].  Delta1 and Delta2 must be positive
     definite; losing that signals the attenuation level is infeasible.
     """
-    D1, D2 = _delta_blocks(sys, cost, vals.P1, vals.P2)
+    blocks = _delta_blocks(sys, vals.P1, vals.P2, _delta_constants(sys, cost))
     m = sys.m1 + sys.m2
-    blk = np.empty((m, m))
-    return GainPair(*_extract_gains(sys, cost, vals.P1, vals.P2, D1, D2, blk))
+    return GainPair(*_extract_gains(sys, cost, blocks, np.empty((m, m))))
 
 
 def vi_value_update(sys, cost, vals, gains):
     """One value-iteration sweep using the supplied (current) gains."""
     policy = _policy_terms(sys, gains.K1, gains.K2)
-    return ValuePair(*_value_update(cost, vals.P1, vals.P2, policy))
+    return ValuePair(*_value_update(cost, np.stack((vals.P1, vals.P2)), policy))
 
 
 def qlearn_value_update(sys, cost, vals):
@@ -157,9 +187,9 @@ def gare_residuals(sys, cost, vals, gains):
 
     Both come back as symmetric matrices; zero at an exact solution.
     """
-    D1, D2 = _delta_blocks(sys, cost, vals.P1, vals.P2)
+    blocks = _delta_blocks(sys, vals.P1, vals.P2, _delta_constants(sys, cost))
     policy = _policy_terms(sys, gains.K1, gains.K2)
-    return _residuals(sys, cost, vals.P1, vals.P2, D1, D2, policy)
+    return _residuals(sys, cost, vals.P1, vals.P2, blocks, policy)
 
 
 def ms_radius(Abar1, Abar2):
@@ -179,7 +209,7 @@ def ms_stable(Abar1, Abar2):
 
 def closed_loop_pair(sys, gains):
     """Drift and noise matrices of the loop u = K2 x, v = K1 x."""
-    return _closed_loop(sys, gains.K1, gains.K2)[1:]
+    return _closed_loop(sys, gains.K1, gains.K2)[1:3]
 
 
 @dataclass(frozen=True)
@@ -219,38 +249,39 @@ def _value_iteration(sys, cost, tol, max_iters):
     values, the updated values, row = (dP1, dP2, res1, res2) Frobenius norms,
     and whether both dP fell below tol, which ends the iteration.  Raises
     ConvergenceError when max_iters runs out or an iterate leaves the finite
-    range (that sweep is not yielded).  The Delta blocks computed for one
-    sweep's residual are the next sweep's gain system.
+    range (that sweep is not yielded).  The Delta blocks and left factors
+    computed for one sweep's residual are the next sweep's gain system.
     """
     if not tol > 0:
         raise ConfigError("tol must be positive")
     if max_iters < 1:
         raise ConfigError("max_iters must be a positive integer")
-    P1 = P2 = np.zeros((sys.n, sys.n))
-    D1, D2 = _delta_blocks(sys, cost, P1, P2)
+    consts = _delta_constants(sys, cost)
+    PP = np.zeros((2, sys.n, sys.n))
+    P1, P2 = PP
+    blocks = _delta_blocks(sys, P1, P2, consts)
     blk = np.empty((sys.m2 + sys.m1,) * 2)
     for sweep in range(1, max_iters + 1):
         # overflow and inf - inf only occur once the iteration diverges, which
         # the finiteness check below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            K1, K2 = _extract_gains(sys, cost, P1, P2, D1, D2, blk)
+            K1, K2 = _extract_gains(sys, cost, blocks, blk)
             policy = _policy_terms(sys, K1, K2)
-            P1n, P2n = _value_update(cost, P1, P2, policy)
+            PPn = _value_update(cost, PP, policy)
+            P1n, P2n = PPn
             d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
             # dP overflows well before the entries do: only then are they read
-            if not math.isfinite(d1 + d2) and not (
-                np.isfinite(P1n).all() and np.isfinite(P2n).all()
-            ):
+            if not math.isfinite(d1 + d2) and not np.isfinite(PPn).all():
                 raise ConvergenceError(f"no fixed point: the iterate left the "
                                        f"finite range at sweep {sweep}")
-            D1, D2 = _delta_blocks(sys, cost, P1n, P2n)
-            R1, R2 = _residuals(sys, cost, P1n, P2n, D1, D2, policy)
+            blocks = _delta_blocks(sys, P1n, P2n, consts)
+            R1, R2 = _residuals(sys, cost, P1n, P2n, blocks, policy)
             row = (d1, d2, _fro(R1), _fro(R2))
         stop = d1 < tol and d2 < tol
         yield K1, K2, P1n, P2n, row, stop
         if stop:
             return
-        P1, P2 = P1n, P2n
+        PP, P1, P2 = PPn, P1n, P2n
     raise ConvergenceError(
         f"no fixed point within {max_iters} iterations (tol={tol:g}); "
         f"last dP=({d1:.3e}, {d2:.3e})"

@@ -76,7 +76,7 @@ def require_symmetric(m, name, tol=SYM_TOL):
 
 
 def symmetrize(m):
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,55 @@ def _public_solve(sys_, cost, tol, max_iters, history):
     return vals, gains, False
 
 
+def _sym(M):
+    return (M + M.T) / 2.0
+
+
+def _plain_solve(sys_, cost, tol, max_iters, history):
+    """The value recursion spelled out one product at a time, as a plain loop
+    on numpy alone: every X'PY, symmetrization, eigvalsh and solve of a sweep
+    written where it is used, nothing shared between sweeps or terms.  Same
+    contract as _public_solve, and independent of the solver's helpers, which
+    the public wrappers call too.
+    """
+    A1, A2, B1, C1, C2 = sys_.A1, sys_.A2, sys_.B1, sys_.C1, sys_.C2
+    Q, g2, m2 = cost.Q, cost.gamma**2, sys_.m2
+    P1 = P2 = np.zeros((sys_.n, sys_.n))
+    for _ in range(max_iters):
+        D1 = g2 * np.eye(m2) + C2.T @ P1 @ C2 + C1.T @ P1 @ C1
+        D2 = np.eye(sys_.m1) + B1.T @ P2 @ B1
+        for name, D in (("Delta1", D1), ("Delta2", D2)):
+            if float(np.linalg.eigvalsh(_sym(D)).min()) <= 1e-12:
+                raise AttenuationInfeasibleError(
+                    f"{name} is not positive definite; gamma={cost.gamma} too small")
+        blk = np.block([[D1, C1.T @ P1 @ B1], [B1.T @ P2 @ C1, D2]])
+        rhs = -np.vstack([C1.T @ P1 @ A1 + C2.T @ P1 @ A2, B1.T @ P2 @ A1])
+        KK = np.linalg.solve(blk, rhs)
+        K1, K2 = KK[:m2], KK[m2:]
+        Au = A1 + B1 @ K2
+        Ad = Au + C1 @ K1
+        An = A2 + C2 @ K1
+        Av = A1 + C1 @ K1
+        K2tK2 = K2.T @ K2
+        P1n = _sym(_sym(An.T @ P1 @ An + Ad.T @ P1 @ Ad) - Q - K2tK2 + g2 * (K1.T @ K1))
+        P2n = _sym(_sym(An.T @ P2 @ An + Ad.T @ P2 @ Ad) + Q + K2tK2)
+        d1 = float(np.linalg.norm(P1n - P1))
+        d2 = float(np.linalg.norm(P2n - P2))
+        D1 = g2 * np.eye(m2) + C2.T @ P1n @ C2 + C1.T @ P1n @ C1
+        D2 = np.eye(sys_.m1) + B1.T @ P2n @ B1
+        M1 = Au.T @ P1n @ C1 + A2.T @ P1n @ C2
+        R1 = (-P1n + Au.T @ P1n @ Au - Q + A2.T @ P1n @ A2 - K2tK2
+              - M1 @ np.linalg.solve(D1, M1.T))
+        M2 = Av.T @ P2n @ B1
+        R2 = -P2n + Av.T @ P2n @ Av + Q + An.T @ P2n @ An - M2 @ np.linalg.solve(D2, M2.T)
+        history.append((d1, d2, float(np.linalg.norm(_sym(R1))),
+                        float(np.linalg.norm(_sym(R2)))))
+        P1, P2 = P1n, P2n
+        if d1 < tol and d2 < tol:
+            return ValuePair(P1, P2), GainPair(K1, K2), True
+    return ValuePair(P1, P2), GainPair(K1, K2), False
+
+
 def _assert_same_report(report, vals, gains, history):
     assert report.history == tuple(history)
     np.testing.assert_array_equal(report.values.P1, vals.P1)
@@ -310,18 +359,20 @@ def _assert_same_report(report, vals, gains, history):
 
 
 def _assert_bit_identical(sys_, cost, tol):
-    history = []
-    vals, gains, converged = _public_solve(sys_, cost, tol, 10000, history)
-    assert converged
-    _assert_same_report(solve_coupled_gare(sys_, cost, tol=tol, max_iters=10000),
-                        vals, gains, history)
+    report = solve_coupled_gare(sys_, cost, tol=tol, max_iters=10000)
+    for recursion in (_public_solve, _plain_solve):
+        history = []
+        vals, gains, converged = recursion(sys_, cost, tol, 10000, history)
+        assert converged
+        _assert_same_report(report, vals, gains, history)
 
 
 def test_solver_bit_identical_f16(f16, f16_solution):
-    history = []
-    vals, gains, _ = _public_solve(*f16, 1e-12, 10000, history)
-    assert len(history) == 865
-    _assert_same_report(f16_solution, vals, gains, history)
+    for recursion in (_public_solve, _plain_solve):
+        history = []
+        vals, gains, _ = recursion(*f16, 1e-12, 10000, history)
+        assert len(history) == 865
+        _assert_same_report(f16_solution, vals, gains, history)
 
 
 def test_solver_bit_identical_population(random_population):
@@ -329,28 +380,59 @@ def test_solver_bit_identical_population(random_population):
         _assert_bit_identical(sys_, cost, 1e-9)
 
 
-def test_solver_bit_identical_two_inputs_each():
-    # m1 = m2 = 2 fills every block of the stacked gain system beyond 1x1
-    sys_, cost = random_feasible_system(np.random.default_rng(3), n=3, m1=2, m2=2)
-    assert sys_.dims == (3, 2, 2)
+@pytest.mark.parametrize("n,m1,m2", [(3, 2, 2), (3, 1, 2), (3, 2, 1), (4, 3, 1)])
+def test_solver_bit_identical_two_inputs_each(n, m1, m2):
+    # beyond m1 = m2 = 1 the stacked gain system has blocks larger than 1x1;
+    # with m1 != m2 one Delta block is read directly and the other goes
+    # through eigvalsh, and the shared left products are not square
+    sys_, cost = random_feasible_system(np.random.default_rng(3), n=n, m1=m1, m2=m2)
+    assert sys_.dims == (n, m1, m2)
     _assert_bit_identical(sys_, cost, 1e-12)
 
 
-def test_solver_infeasible_gamma_same_error_same_sweep():
-    sys_ = SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.5]])
-    cost = CostSpec(0.9, [[1.0]])
-    history = []
-    with pytest.raises(AttenuationInfeasibleError) as ref:
-        _public_solve(sys_, cost, 1e-12, 10000, history)
-    failing = len(history) + 1
-    assert failing > 1
-    with pytest.raises(AttenuationInfeasibleError) as got:
-        solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=failing)
-    assert str(got.value) == str(ref.value)
-    # the sweeps before the failing one complete as in the public recursion
-    with pytest.raises(ConvergenceError) as short:
-        solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=failing - 1)
-    assert short.value.report.history == tuple(history)
+# Delta1 is 1x1 on the first plant and 2x2 on the second, whose least
+# eigenvalue crosses zero while its (0, 0) entry is still positive
+INFEASIBLE = [
+    (SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.5]]), 0.9),
+    (SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[0.3, 1.0]], [[0.2, 0.5]]), 0.9),
+]
+
+
+def test_solver_infeasible_gamma_same_error_same_sweep(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a.shape)
+        return eigvalsh(a)
+
+    for sys_, gamma in INFEASIBLE:
+        cost = CostSpec(gamma, [[1.0]])
+        failing = set()
+        for recursion in (_public_solve, _plain_solve):
+            history = []
+            with pytest.raises(AttenuationInfeasibleError) as ref:
+                recursion(sys_, cost, 1e-12, 10000, history)
+            failing.add((len(history) + 1, str(ref.value)))
+        ((sweep, message),) = failing
+        assert sweep > 1 and message.startswith("Delta1 is not positive definite")
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", recording)
+            with pytest.raises(AttenuationInfeasibleError) as got:
+                solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=sweep)
+        assert str(got.value) == message
+        # only blocks larger than 1x1 reach eigvalsh, once per sweep
+        assert seen == [(sys_.m2, sys_.m2)] * (sweep if sys_.m2 > 1 else 0)
+        # the sweeps before the failing one complete as in the plain recursion
+        with pytest.raises(ConvergenceError) as short:
+            solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=sweep - 1)
+        assert short.value.report.history == tuple(history)
+        if sys_.m2 > 1:
+            # Delta1 at the last finite values: its (0, 0) entry alone would pass
+            P1 = short.value.report.values.P1
+            D1 = gamma**2 * np.eye(2) + sys_.C2.T @ P1 @ sys_.C2 + sys_.C1.T @ P1 @ sys_.C1
+            assert D1[0, 0] > 0 > np.linalg.eigvalsh(D1).min()
 
 
 def test_solver_max_iters_report_equal(f16):
