@@ -14,6 +14,14 @@ guard once per block of steps.  A block runs on past a trip, with the
 overflow warnings that may bring silenced, and its later steps are then
 zeroed, so the result equals a loop that checks every state and stops at
 the first offending one, bit for bit.
+
+A path that decays without additive noise can underflow into an exact fixed
+point: with every later probe +0.0 and every later omega finite, a state x
+whose step gives s = A2 x + C2 v = 0 in every entry and mu + s = mu - s = x,
+bit for bit, repeats itself for the rest of the path, since w s is s or -s
+(signed zeros included) for every finite w.  At a block end whose state
+equals the one before, the loop runs that one exact test and, when it
+passes, fills the rest of the path with that step's rows.
 """
 
 import numpy as np
@@ -27,6 +35,26 @@ HAVE_NUMBA = False
 
 def active_backend():
     return "numpy"
+
+
+def _settled_step(A1, B1, C1, A2, C2, K1, K2, x, omegas, eu, ev):
+    """(u, v) of the step from x when x is an exact fixed point of every step
+    left (omegas, eu, ev are the rest of the path), else None."""
+    # the step exactly as the loop writes it, under the next probe rows
+    u = np.add(K2.dot(x), eu[0])
+    v = np.add(K1.dot(x), ev[0])
+    mu = A1.dot(x) + B1.dot(u) + C1.dot(v)
+    s = A2.dot(x) + C2.dot(v)
+    if s.any() or (mu + s).tobytes() != x.tobytes() or (mu - s).tobytes() != x.tobytes():
+        return None
+    # every probe left is +0.0, so each later step repeats this one, and a
+    # finite w makes w s equal to s or -s
+    for e in (eu, ev):
+        if e.any() or np.signbit(e).any():
+            return None
+    if not np.isfinite(omegas).all():
+        return None
+    return u, v
 
 
 def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
@@ -58,4 +86,11 @@ def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
                 us[bad:] = 0.0
                 vs[bad:] = 0.0
                 break
+            if b < T and (xs[b] == xs[b - 1]).all():
+                settled = _settled_step(A1, B1, C1, A2, C2, K1, K2, xs[b],
+                                        omegas[b:], eu[b:], ev[b:])
+                if settled is not None:
+                    xs[b + 1:] = xs[b]
+                    us[b:], vs[b:] = settled
+                    break
     return xs, us, vs, bad

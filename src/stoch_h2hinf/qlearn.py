@@ -441,20 +441,26 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
 
     N = config.tuples_per_iter
     for i in range(config.max_iters):
-        Z, Y = oracle.rollout(gains, schedule.window(k, N, m1, m2), cost, vals,
-                              config.branches, config.expectation_mode)
+        probes = schedule.window(k, N, m1, m2)
+        Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
+                              config.expectation_mode)
         k += N
         X = vech(Z[:, :, None] * Z[:, None, :])
         try:
             q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
         except ExcitationError as exc:
             # a rank loss late in a run follows a destabilized loop: say
-            # where, and how far the window's state had grown
+            # where, how far the window's state had grown and how small the
+            # probes had become beside it
             first, last = np.linalg.norm(Z[[0, -1], :n], axis=1)
             cols = np.linalg.norm(X, axis=0)
+            e_max = max(float(np.abs(e).max()) for e in probes)
+            x_max = float(np.abs(Z[:, :n]).max())
+            ratio = e_max / x_max if x_max > 0.0 else float("inf")
             raise ExcitationError(
                 f"{exc} at iteration {i + 1}, window |x| {first:.3e} -> {last:.3e}, "
-                f"X column norms {cols.max():.3e}..{cols.min():.3e}"
+                f"X column norms {cols.max():.3e}..{cols.min():.3e}, "
+                f"probe-to-state ratio {ratio:.3e}"
             ) from exc
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;

@@ -224,21 +224,53 @@ class Trajectory:
     def steps(self):
         return self.noises.shape[0]
 
+    def _repeated(self):
+        """x, u, v, r1 and r2 of every step, one array each."""
+        return self.states[:-1], self.inputs_u, self.inputs_v, self.r1, self.r2
+
+    def _constant_tail(self):
+        """First row from which x, u, v, r1 and r2 repeat the last row's bits."""
+        start = 0
+        for a in self._repeated():
+            # bit patterns, so -0.0 and 0.0 differ; one array at a time keeps
+            # the comparison small
+            bits = np.ascontiguousarray(a, dtype=np.float64).reshape(self.steps, -1)
+            bits = bits.view(np.uint64)
+            differ = np.flatnonzero((bits != bits[-1]).any(axis=1))
+            if differ.size:
+                start = max(start, int(differ[-1]) + 1)
+        return start
+
     def to_csv(self, path):
         dims = (("x", self.states), ("u", self.inputs_u), ("v", self.inputs_v))
         header = ["k", *(f"{c}{i+1}" for c, a in dims for i in range(a.shape[1]))]
         header += ["omega", "r1", "r2"]
         # k is an exact float in the block; "%.12g" prints like f"{x:.12g}"
         row = "%d," + ",".join(["%.12g"] * (len(header) - 1)) + "\n"
+        start = self._constant_tail() if self.steps else 0
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for a in range(0, self.steps, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, self.steps)
+            for a in range(0, start, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, start)
                 block = np.column_stack((
                     np.arange(a, b), self.states[a:b], self.inputs_u[a:b],
                     self.inputs_v[a:b], self.noises[a:b], self.r1[a:b], self.r2[a:b],
                 ))
                 fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
+            if start < self.steps:
+                # the repeated rows differ only in k and omega: their other
+                # cells are formatted once into the row template
+                last = np.concatenate([np.ravel(a[-1]) for a in self._repeated()])
+                cells = ["%.12g" % x for x in last.tolist()]
+                n_xuv = len(header) - 4
+                const = ("%d," + ",".join(cells[:n_xuv]) + ",%.12g,"
+                         + ",".join(cells[n_xuv:]) + "\n")
+                for a in range(start, self.steps, _CSV_BLOCK):
+                    b = min(a + _CSV_BLOCK, self.steps)
+                    args = [0] * (2 * (b - a))
+                    args[::2] = range(a, b)
+                    args[1::2] = self.noises[a:b].tolist()
+                    fh.write((const * (b - a)) % tuple(args))
             # terminal state row, inputs blank
             tail = [str(self.steps)] + [f"{x:.12g}" for x in self.states[-1]]
             fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")

@@ -179,13 +179,14 @@ class TestLearningCommands:
     def test_mc_rank_loss_names_iteration_and_state_growth(self, tmp_path, capsys):
         # seed 2 of the benchmark's Monte-Carlo pool loses rank after its
         # learned policy let the state grow; the reason keeps the excitation
-        # prefix and says at which iteration and how far |x| had grown
+        # prefix and says at which iteration, how far |x| had grown and how
+        # small the probes were beside it (max|e| / max|x| over the window)
         out = tmp_path / "out"
         assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
                      "--max-iters", "60", "--seed", "2", "--out", str(out)]) == 2
         message = ("run failed: insufficient excitation: singular values span "
                    "1.879e+08..1.814e-04 at iteration 58, window |x| 3.100e+02 -> 5.361e+03, "
-                   "X column norms 1.273e+08..7.178e+01")
+                   "X column norms 1.273e+08..7.178e+01, probe-to-state ratio 3.547e-04")
         assert capsys.readouterr().out == message + "\n"
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message
@@ -199,7 +200,7 @@ class TestLearningCommands:
                      "--max-iters", "60", "--seed", "5", "--out", str(out)]) == 2
         message = ("run failed: insufficient excitation: singular values span "
                    "1.431e+15..1.495e-03 at iteration 60, window |x| 2.371e+01 -> 7.678e+06, "
-                   "X column norms 9.832e+14..2.320e+10")
+                   "X column norms 9.832e+14..2.320e+10, probe-to-state ratio 2.585e-07")
         assert capsys.readouterr().out == message + "\n"
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message

@@ -1,7 +1,9 @@
 """Noise streams, single transitions, trajectory plumbing, attenuation."""
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from stoch_h2hinf import (
     stage_costs,
     step,
 )
+from stoch_h2hinf import _kernels
 from stoch_h2hinf._kernels import _BLOCK, GUARD, closed_loop_path
+from stoch_h2hinf.cli import main
 from stoch_h2hinf.sim import _CSV_BLOCK, _TAG_BRANCH, _TAG_RUN
 
 
@@ -338,6 +342,99 @@ class TestSimulate:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _plain_csv(traj, path):
+    """The block writer trajectory.csv had before its constant tail: every row formatted."""
+    dims = (("x", traj.states), ("u", traj.inputs_u), ("v", traj.inputs_v))
+    header = ["k", *(f"{c}{i+1}" for c, a in dims for i in range(a.shape[1]))]
+    header += ["omega", "r1", "r2"]
+    row = "%d," + ",".join(["%.12g"] * (len(header) - 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, traj.steps, _CSV_BLOCK):
+            b = min(a + _CSV_BLOCK, traj.steps)
+            block = np.column_stack((
+                np.arange(a, b), traj.states[a:b], traj.inputs_u[a:b],
+                traj.inputs_v[a:b], traj.noises[a:b], traj.r1[a:b], traj.r2[a:b],
+            ))
+            fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
+        tail = [str(traj.steps)] + [f"{x:.12g}" for x in traj.states[-1]]
+        fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")
+
+
+def _tailed_trajectory(T, start, rng):
+    """Random rows, with x, u, v, r1 and r2 repeated from row `start` on and
+    awkward values (-0.0, NaN, inf, subnormal) in the repeated row."""
+    cols = [rng.standard_normal((T + 1, 3)), rng.standard_normal((T, 2)),
+            rng.standard_normal((T, 1)), rng.standard_normal(T), rng.standard_normal(T)]
+    const = [np.array([-0.0, 5e-324, np.nan]), np.array([np.inf, 0.1]),
+             np.array([-np.inf]), 1e300, -1e-310]
+    for a, c in zip(cols, const):
+        a[start:T] = c
+    return Trajectory(cols[0], cols[1], cols[2], rng.standard_normal(T), cols[3], cols[4])
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("T, start", [
+        (1, 0), (2, 0), (7, 3), (7, 6), (_CSV_BLOCK + 9, 4),
+        (2 * _CSV_BLOCK + 3, _CSV_BLOCK + 5), (_CSV_BLOCK, _CSV_BLOCK - 1)])
+    def test_repeated_tail_matches_plain_writer(self, tmp_path, T, start):
+        # a tail where only omega (and k) varies, starting in the first or
+        # a later block; start = T - 1 repeats no row but the last, and
+        # T = 1 is all tail
+        traj = _tailed_trajectory(T, start, np.random.default_rng(T + start))
+        traj.to_csv(tmp_path / "new.csv")
+        _plain_csv(traj, tmp_path / "plain.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    @pytest.mark.parametrize("column", ["x", "u", "v", "r1", "r2"])
+    def test_signed_zero_breaks_the_tail(self, tmp_path, column):
+        # rows that differ from the last only in the sign of a zero print
+        # "-0" where the last prints "0", so they are not merged into it
+        T = 50
+        traj = Trajectory(np.zeros((T + 1, 2)), np.zeros((T, 1)), np.zeros((T, 2)),
+                          np.random.default_rng(1).standard_normal(T), np.zeros(T),
+                          np.zeros(T))
+        a = {"x": traj.states, "u": traj.inputs_u, "v": traj.inputs_v,
+             "r1": traj.r1, "r2": traj.r2}[column]
+        a[10:40:3] = -0.0
+        traj.to_csv(tmp_path / "new.csv")
+        _plain_csv(traj, tmp_path / "plain.csv")
+        text = (tmp_path / "new.csv").read_text()
+        assert text.encode() == (tmp_path / "plain.csv").read_bytes()
+        assert text.count(",-0,") + text.count(",-0\n") >= 10
+
+    def test_cli_simulate_custom_matches_reference(self, tmp_path):
+        # simulate on a custom plant that underflows to 0 within a few
+        # blocks: the kernel fills the settled tail, and trajectory.csv is
+        # the plain writer's output of the per-step reference path under
+        # the solved gains
+        mats = {"a1": [[0.2, 0.05], [0.0, 0.1]], "a2": 0.05 * np.eye(2),
+                "b1": [[1.0], [0.5]], "c1": [[0.1], [0.2]], "c2": [[0.01], [0.02]]}
+        args = ["simulate", "--system", "custom", "--steps", "2000", "--seed", "7",
+                "--out", str(tmp_path / "out")]
+        for name, m in mats.items():
+            np.savetxt(tmp_path / f"{name}.txt", m)
+            args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        with _settle_spy(2000) as taken:
+            assert main(args) == 0
+        assert len(taken) == 1
+        sys_ = SdltiSystem(*(np.array(mats[k], dtype=float)
+                             for k in ("a1", "a2", "b1", "c1", "c2")))
+        cost = CostSpec(1.0, np.eye(2))
+        g = solve_coupled_gare(sys_, cost, 1e-9, 5000).gains
+        omegas = NoiseSource(7).draw(2000)
+        xs, us, vs, bad = _reference_path(
+            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1, g.K2, np.ones(2), omegas,
+            np.zeros((2000, 1)), np.zeros((2000, 1)))
+        assert bad == -1
+        r2 = (np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
+              + np.einsum("ij,ij->i", us, us))
+        r1 = cost.gamma**2 * np.einsum("ij,ij->i", vs, vs) - r2
+        _plain_csv(Trajectory(xs, us, vs, omegas, r1, r2), tmp_path / "plain.csv")
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+
 def _reference_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
     """The per-step kernel loop: the guard checked after every state, stop at the first trip."""
     T = omegas.shape[0]
@@ -391,9 +488,173 @@ class TestKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = closed_loop_path(*args)
-        assert got[3] == expect[3]
-        for a, b in zip(got[:3], expect[:3]):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        _assert_same_path(got, expect)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), m1=st.integers(1, 3), m2=st.integers(1, 3),
+           blocks=st.integers(1, 5), offset=st.integers(-1, 1),
+           plant=st.sampled_from([(0.02, 1.0), (0.1, 1.0), (0.3, 1.0), (0.9, 1e-300)]),
+           seed=st.integers(0, 2**16))
+    def test_settling_path_equals_per_step_reference(self, n, m1, m2, blocks, offset,
+                                                     plant, seed):
+        # unprobed plants that underflow to an exact fixed point within a
+        # few blocks: 0 for the fast ones, a subnormal state for rho 0.9
+        # started near underflow; lengths just below, at and above a block
+        # multiple, so the last block end may or may not leave steps to fill
+        T = blocks * _BLOCK + offset
+        args = _settling_args(n, m1, m2, T, *plant, seed)
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert got[3] == -1
+        assert all(0 < b < T for b in taken)
+
+    def test_settled_tail_is_filled(self):
+        # the shortcut fires on a settling plant, once, at a block end
+        # whose state repeats the one before, and leaves the reference's
+        # path; a regression that never fires would still pass the
+        # equality tests above
+        T = 6 * _BLOCK
+        args = _settling_args(3, 2, 1, T, 0.1, 1.0, 1)
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert len(taken) == 1 and taken[0] % _BLOCK == 0 and taken[0] < T
+        b = taken[0]
+        assert (got[0][b:] == got[0][b]).all()
+        assert (got[0][b - 1] == got[0][b]).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), m1=st.integers(1, 2), m2=st.integers(1, 2),
+           plant=st.sampled_from([(0.02, 1.0), (0.3, 1.0), (0.9, 1e-300)]),
+           seed=st.integers(0, 2**16), at=st.floats(0.0, 1.0),
+           channel=st.sampled_from(["u", "v", "both"]),
+           value=st.sampled_from([1.0, -0.5, 1e-320, -0.0]))
+    def test_probe_after_settling_defers_shortcut(self, n, m1, m2, plant, seed, at,
+                                                  channel, value):
+        # one nonzero (or -0.0) probe row anywhere, settled state or not:
+        # no shortcut is taken at or before it, and the path is the
+        # reference's
+        T = 4 * _BLOCK + 1
+        args = _settling_args(n, m1, m2, T, *plant, seed)
+        p = min(int(at * T), T - 1)
+        if channel in ("u", "both"):
+            args[9][p] = value
+        if channel in ("v", "both"):
+            args[10][p] = value
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert all(b > p for b in taken)
+
+    def test_negative_zero_probe_defers_shortcut(self):
+        # at x = +0.0 with negative gains, K2 x and K1 x are -0.0, so a
+        # -0.0 probe gives u = v = -0.0 where +0.0 probes give +0.0: the
+        # state is settled, yet the rows it would fill differ at the probe
+        T = 3 * _BLOCK
+        one = np.ones((1, 1))
+        eu, ev = np.zeros((T, 1)), np.zeros((T, 1))
+        eu[600] = ev[600] = -0.0
+        args = (0.5 * one, one, one, one, one, -0.1 * one, -0.1 * one, np.array([0.0]),
+                np.random.default_rng(7).standard_normal(T), eu, ev)
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert np.signbit(got[1][600]).all() and np.signbit(got[2][600]).all()
+        assert taken == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), plant=st.sampled_from([(0.02, 1.0), (0.9, 1e-300)]),
+           seed=st.integers(0, 2**16), at=st.floats(0.0, 1.0),
+           omega=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_nonfinite_omega_after_settling_trips_like_reference(self, n, plant, seed,
+                                                                 at, omega):
+        # w s is NaN for an infinite or NaN w even when s is 0, so the path
+        # trips at the same step as the reference's, settled or not
+        T = 5 * _BLOCK + 1
+        args = _settling_args(n, 1, 1, T, *plant, seed)
+        q = min(int(at * T), T - 1)
+        args[8][q] = omega
+        with np.errstate(all="ignore"):
+            expect = _reference_path(*args)
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, expect)
+        assert got[3] == q + 1
+        assert all(b > q for b in taken)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("flip", [400, None])
+    def test_signed_zero_state_is_not_settled(self, flip, sign):
+        # x = -0.0 with A1 = 0.5, B1 = C1 = -1 and A2 = 1 gives mu = -0.0,
+        # and s = A2 x + C2 v is +0.0 for C2 = 1 and -0.0 for C2 = -1; so
+        # x+ keeps its -0.0 only while w has the sign opposite to C2's,
+        # and one w of the other sign sets +0.0, an exact fixed point.  The
+        # state equals the one before at every block end, yet only the test
+        # of both mu + s and mu - s sees that a later w decides the next
+        T = 3 * _BLOCK
+        omegas = -sign * np.abs(np.random.default_rng(5).standard_normal(T))
+        if flip is not None:
+            omegas[flip] = sign
+        one = np.ones((1, 1))
+        args = (0.5 * one, -one, -one, one, sign * one, 0.1 * one, 0.1 * one,
+                np.array([-0.0]), omegas, np.zeros((T, 1)), np.zeros((T, 1)))
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        if flip is None:
+            assert taken == [] and np.signbit(got[0]).all()
+        else:
+            assert taken == [2 * _BLOCK]
+            assert np.signbit(got[0][:flip + 1]).all()
+            assert not np.signbit(got[0][flip + 1:]).any()
+
+    def test_noise_term_rounded_away_is_not_settled(self):
+        # x = 1 with A1 = 1 and A2 = 1e-20: mu + s and mu - s both round to
+        # x, but s is not 0, so a large enough w still moves the state
+        T = 3 * _BLOCK
+        omegas = np.random.default_rng(6).standard_normal(T)
+        omegas[600] = 1e12
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        args = (one, zero, zero, 1e-20 * one, zero, zero, zero, np.array([1.0]),
+                omegas, np.zeros((T, 1)), np.zeros((T, 1)))
+        with _settle_spy(T) as taken:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert taken == [] and got[0][600, 0] == 1.0 and got[0][601, 0] > 1.0
+
+
+def _assert_same_path(got, expect):
+    assert got[3] == expect[3]
+    for a, b in zip(got[:3], expect[:3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _settling_args(n, m1, m2, T, rho, scale, seed):
+    """Kernel arguments of an unprobed plant with A1 near rho I and x0 of size scale."""
+    rng = np.random.default_rng(seed)
+    A1 = rho * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    B1, C1 = rng.standard_normal((n, m1)), rng.standard_normal((n, m2))
+    A2, C2 = 0.1 * rng.standard_normal((n, n)), rng.standard_normal((n, m2))
+    K1, K2 = 0.01 * rng.standard_normal((m2, n)), 0.01 * rng.standard_normal((m1, n))
+    return [A1, B1, C1, A2, C2, K1, K2, scale * rng.standard_normal(n),
+            rng.standard_normal(T), np.zeros((T, m1)), np.zeros((T, m2))]
+
+
+@contextlib.contextmanager
+def _settle_spy(T):
+    """Collects the block end of every settled-tail shortcut a T-step kernel run takes."""
+    taken = []
+    real = _kernels._settled_step
+
+    def spy(*args):
+        out = real(*args)
+        if out is not None:
+            taken.append(T - args[8].shape[0])  # args[8]: the omegas left
+        return out
+
+    with mock.patch.object(_kernels, "_settled_step", spy):
+        yield taken
 
 
 class TestAttenuation:
