@@ -359,6 +359,26 @@ def run_experiment(cfg, error=None):
 
 
 def _build_parser():
+    # every command takes the same flags, built once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="flat key=value config file")
+    common.add_argument("--system", default=None, help="f16 or custom")
+    # values stay strings here and are converted like the config file's,
+    # so a bad one is a configuration error (exit 1 with a manifest)
+    common.add_argument("--case", default=None, help="probing case 1, 2 or 3")
+    common.add_argument("--seed", default=None)
+    common.add_argument("--tol", default=None)
+    common.add_argument("--max-iters", default=None)
+    common.add_argument("--tuples", default=None)
+    common.add_argument("--branches", default=None)
+    common.add_argument("--mode", default=None, help="analytic or mc")
+    common.add_argument("--steps", default=None)
+    common.add_argument("--gamma", default=None)
+    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--no-reference", action="store_true",
+                        help="omit reference-error columns from the CSV")
+    for mat in ("a1", "a2", "b1", "c1", "c2", "q"):
+        common.add_argument(f"--{mat}", default=None, help=f"{mat.upper()} matrix file")
     parser = argparse.ArgumentParser(
         prog="stoch-h2hinf",
         description="Mixed H2/Hinf control with multiplicative noise: "
@@ -366,25 +386,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--system", default=None, help="f16 or custom")
-        # values stay strings here and are converted like the config file's,
-        # so a bad one is a configuration error (exit 1 with a manifest)
-        p.add_argument("--case", default=None, help="probing case 1, 2 or 3")
-        p.add_argument("--seed", default=None)
-        p.add_argument("--tol", default=None)
-        p.add_argument("--max-iters", default=None)
-        p.add_argument("--tuples", default=None)
-        p.add_argument("--branches", default=None)
-        p.add_argument("--mode", default=None, help="analytic or mc")
-        p.add_argument("--steps", default=None)
-        p.add_argument("--gamma", default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--no-reference", action="store_true",
-                       help="omit reference-error columns from the CSV")
-        for mat in ("a1", "a2", "b1", "c1", "c2", "q"):
-            p.add_argument(f"--{mat}", default=None, help=f"{mat.upper()} matrix file")
+        sub.add_parser(name, parents=[common])
     return parser
 
 

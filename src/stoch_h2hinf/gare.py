@@ -26,6 +26,18 @@ gives the same bits as the expressions above written one product at a time:
 - A 1x1 Delta block is read directly in the positive-definiteness check:
   eigvalsh of a 1x1 matrix returns its entry, inf and NaN included.
   Larger blocks go through eigvalsh.
+
+The recursion never reads the residuals of the coupled equations, so the
+sweep does not compute them.  solve_coupled_gare, whose report has a
+residual column pair, keeps each sweep's gains and values and computes the
+residuals of a block of sweeps in one pass over (S, n, n) stacks, with the
+same helpers the 2-D call uses.  The bits stay: a stacked matmul runs the
+2-D call's gemm, gemv or syrk on each item, a stacked solve the same gesv,
+and elementwise operations are elementwise.  A stacked solve fails as a
+whole, so a singular Delta is named by walking the block in sweep order,
+and a pending block is computed before any error from the loop propagates:
+a solve fails with the error and at the sweep it did when each sweep
+computed its own residuals.
 """
 
 import math
@@ -56,8 +68,9 @@ def _closed_loop(sys, K1, K2):
 
 
 def _policy_terms(sys, K1, K2):
-    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An, Av."""
-    return (K1, K2.T @ K2) + _closed_loop(sys, K1, K2)
+    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An, Av,
+    for one gain pair or a stack (..., m, n) of them."""
+    return (K1, np.swapaxes(K2, -1, -2) @ K2) + _closed_loop(sys, K1, K2)
 
 
 def _quadratic_map(X, Ad, An):
@@ -72,7 +85,8 @@ def _delta_constants(sys, cost):
 
 def _delta_blocks(sys, P1, P2, consts):
     """Delta1 = g^2 I + C2'P1C2 + C1'P1C1, Delta2 = I + B1'P2B1 and the left
-    factors C1'P1, C2'P1, B1'P2, which the stacked gain system reuses."""
+    factors C1'P1, C2'P1, B1'P2, which the stacked gain system reuses; P1 and
+    P2 may be stacks (..., n, n)."""
     g2I, I1 = consts
     C1P1, C2P1, B1P2 = sys.C1.T @ P1, sys.C2.T @ P1, sys.B1.T @ P2
     D1 = g2I + C2P1 @ sys.C2 + C1P1 @ sys.C1
@@ -122,24 +136,27 @@ def _value_update(cost, PP, policy):
 
 
 def _residuals(sys, cost, P1, P2, blocks, policy):
-    """Left-hand sides of the coupled equations; blocks is _delta_blocks at P."""
+    """Left-hand sides of the coupled equations; blocks is _delta_blocks at P
+    and policy is _policy_terms of the gains.  Every operand may be a stack
+    (..., n, n) of sweeps; a stacked solve fails as a whole when any of its
+    blocks is singular."""
     D1, D2 = blocks[:2]
     _, K2tK2, Au, _, An, Av = policy
-    AuP1, A2P1 = Au.T @ P1, sys.A2.T @ P1
+    AuP1, A2P1 = np.swapaxes(Au, -1, -2) @ P1, sys.A2.T @ P1
     M1 = AuP1 @ sys.C1 + A2P1 @ sys.C2
     try:
-        S1 = M1 @ np.linalg.solve(D1, M1.T)
+        S1 = M1 @ np.linalg.solve(D1, np.swapaxes(M1, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
     R1 = -P1 + AuP1 @ Au - cost.Q + A2P1 @ sys.A2 - K2tK2 - S1
 
-    AvP2 = Av.T @ P2
+    AvP2 = np.swapaxes(Av, -1, -2) @ P2
     M2 = AvP2 @ sys.B1
     try:
-        S2 = M2 @ np.linalg.solve(D2, M2.T)
+        S2 = M2 @ np.linalg.solve(D2, np.swapaxes(M2, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
-    R2 = -P2 + AvP2 @ Av + cost.Q + An.T @ P2 @ An - S2
+    R2 = -P2 + AvP2 @ Av + cost.Q + np.swapaxes(An, -1, -2) @ P2 @ An - S2
     return symmetrize(R1), symmetrize(R2)
 
 
@@ -235,22 +252,22 @@ class SolveReport:
         return self.history[-1][2:]
 
     def to_csv(self, path):
-        lines = ["iter,dP1_fro,dP2_fro,res1_fro,res2_fro"]
-        for i, row in enumerate(self.history, start=1):
-            lines.append(f"{i}," + ",".join(f"{x:.12g}" for x in row))
+        # "%.12g" prints like f"{x:.12g}", inf, nan and -0.0 included
+        cells = [c for i, row in enumerate(self.history, start=1) for c in (i, *row)]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("iter,dP1_fro,dP2_fro,res1_fro,res2_fro\n")
+            fh.write(("%d,%.12g,%.12g,%.12g,%.12g\n" * len(self.history)) % tuple(cells))
 
 
 def _value_iteration(sys, cost, tol, max_iters):
     """The coupled value recursion from (0, 0), one item per sweep.
 
-    Yields (K1, K2, P1, P2, row, stop): the gains extracted at the previous
-    values, the updated values, row = (dP1, dP2, res1, res2) Frobenius norms,
-    and whether both dP fell below tol, which ends the iteration.  Raises
-    ConvergenceError when max_iters runs out or an iterate leaves the finite
-    range (that sweep is not yielded).  The Delta blocks and left factors
-    computed for one sweep's residual are the next sweep's gain system.
+    Yields (K1, K2, P1, P2, (dP1, dP2), stop): the gains extracted at the
+    previous values, the updated values, the Frobenius norms of the value
+    changes, and whether both fell below tol, which ends the iteration.
+    Raises ConvergenceError when max_iters runs out or an iterate leaves the
+    finite range (that sweep is not yielded).  The Delta blocks and left
+    factors at the updated values are the next sweep's gain system.
     """
     if not tol > 0:
         raise ConfigError("tol must be positive")
@@ -266,8 +283,7 @@ def _value_iteration(sys, cost, tol, max_iters):
         # the finiteness check below reports
         with np.errstate(over="ignore", invalid="ignore"):
             K1, K2 = _extract_gains(sys, cost, blocks, blk)
-            policy = _policy_terms(sys, K1, K2)
-            PPn = _value_update(cost, PP, policy)
+            PPn = _value_update(cost, PP, _policy_terms(sys, K1, K2))
             P1n, P2n = PPn
             d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
             # dP overflows well before the entries do: only then are they read
@@ -275,10 +291,8 @@ def _value_iteration(sys, cost, tol, max_iters):
                 raise ConvergenceError(f"no fixed point: the iterate left the "
                                        f"finite range at sweep {sweep}")
             blocks = _delta_blocks(sys, P1n, P2n, consts)
-            R1, R2 = _residuals(sys, cost, P1n, P2n, blocks, policy)
-            row = (d1, d2, _fro(R1), _fro(R2))
         stop = d1 < tol and d2 < tol
-        yield K1, K2, P1n, P2n, row, stop
+        yield K1, K2, P1n, P2n, (d1, d2), stop
         if stop:
             return
         PP, P1, P2 = PPn, P1n, P2n
@@ -288,24 +302,64 @@ def _value_iteration(sys, cost, tol, max_iters):
     )
 
 
+_RES_BLOCK = 64  # sweeps per stacked residual pass: bounds the sweeps held
+
+
+def _residual_rows(sys, cost, consts, sweeps):
+    """(res1, res2) Frobenius norms of a block of sweeps (K1, K2, P1, P2),
+    computed in one stacked pass with the bits of one pass per sweep.
+
+    A stacked solve fails as a whole, so a singular Delta block is named by
+    walking the sweeps in order, Delta1 before Delta2 within a sweep: the
+    error each sweep's own residuals raised when the loop computed them.
+    """
+    K1, K2, P1, P2 = (np.stack(a) for a in zip(*sweeps))
+    # a diverging iterate overflows here as it does in the sweep
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            R1, R2 = _residuals(sys, cost, P1, P2, _delta_blocks(sys, P1, P2, consts),
+                                _policy_terms(sys, K1, K2))
+        except AttenuationInfeasibleError:
+            for k1, k2, p1, p2 in sweeps:
+                _residuals(sys, cost, p1, p2, _delta_blocks(sys, p1, p2, consts),
+                           _policy_terms(sys, k1, k2))
+            raise
+        return [(_fro(r1), _fro(r2)) for r1, r2 in zip(R1, R2)]
+
+
 def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     """Iterate the coupled value recursion from (0, 0) to its fixed point.
 
     Stops when both Frobenius iterate differences fall below tol; raises
     ConvergenceError(report attached) if max_iters is exhausted first, or
     if an iterate leaves the finite range (the report then ends at the last
-    finite one).
+    finite one).  The report's residual columns come from one stacked pass
+    per block of sweeps, with the bits of one residual per sweep.
     """
-    history, err = [], None
+    consts = _delta_constants(sys, cost)
+    dps, res, block, err = [], [], [], None
     try:
-        for K1, K2, P1, P2, row, _ in _value_iteration(sys, cost, tol, max_iters):
-            history.append(row)
+        try:
+            for K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters):
+                dps.append(dP)
+                block.append((K1, K2, P1, P2))
+                if len(block) == _RES_BLOCK:
+                    # emptied first, so a pass that raises is not run again below
+                    block, full = [], block
+                    res += _residual_rows(sys, cost, consts, full)
+        finally:
+            # on every exit: a singular Delta in an earlier sweep is raised
+            # in place of whatever ended the loop, as it was when each sweep
+            # computed its own residuals
+            if block:
+                res += _residual_rows(sys, cost, consts, block)
     except ConvergenceError as exc:
         # never before sweep 1 is yielded (its P = (-Q, Q) is finite), so
         # K1, K2, P1, P2 hold the last finite sweep
         err = exc
     gains = GainPair(K1, K2)
-    report = SolveReport(ValuePair(P1, P2), gains, tuple(history),
+    report = SolveReport(ValuePair(P1, P2), gains,
+                         tuple(dP + r for dP, r in zip(dps, res)),
                          ms_stable(*closed_loop_pair(sys, gains)))
     if err is None:
         return report

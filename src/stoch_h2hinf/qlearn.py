@@ -498,7 +498,7 @@ def run_value_iteration(sys, cost, config):
     history = []
     sweeps = _value_iteration(sys, cost, config.tol, config.max_iters)
     try:
-        for K1, K2, P1, P2, (dp1, dp2, _, _), stop in sweeps:
+        for K1, K2, P1, P2, (dp1, dp2), stop in sweeps:
             # H(P(i-1)) is built only once sweep i came back finite
             q_next = h_from_values(sys, cost, vals)
             # dH's squared norm overflows long before a diverging iterate does

@@ -162,6 +162,24 @@ class TestSolveCommand:
         reason = (tmp_path / "out" / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message
 
+    @pytest.mark.parametrize("command, message", [
+        ("solve", "Delta1 is singular: Singular matrix"),
+        ("simulate", "Delta1 is singular: Singular matrix"),
+        # vi computes no residuals: sweep 2's definiteness check meets the
+        # same Delta1 = g^2 + P1 = 0 that sweep 1's residual could not solve
+        ("vi", "Delta1 is not positive definite; gamma=1.0 too small"),
+    ])
+    def test_singular_delta_exit_3(self, tmp_path, capsys, command, message):
+        args = [command, "--system", "custom", "--gamma", "1",
+                "--out", str(tmp_path / "out")]
+        for name, value in (("a1", 0.5), ("a2", 0.0), ("b1", 1.0), ("c1", 1.0),
+                            ("c2", 0.0)):
+            np.savetxt(tmp_path / f"{name}.txt", [[value]])
+            args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        assert main(args) == 3
+        assert capsys.readouterr().out == f"attenuation infeasible: {message}\n"
+        assert os.listdir(tmp_path / "out") == ["manifest.txt"]
+
 
 class TestLearningCommands:
     def test_excitation_failure_exit_2(self, tmp_path, capsys):
@@ -446,6 +464,22 @@ class TestConfigHandling:
         assert "steps = 100" not in lines
         assert lines[-1] == f"exit_reason = config error: {cfg}:2: bad value for steps: 'abc'"
         _assert_config_manifest_only(out, f"{cfg}:2: ")
+
+    @pytest.mark.parametrize("command", ["solve", "vi", "qlearn", "simulate", "bench-f16"])
+    def test_command_help_lists_every_flag(self, capsys, command):
+        flags = ["--config", "--system", "--case", "--seed", "--tol", "--max-iters",
+                 "--tuples", "--branches", "--mode", "--steps", "--gamma", "--out",
+                 "--no-reference", "--a1", "--a2", "--b1", "--c1", "--c2", "--q"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        usage, options = re.split(r"\n(?:options|optional arguments):\n", text)
+        assert usage.startswith(f"usage: stoch-h2hinf {command} [-h] [--config CONFIG]")
+        assert re.findall(r"\[(-[\w-]+)", usage) == ["-h"] + flags
+        listed = [line.split()[0].rstrip(",") for line in options.splitlines()
+                  if line.startswith("  -")]
+        assert listed == ["-h"] + flags
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,14 @@
 """Coupled-equation algebra, the solver, and the comparison-sequence bounds."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from stoch_h2hinf import (
+    AlgoConfig,
     AttenuationInfeasibleError,
     ConvergenceError,
     CostSpec,
@@ -23,9 +26,11 @@ from stoch_h2hinf import (
     ms_stable,
     qlearn_value_update,
     random_feasible_system,
+    run_value_iteration,
     solve_coupled_gare,
     vi_value_update,
 )
+from stoch_h2hinf import gare
 
 
 def test_quadratic_map_scalar(scalar_sys):
@@ -210,6 +215,32 @@ def test_solve_report_csv(tmp_path, f16_solution):
     last = lines[-1].split(",")
     assert int(last[0]) == f16_solution.iterations
     assert float(last[3]) == pytest.approx(f16_solution.residual_norms[0], rel=1e-6)
+
+
+def _csv_per_cell(history):
+    """solve.csv as one f-string per cell: SolveReport.to_csv's byte reference."""
+    lines = ["iter,dP1_fro,dP2_fro,res1_fro,res2_fro"]
+    for i, row in enumerate(history, start=1):
+        lines.append(f"{i}," + ",".join(f"{x:.12g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_report_csv_bytes(tmp_path, f16_solution):
+    sys_ = SdltiSystem([[1.5]], [[0.0]], [[0.0]], [[0.0]], [[0.0]])
+    with pytest.raises(ConvergenceError) as exc:
+        solve_coupled_gare(sys_, CostSpec(1.0, [[1.0]]), tol=1e-9, max_iters=5000)
+    # the diverged report's last rows are inf in every column
+    diverged = exc.value.report
+    odd = ((float("inf"), float("nan"), -0.0, 0.0),
+           (-float("inf"), 5e-324, 1.0 / 3.0, -1e300))
+    reports = [f16_solution, diverged,
+               dataclasses.replace(f16_solution, history=odd),
+               dataclasses.replace(diverged, history=())]
+    for k, report in enumerate(reports):
+        path = tmp_path / f"solve{k}.csv"
+        report.to_csv(path)
+        assert path.read_bytes() == _csv_per_cell(report.history).encode()
+    assert (tmp_path / "solve3.csv").read_text() == "iter,dP1_fro,dP2_fro,res1_fro,res2_fro\n"
 
 
 def test_ms_radius_examples(f16, f16_solution):
@@ -433,6 +464,80 @@ def test_solver_infeasible_gamma_same_error_same_sweep(monkeypatch):
             P1 = short.value.report.values.P1
             D1 = gamma**2 * np.eye(2) + sys_.C2.T @ P1 @ sys_.C2 + sys_.C1.T @ P1 @ sys_.C1
             assert D1[0, 0] > 0 > np.linalg.eigvalsh(D1).min()
+
+
+# Delta1 = g^2 + P1 is exactly 0 at the values of sweep 3: that sweep's
+# residual meets a singular block, and sweep 4's definiteness check fails
+SINGULAR_AT_3 = (SdltiSystem([[0.4]], [[0.0]], [[1.0]], [[1.0]], [[0.0]]),
+                 CostSpec(1.076086424236219, [[1.0]]))
+
+
+def test_solver_residual_blocks_bit_identical(f16, random_population, monkeypatch):
+    # the residual columns come from stacked passes over blocks of sweeps; any
+    # block length gives the bits of one residual per sweep, on every exit
+    plain = []
+    for sys_, cost in [f16] + random_population:
+        history = []
+        vals, gains, converged = _plain_solve(sys_, cost, 1e-9, 10000, history)
+        assert converged
+        plain.append((sys_, cost, vals, gains, history))
+    short = []
+    short_vals, short_gains, _ = _plain_solve(*f16, 1e-9, 10, short)
+    sys_, cost = SINGULAR_AT_3
+    before = []
+    with pytest.raises(AttenuationInfeasibleError) as ref:
+        _public_solve(sys_, cost, 1e-12, 10000, before)
+    assert len(before) == 2 and str(ref.value) == "Delta1 is singular: Singular matrix"
+    for block in (1, 2, 7):
+        monkeypatch.setattr(gare, "_RES_BLOCK", block)
+        for sys_, cost, vals, gains, history in plain:
+            report = solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=10000)
+            _assert_same_report(report, vals, gains, history)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_coupled_gare(*f16, tol=1e-9, max_iters=10)
+        _assert_same_report(exc.value.report, short_vals, short_gains, short)
+        sys_, cost = SINGULAR_AT_3
+        for max_iters in (3, 10000):
+            with pytest.raises(AttenuationInfeasibleError) as got:
+                solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=max_iters)
+            assert str(got.value) == str(ref.value)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=2)
+        assert exc.value.report.history == tuple(before)
+
+
+def test_residual_pass_names_first_singular_block():
+    # b1 = c1 = 1, c2 = 0 and gamma = 1: Delta1 = 1 + P1 and Delta2 = 1 + P2
+    sys_ = SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
+    cost = CostSpec(1.0, [[1.0]])
+    consts = gare._delta_constants(sys_, cost)
+    K = np.zeros((1, 1))
+
+    def sweep(p1, p2):
+        return K, K, np.array([[p1]]), np.array([[p2]])
+
+    ok, d1, d2, both = sweep(-0.5, 1.0), sweep(-1.0, 1.0), sweep(-0.5, -1.0), sweep(-1.0, -1.0)
+    # the stacked Delta1 solve fails first in [ok, d2, d1], but sweep d2 comes first
+    for block, name in (([ok, d2, d1], "Delta2"), ([ok, d1, d2], "Delta1"),
+                        ([ok, both], "Delta1")):
+        with pytest.raises(AttenuationInfeasibleError, match=f"^{name} is singular"):
+            gare._residual_rows(sys_, cost, consts, block)
+
+
+def test_residuals_once_per_block(f16, monkeypatch):
+    stacks = []
+    residuals = gare._residuals
+
+    def spy(sys_, cost, P1, *rest):
+        stacks.append(len(P1))
+        return residuals(sys_, cost, P1, *rest)
+
+    monkeypatch.setattr(gare, "_residuals", spy)
+    assert solve_coupled_gare(*f16, tol=1e-12, max_iters=10000).iterations == 865
+    assert len(stacks) == math.ceil(865 / gare._RES_BLOCK) and sum(stacks) == 865
+    stacks.clear()
+    run_value_iteration(*f16, AlgoConfig(tol=1e-9, max_iters=10000))
+    assert stacks == []
 
 
 def test_solver_max_iters_report_equal(f16):
