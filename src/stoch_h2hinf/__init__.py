@@ -35,13 +35,10 @@ from .qfunction import (
 from .gare import (
     SolveReport,
     closed_loop_pair,
-    closed_loop_quadratic_map,
-    fixed_policy_value_sequence,
     gains_from_values,
     gare_residuals,
     ms_radius,
     ms_stable,
-    qlearn_value_update,
     random_feasible_system,
     solve_coupled_gare,
     vi_value_update,

@@ -400,10 +400,9 @@ def main(argv=None):
         except ConfigError as exc:
             values.update(getattr(exc, "values", {}))
             error = exc
-    for key in ("system", "case", "seed", "tol", "max_iters", "tuples", "branches",
-                "mode", "steps", "gamma", "out", "a1", "a2", "b1", "c1", "c2", "q"):
-        val = getattr(args, key)
-        if val is None:
+    # the flags in the order they are declared, so the first bad one is named
+    for key, val in vars(args).items():
+        if key in ("command", "config", "no_reference") or val is None:
             continue
         try:
             values[key] = _FIELD_TYPES.get(key, str)(val)

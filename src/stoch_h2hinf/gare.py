@@ -73,11 +73,6 @@ def _policy_terms(sys, K1, K2):
     return (K1, np.swapaxes(K2, -1, -2) @ K2) + _closed_loop(sys, K1, K2)
 
 
-def _quadratic_map(X, Ad, An):
-    """A(X) = An'X An + Ad'X Ad, symmetrized, for X or a stack (..., n, n) of them."""
-    return symmetrize(An.T @ X @ An + Ad.T @ X @ Ad)
-
-
 def _delta_constants(sys, cost):
     """The constant terms g^2 I (m2-square) and I (m1-square) of the Delta blocks."""
     return cost.gamma**2 * np.eye(sys.m2), np.eye(sys.m1)
@@ -123,9 +118,12 @@ def _extract_gains(sys, cost, blocks, blk):
 
 
 def _value_update(cost, PP, policy):
-    """The stack (P1+, P2+) from the stack PP = (P1, P2), shape (2, n, n)."""
+    """The stack (P1+, P2+) from the stack PP = (P1, P2), shape (2, n, n).
+
+    Both members share the quadratic map A(X) = An'X An + Ad'X Ad.
+    """
     K1, K2tK2, _, Ad, An, _ = policy
-    PPn = _quadratic_map(PP, Ad, An)
+    PPn = symmetrize(An.T @ PP @ An + Ad.T @ PP @ Ad)
     P1n, P2n = PPn
     P1n -= cost.Q
     P1n -= K2tK2
@@ -166,15 +164,6 @@ def _fro(M):
     return math.sqrt(v.dot(v))
 
 
-def closed_loop_quadratic_map(sys, X, Y1, Y2):
-    """A(X, Y1, Y2) = (A2+C2Y1)'X(A2+C2Y1) + (A1+B1Y2+C1Y1)'X(A1+B1Y2+C1Y1)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sys.n, sys.n):
-        raise ValueError(f"X must be {sys.n}x{sys.n}, got {X.shape}")
-    _, Ad, An, _ = _closed_loop(sys, Y1, Y2)
-    return _quadratic_map(X, Ad, An)
-
-
 def gains_from_values(sys, cost, vals):
     """Solve the stacked system for (K1, K2) at the current (P1, P2).
 
@@ -191,12 +180,6 @@ def vi_value_update(sys, cost, vals, gains):
     """One value-iteration sweep using the supplied (current) gains."""
     policy = _policy_terms(sys, gains.K1, gains.K2)
     return ValuePair(*_value_update(cost, np.stack((vals.P1, vals.P2)), policy))
-
-
-def qlearn_value_update(sys, cost, vals):
-    """Gain improvement then value sweep: the recursion the learner mirrors."""
-    gains = gains_from_values(sys, cost, vals)
-    return vi_value_update(sys, cost, vals, gains), gains
 
 
 def gare_residuals(sys, cost, vals, gains):
@@ -365,19 +348,6 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
         return report
     err.report = report
     raise err
-
-
-def fixed_policy_value_sequence(sys, cost, eta1, eta2, iters):
-    """Value sequence of the frozen policy (eta1, eta2) from zero init.
-
-    Returns the whole list [(0,0), step1, ..., step_iters]; used by the
-    comparison arguments that sandwich the optimal recursion.
-    """
-    gains = GainPair(eta1, eta2)
-    seq = [ValuePair.zeros(sys.n)]
-    for _ in range(iters):
-        seq.append(vi_value_update(sys, cost, seq[-1], gains))
-    return seq
 
 
 def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):

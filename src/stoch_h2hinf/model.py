@@ -152,10 +152,6 @@ class CostSpec:
         object.__setattr__(self, "q_psd", lo >= -1e-10 * scale)
         object.__setattr__(self, "observability_certified", lo > 1e-10 * scale)
 
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
 
 @dataclass(frozen=True)
 class ValuePair:
@@ -178,10 +174,6 @@ class ValuePair:
     def zeros(cls, n):
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
-    @property
-    def n(self):
-        return self.P1.shape[0]
-
 
 @dataclass(frozen=True)
 class GainPair:
@@ -203,10 +195,6 @@ class GainPair:
     @classmethod
     def zeros(cls, n, m1=1, m2=1):
         return cls(np.zeros((m2, n)), np.zeros((m1, n)))
-
-    @property
-    def n(self):
-        return self.K1.shape[1]
 
 
 @dataclass(frozen=True)

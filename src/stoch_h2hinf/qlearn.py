@@ -12,11 +12,11 @@ solutions.  Gains come out of H by a block solve, and the run stops on the
 three-part rule (both H changes below eps plus a Lyapunov-flavored
 admissibility margin at a designated probe state).
 
-The engine touches the plant only through a TrajectoryOracle (state,
-apply, branch, rollout and the optional expected_quadratic), never through
-system matrices.  The learner asks ProbingSchedule.window for each
-window's probes at once.  rollout's base default reads the state, forms the
-targets and applies the inputs tuple by tuple; SystemOracle overrides it
+The engine calls two methods of a TrajectoryOracle, reset and rollout,
+and never reads system matrices.  The learner asks ProbingSchedule.window
+for each window's probes at once.  rollout's base default reads the state,
+forms the targets (through branch or the optional expected_quadratic) and
+applies the inputs tuple by tuple; SystemOracle overrides it
 with one noise draw and one trajectory-kernel pass per window, and forms
 the window's drifts, stage costs and continuation values as stacked
 products over all N rows, still bit-identical to the default.  Model
@@ -172,7 +172,7 @@ class SystemOracle(TrajectoryOracle):
         return x.copy()
 
     def branch(self, u, v, count):
-        omegas = self._noise.branch_draws(self._k, count)
+        omegas = self._noise.branch_window(self._k, 1, count)[0]
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         mu, s = _drift_and_noise(self._sys, self._x, u, v)

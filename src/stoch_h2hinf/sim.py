@@ -154,16 +154,9 @@ class NoiseSource:
         return out
 
     def branch_window(self, step, rows, count):
-        """branch_draws(step + t, count) for t < rows, as a (rows, count) array."""
+        """Branch draws at steps step..step+rows-1, count per step, as a (rows, count)
+        array; row t is pure in (seed, step + t)."""
         return self._window(_TAG_BRANCH, step, rows, count)
-
-    def branch_draws(self, step, count):
-        """Draws j=0..count-1 for branches at time `step`; pure in (seed, step)."""
-        return self.branch_window(step, 1, count)[0]
-
-    def run_draws(self, run, count):
-        """Noise for an independent replicate `run`; pure in (seed, run)."""
-        return self._window(_TAG_RUN, run, 1, count)[0]
 
 
 def _drift_and_noise(sys, x, u, v):

@@ -33,13 +33,13 @@ from stoch_h2hinf import (
     f16_initial_gains,
     f16_reference,
     gains_from_q,
+    gains_from_values,
     h_from_values,
     least_squares_h,
     mat_from_vecs,
     ms_radius,
     ms_stable,
     probed_inputs,
-    qlearn_value_update,
     run_q_learning,
     run_value_iteration,
     simulate_closed_loop,
@@ -47,6 +47,7 @@ from stoch_h2hinf import (
     values_from_q,
     vech,
     vecs,
+    vi_value_update,
 )
 from stoch_h2hinf.f16 import X0
 
@@ -114,7 +115,7 @@ def test_criterion_2_update_route_equivalence(f16, random_population):
             q = h_from_values(sys_, cost, vals)
             g = gains_from_q(q)
             via_q = values_from_q(q, g)
-            direct, _ = qlearn_value_update(sys_, cost, vals)
+            direct = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
             worst = max(
                 worst,
                 np.linalg.norm(via_q.P1 - direct.P1),
@@ -220,7 +221,7 @@ def test_criterion_5_monotonicity_suite(f16, random_population):
     for sys_, cost in [f16] + random_population:
         vals = ValuePair.zeros(sys_.n)
         for _ in range(500):
-            nxt, _ = qlearn_value_update(sys_, cost, vals)
+            nxt = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
             worst = min(
                 worst,
                 np.linalg.eigvalsh(vals.P1 - nxt.P1).min(),

@@ -145,18 +145,24 @@ class TestSolveCommand:
         assert main(args) == 3
 
 
-    @pytest.mark.parametrize("command", ["solve", "simulate", "vi"])
-    def test_diverging_iteration_exit_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, budget, message", [
+        *[pytest.param(command, ["--max-iters", "5000"], "run failed: no fixed point: "
+                       "the iterate left the finite range at sweep 875", id=command)
+          for command in ("solve", "simulate", "vi")],
+        # at vi's default budget the iterates are still finite; only the
+        # Frobenius norms of their changes have overflowed
+        pytest.param("vi", [], "run failed: no fixed point within 500 iterations "
+                     "(tol=0.001); last dP=(inf, inf)", id="vi-default-budget"),
+    ])
+    def test_diverging_iteration_exit_2(self, tmp_path, capsys, command, budget, message):
         # a1 = 1.5 with no inputs: the value iterates grow by 2.25 per sweep
-        # until they overflow, after vi's default budget of 500 sweeps
-        args = [command, "--system", "custom", "--max-iters", "5000",
-                "--out", str(tmp_path / "out")]
+        # until they overflow at sweep 875
+        args = [command, "--system", "custom", *budget, "--out", str(tmp_path / "out")]
         for name, value in (("a1", 1.5), ("a2", 0.0), ("b1", 0.0), ("c1", 0.0),
                             ("c2", 0.0)):
             np.savetxt(tmp_path / f"{name}.txt", [[value]])
             args += [f"--{name}", str(tmp_path / f"{name}.txt")]
         assert main(args) == 2
-        message = "run failed: no fixed point: the iterate left the finite range at sweep 875"
         assert capsys.readouterr().out == message + "\n"
         assert os.listdir(tmp_path / "out") == ["manifest.txt"]
         reason = (tmp_path / "out" / "manifest.txt").read_text().splitlines()[-1]
@@ -452,6 +458,15 @@ class TestConfigHandling:
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert "steps = abc" in lines and "steps = 100" not in lines
         assert lines[-1] == "exit_reason = config error: bad value for --steps: 'abc'"
+
+    def test_first_declared_bad_flag_named(self, tmp_path):
+        # flags are read in the order they are declared, not as typed, and
+        # every rejected value is echoed
+        assert main(["simulate", "--steps", "abc", "--max-iters", "many",
+                     "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert {"steps = abc", "max_iters = many"} <= set(lines)
+        assert lines[-1] == "exit_reason = config error: bad value for --max-iters: 'many'"
 
     def test_rejected_config_value_echoed(self, tmp_path):
         # a bad line keeps the file's other keys and shows the rejected text

@@ -16,15 +16,12 @@ from stoch_h2hinf import (
     SdltiSystem,
     ValuePair,
     closed_loop_pair,
-    closed_loop_quadratic_map,
     f16_initial_gains,
     f16_reference,
-    fixed_policy_value_sequence,
     gains_from_values,
     gare_residuals,
     ms_radius,
     ms_stable,
-    qlearn_value_update,
     random_feasible_system,
     run_value_iteration,
     solve_coupled_gare,
@@ -33,25 +30,27 @@ from stoch_h2hinf import (
 from stoch_h2hinf import gare
 
 
-def test_quadratic_map_scalar(scalar_sys):
+def test_quadratic_map_scalar(scalar_sys, scalar_cost):
     # A2+C2*0.1 = 0.105, A1+B1*(-0.2)+C1*0.1 = 0.72,
-    # map = 2*(0.105^2 + 0.72^2) = 1.05885.
-    X = np.array([[2.0]])
-    out = closed_loop_quadratic_map(
-        scalar_sys, X, np.array([[0.1]]), np.array([[-0.2]])
-    )
-    assert out[0, 0] == pytest.approx(1.05885, abs=1e-14)
+    # map = X*(0.105^2 + 0.72^2): 1.05885 at X = 2, -0.529425 at X = -1.
+    # The update adds -Q - K2'K2 + g^2 K1'K1 to the first and Q + K2'K2 to the second.
+    vals = ValuePair(np.array([[-1.0]]), np.array([[2.0]]))
+    gains = GainPair(np.array([[0.1]]), np.array([[-0.2]]))
+    out = vi_value_update(scalar_sys, scalar_cost, vals, gains)
+    assert out.P1[0, 0] - (-1.0 - 0.04 + 4.0 * 0.01) == pytest.approx(-0.529425, abs=1e-14)
+    assert out.P2[0, 0] - (1.0 + 0.04) == pytest.approx(1.05885, abs=1e-14)
 
 
 def test_quadratic_map_open_loop(f16):
-    sys_, _ = f16
+    # with zero gains the update is (-Q, Q) plus A(X) = A2'XA2 + A1'XA1
+    sys_, cost = f16
     rng = np.random.default_rng(2)
     M = rng.standard_normal((3, 3))
     X = M + M.T
-    Z = np.zeros((1, 3))
-    out = closed_loop_quadratic_map(sys_, X, Z, Z)
+    out = vi_value_update(sys_, cost, ValuePair(X, X), GainPair.zeros(3))
     expect = sys_.A2.T @ X @ sys_.A2 + sys_.A1.T @ X @ sys_.A1
-    np.testing.assert_allclose(out, expect, atol=1e-13)
+    np.testing.assert_allclose(out.P1, expect - cost.Q, atol=1e-13)
+    np.testing.assert_allclose(out.P2, expect + cost.Q, atol=1e-13)
 
 
 def test_gains_from_values_zero(f16):
@@ -101,18 +100,10 @@ def test_vi_update_scalar_oracle(scalar_sys, scalar_cost):
     assert out.P2[0, 0] == pytest.approx(2.09885, abs=1e-14)
 
 
-def test_qlearn_update_from_zero(f16):
-    sys_, cost = f16
-    vals, gains = qlearn_value_update(sys_, cost, ValuePair.zeros(3))
-    assert not gains.K1.any() and not gains.K2.any()
-    np.testing.assert_allclose(vals.P1, -np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(vals.P2, np.eye(3), atol=1e-15)
-
-
 def test_qlearn_update_fixed_point_own_solution(f16, f16_solution):
     sys_, cost = f16
     vals = f16_solution.values
-    out, _ = qlearn_value_update(sys_, cost, vals)
+    out = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
     assert np.linalg.norm(out.P1 - vals.P1) < 1e-8
     assert np.linalg.norm(out.P2 - vals.P2) < 1e-8
 
@@ -123,23 +114,11 @@ def test_qlearn_update_near_reference_values(f16):
     # exact fixed point nearby is the one the solver converges to.
     sys_, cost = f16
     ref_vals, _ = f16_reference()
-    out, _ = qlearn_value_update(sys_, cost, ref_vals)
+    out = vi_value_update(sys_, cost, ref_vals, gains_from_values(sys_, cost, ref_vals))
     move = max(
         np.linalg.norm(out.P1 - ref_vals.P1), np.linalg.norm(out.P2 - ref_vals.P2)
     )
     assert 1e-3 < move < 5e-2
-
-
-def test_vi_equals_qlearn_update(f16, random_population):
-    for sys_, cost in [f16] + random_population:
-        vals = ValuePair.zeros(sys_.n)
-        for _ in range(4):
-            gains = gains_from_values(sys_, cost, vals)
-            via_vi = vi_value_update(sys_, cost, vals, gains)
-            via_q, _ = qlearn_value_update(sys_, cost, vals)
-            np.testing.assert_allclose(via_vi.P1, via_q.P1, atol=1e-12)
-            np.testing.assert_allclose(via_vi.P2, via_q.P2, atol=1e-12)
-            vals = via_q
 
 
 def test_residuals_at_zero(f16):
@@ -251,21 +230,21 @@ def test_ms_radius_examples(f16, f16_solution):
     assert ms_radius(a1, a2) == pytest.approx(0.967, abs=2e-3)
 
 
-def test_fixed_policy_frozen_gain_coincidence(f16, f16_solution):
-    sys_, cost = f16
-    g = f16_solution.gains
-    seq = fixed_policy_value_sequence(sys_, cost, g.K1, g.K2, 10)
-    vals = ValuePair.zeros(3)
-    for psi in seq[1:]:
-        vals = vi_value_update(sys_, cost, vals, g)
-        np.testing.assert_allclose(psi.P1, vals.P1, atol=1e-13)
-        np.testing.assert_allclose(psi.P2, vals.P2, atol=1e-13)
+def _frozen_policy_values(sys_, cost, eta1, eta2, iters):
+    """Values of the frozen policy (eta1, eta2) from (0, 0): the list
+    [(0, 0), sweep 1, ..., sweep iters] that the comparison arguments
+    sandwich the optimal recursion with."""
+    gains = GainPair(eta1, eta2)
+    seq = [ValuePair.zeros(sys_.n)]
+    for _ in range(iters):
+        seq.append(vi_value_update(sys_, cost, seq[-1], gains))
+    return seq
 
 
 def test_fixed_policy_monotone_bounded_without_disturbance(f16, f16_solution):
     sys_, cost = f16
     for eta2 in (f16_solution.gains.K2, f16_initial_gains().K2):
-        seq = fixed_policy_value_sequence(sys_, cost, np.zeros((1, 3)), eta2, 700)
+        seq = _frozen_policy_values(sys_, cost, np.zeros((1, 3)), eta2, 700)
         for a, b in zip(seq, seq[1:]):
             assert np.linalg.eigvalsh(b.P2 - a.P2).min() >= -1e-9
         assert np.linalg.norm(seq[-1].P2 - seq[-2].P2) < 1e-8
@@ -278,10 +257,10 @@ def test_fixed_policy_dominates_value_iteration_at_saddle(f16, f16_solution):
     # the monotone value-iteration sequence from above.
     sys_, cost = f16
     g = f16_solution.gains
-    seq = fixed_policy_value_sequence(sys_, cost, g.K1, g.K2, 250)
+    seq = _frozen_policy_values(sys_, cost, g.K1, g.K2, 250)
     vals = ValuePair.zeros(3)
     for psi in seq[1:]:
-        vals, _ = qlearn_value_update(sys_, cost, vals)
+        vals = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
         assert np.linalg.eigvalsh(psi.P2 - vals.P2).min() >= -1e-9
         assert np.linalg.eigvalsh(f16_solution.values.P2 - vals.P2).min() >= -1e-8
 
@@ -291,13 +270,13 @@ def test_fixed_policy_comparison_fails_off_saddle(f16, f16_solution):
     # produces Psi2 iterates strictly below the value-iteration run, so
     # the comparison cannot hold for arbitrary admissible policies.
     sys_, cost = f16
-    seq = fixed_policy_value_sequence(
+    seq = _frozen_policy_values(
         sys_, cost, np.zeros((1, 3)), f16_solution.gains.K2, 250
     )
     vals = ValuePair.zeros(3)
     worst = 0.0
     for psi in seq[1:]:
-        vals, _ = qlearn_value_update(sys_, cost, vals)
+        vals = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
         worst = min(worst, np.linalg.eigvalsh(psi.P2 - vals.P2).min())
     assert worst < -1.0
 
@@ -321,7 +300,8 @@ def _public_solve(sys_, cost, tol, max_iters, history):
     vals = ValuePair.zeros(sys_.n)
     gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
     for _ in range(max_iters):
-        nxt, gains = qlearn_value_update(sys_, cost, vals)
+        gains = gains_from_values(sys_, cost, vals)
+        nxt = vi_value_update(sys_, cost, vals, gains)
         d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
         d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
         R1, R2 = gare_residuals(sys_, cost, nxt, gains)

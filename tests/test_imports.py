@@ -1,13 +1,15 @@
-"""Static checks: every top-level import and private name of the package is used.
+"""Static checks: every top-level import, private name and public name of the package is used.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead: a name bound by a top-level import must be read
-somewhere in the module, and a private top-level name (a `_x` def, class
-or assignment) somewhere in the package.  The package's star import is
-checked too.
+somewhere in the module, a private top-level name (a `_x` def, class or
+assignment) somewhere in the package, and a public name somewhere outside
+the tests: in a package module, in the benchmark, or in the README.  The
+package's star import is checked too.
 """
 
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -15,7 +17,8 @@ import pytest
 
 import stoch_h2hinf
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stoch_h2hinf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stoch_h2hinf"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -31,6 +34,17 @@ def unused_imports(source):
     return sorted(bound - read)
 
 
+def names_read(tree):
+    """The names the syntax tree loads and the attribute names it reads."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+    return read
+
+
 def unread_private_names(sources):
     """Private top-level names defined in any of the sources and read in none."""
     defined, read = set(), set()
@@ -42,13 +56,18 @@ def unread_private_names(sources):
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+        read |= names_read(tree)
     private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
     return sorted(private - read)
+
+
+def unreached_public_names(public, sources, readme):
+    """Public names read in none of the sources and named in no code span or
+    fenced block of the readme."""
+    read = set().union(*(names_read(ast.parse(source)) for source in sources))
+    spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    named = set(re.findall(r"\w+", " ".join(spans)))
+    return sorted(set(public) - read - named)
 
 
 def test_detects_an_unread_private_name():
@@ -74,6 +93,21 @@ def test_detects_an_unused_import():
     )
     assert unused_imports(source) == ["field"]
     assert "qlearn.py" in MODULES
+
+
+def test_detects_a_public_name_only_tests_reach():
+    sources = ["def solve():\n    return _step()\n", "import pkg\npkg.report()\n"]
+    readme = "```sh\nrun\n```\nCall `solve(sys)`; the helper step is internal.\n"
+    public = ["solve", "report", "step", "helper"]
+    assert unreached_public_names(public, sources, readme) == ["helper", "step"]
+
+
+def test_every_public_name_is_reached():
+    # a name that only the tests call is surface to delete, or to document
+    sources = [(PACKAGE / m).read_text() for m in MODULES]
+    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unreached_public_names(stoch_h2hinf.__all__, sources, readme) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -82,7 +82,7 @@ def test_value_pair_symmetry():
     with pytest.raises(ValueError, match="asymmetry"):
         ValuePair([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
     vp = ValuePair.zeros(3)
-    assert vp.n == 3 and not vp.P1.any()
+    assert vp.P1.shape == vp.P2.shape == (3, 3) and not vp.P1.any()
 
 
 def test_gain_pair_dims():

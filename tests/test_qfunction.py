@@ -16,10 +16,10 @@ from stoch_h2hinf import (
     h_from_values,
     mat_from_vecs,
     q_value,
-    qlearn_value_update,
     values_from_q,
     vech,
     vecs,
+    vi_value_update,
 )
 
 # Hand-worked scalar case: a1=0.8, a2=0.1, b1=0.5, c1=0.2, c2=0.05,
@@ -193,7 +193,7 @@ def test_composition_matches_value_update(f16, random_population):
         for _ in range(5):
             q = h_from_values(sys_, cost, vals)
             via_q = values_from_q(q, gains_from_q(q))
-            direct, _ = qlearn_value_update(sys_, cost, vals)
+            direct = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
             np.testing.assert_allclose(via_q.P1, direct.P1, atol=1e-10)
             np.testing.assert_allclose(via_q.P2, direct.P2, atol=1e-10)
             vals = direct

@@ -23,11 +23,11 @@ from stoch_h2hinf import (
     bellman_targets,
     f16_initial_gains,
     gains_from_q,
+    gains_from_values,
     h_from_values,
     least_squares_h,
     probed_inputs,
     q_value,
-    qlearn_value_update,
     run_q_learning,
     run_value_iteration,
     simulate_closed_loop,
@@ -37,6 +37,7 @@ from stoch_h2hinf import (
     values_from_q,
     vech,
     vecs,
+    vi_value_update,
     write_matrix_txt,
 )
 from stoch_h2hinf import qlearn as qlearn_module
@@ -128,7 +129,7 @@ class TestBellmanTargets:
         for sys_, cost in [f16, random_population[1]]:
             vals = ValuePair.zeros(sys_.n)
             for _ in range(3):
-                vals, _ = qlearn_value_update(sys_, cost, vals)
+                vals = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
             q = h_from_values(sys_, cost, vals)
             gains = gains_from_q(q)
             x = rng.standard_normal(sys_.n)
@@ -152,7 +153,7 @@ class TestBellmanTargets:
         for sys_, cost in [f16, random_population[1]]:
             vals = ValuePair.zeros(sys_.n)
             for _ in range(3):
-                vals, _ = qlearn_value_update(sys_, cost, vals)
+                vals = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
             q = h_from_values(sys_, cost, vals)
             gains = gains_from_q(q)
             x = rng.standard_normal(sys_.n)

@@ -58,17 +58,18 @@ class TestNoiseSource:
 
     def test_branch_draws_pure(self):
         ns = NoiseSource(9)
-        first = ns.branch_draws(3, 5)
+        first = ns.branch_window(3, 1, 5)[0]
         ns.draw(17)
-        np.testing.assert_array_equal(ns.branch_draws(3, 5), first)
-        assert not np.array_equal(ns.branch_draws(4, 5), first)
+        np.testing.assert_array_equal(ns.branch_window(3, 1, 5)[0], first)
+        assert not np.array_equal(ns.branch_window(4, 1, 5)[0], first)
         # prefix property: a longer call extends the same stream
-        np.testing.assert_array_equal(ns.branch_draws(3, 8)[:5], first)
+        np.testing.assert_array_equal(ns.branch_window(3, 1, 8)[0, :5], first)
 
     def test_run_draws_pure(self):
         ns = NoiseSource(9)
-        np.testing.assert_array_equal(ns.run_draws(2, 6), ns.run_draws(2, 6))
-        assert not np.array_equal(ns.run_draws(1, 6), ns.run_draws(2, 6))
+        first = ns._window(_TAG_RUN, 2, 1, 6)
+        np.testing.assert_array_equal(ns._window(_TAG_RUN, 2, 1, 6), first)
+        assert not np.array_equal(ns._window(_TAG_RUN, 1, 1, 6), first)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1),
@@ -85,9 +86,9 @@ class TestNoiseSource:
         expect = _numpy_rows(seed, _TAG_BRANCH, key, rows, count)
         assert window.tobytes() == expect.tobytes()
         t = rows // 2
-        assert ns.run_draws(key + t, count).tobytes() == _numpy_rows(
+        assert ns._window(_TAG_RUN, key + t, 1, count).tobytes() == _numpy_rows(
             seed, _TAG_RUN, key + t, 1, count).tobytes()
-        assert ns.branch_draws(key + t, count).tobytes() == expect[t].tobytes()
+        assert ns.branch_window(key + t, 1, count).tobytes() == expect[t].tobytes()
 
     def test_negative_seed_or_key_rejected_like_seedsequence(self):
         for entropy in ((-1, 0), (3, _TAG_BRANCH, -1)):
@@ -97,11 +98,12 @@ class TestNoiseSource:
             NoiseSource(-1)
         ns = NoiseSource(3)
         with pytest.raises(ValueError):
-            ns.branch_draws(-1, 4)
+            ns.branch_window(-1, 1, 4)
         with pytest.raises(ValueError):
             ns.branch_window(-3, 5, 4)
         ns.seed = -2**70
-        for call in (lambda: ns.branch_draws(0, 4), lambda: ns.run_draws(7, 4)):
+        for call in (lambda: ns.branch_window(0, 1, 4),
+                     lambda: ns._window(_TAG_RUN, 7, 1, 4)):
             with pytest.raises(ValueError):
                 call()
 
@@ -188,7 +190,7 @@ class TestStepAndCosts:
         mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
         s = sys_.A2 @ x + sys_.C2 @ v
         N = 40_000
-        omegas = NoiseSource(3).branch_draws(0, N)
+        omegas = NoiseSource(3).branch_window(0, 1, N)[0]
         succ = mu[None, :] + omegas[:, None] * s[None, :]
         assert len(exact) == 2
         for P, c in zip((vals.P1, vals.P2), exact):
@@ -702,7 +704,7 @@ class TestAttenuation:
         for r in range(runs):
             xs, us, _, bad = closed_loop_path(
                 sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, K1, K2,
-                np.zeros(sys_.n), noise.run_draws(r, horizon), eu, v,
+                np.zeros(sys_.n), noise._window(_TAG_RUN, r, 1, horizon)[0], eu, v,
             )
             total += float(
                 np.einsum("ij,jk,ik->", xs[:-1], cost.Q, xs[:-1])
