@@ -54,6 +54,7 @@ from .model import (
     GainPair,
     SdltiSystem,
     ValuePair,
+    _fro_norms,
     symmetrize,
 )
 
@@ -307,7 +308,7 @@ def _residual_rows(sys, cost, consts, sweeps):
                 _residuals(sys, cost, p1, p2, _delta_blocks(sys, p1, p2, consts),
                            _policy_terms(sys, k1, k2))
             raise
-        return [(_fro(r1), _fro(r2)) for r1, r2 in zip(R1, R2)]
+        return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
 
 
 def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):

@@ -7,14 +7,19 @@ The plant is
 with scalar white noise w_k, E(w)=0, E(w^2)=1.  The design data are an
 attenuation level gamma and a state cost Q (control weight fixed to identity).
 All types here are immutable after construction and safe to share across
-threads; arrays are defensively copied and marked read-only.
+threads; arrays are defensively copied and marked read-only.  The learner's
+own (H1, H2), (P1, P2) and gains, made fresh by its arithmetic, are taken
+over without a copy through _trusted and marked read-only the same way.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SYM_TOL = 1e-12
+# 2x of an entry at most this large is finite, so symmetrize keeps it exactly
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class AttenuationInfeasibleError(RuntimeError):
@@ -77,6 +82,15 @@ def require_symmetric(m, name, tol=SYM_TOL):
 
 def symmetrize(m):
     return (m + m.swapaxes(-1, -2)) / 2.0
+
+
+def _fro_norms(M):
+    """Frobenius norms of the C-ordered items of a stack M (S, ...), with
+    np.linalg.norm's bits: each item's flat dot with itself, one ddot as
+    norm's x.dot(x), then sqrt.  inf, NaN, -0.0 and subnormals included;
+    an overflowing sum warns as norm's does."""
+    F = M.reshape(M.shape[0], math.prod(M.shape[1:]))
+    return np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -237,6 +251,30 @@ class QPair:
     @property
     def dims(self):
         return self.n, self.m1, self.m2
+
+
+def _trusted(cls, members, *dims):
+    """A QPair, ValuePair or GainPair over arrays the package's own
+    arithmetic made, taken over without __post_init__'s copies and checks.
+
+    members is the pair, or its (2, p, p) stack, each member already
+    symmetric where cls needs it; dims is QPair's (n, m1, m2).  Only what
+    arithmetic does not guarantee is checked, in one call: finite H or P
+    (gains are finite-checked where they are solved for) and dims matching
+    the stack.  A stack that fails, or holds an entry whose doubling in
+    symmetrize overflows, goes through the validated constructor, which
+    raises its ValueError naming the member, or stores that inf.
+    """
+    if cls is not GainPair:
+        consistent = cls is ValuePair or members.shape[-1] == sum(dims)
+        if not (consistent and np.abs(members).max(initial=0.0) <= _HALF_MAX):
+            return cls(*members, *dims)
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, (*map(_frozen, members), *dims)):
+        if isinstance(value, np.ndarray) and value.base is not None:
+            _frozen(value.base)  # no writable alias through the stack it views
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 NOISE_CASES = ("case1", "case2", "case3")

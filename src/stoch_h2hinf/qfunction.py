@@ -21,6 +21,7 @@ from .model import (
     GainExtractionError,
     QPair,
     ValuePair,
+    _trusted,
     require_symmetric,
     symmetrize,
 )
@@ -36,22 +37,25 @@ def block_slices(n, m1, m2):
 
 @functools.cache
 def _triangle(p):
-    """Read-only (rows, cols, weights) of the p x p upper triangle, row-major.
+    """Read-only (rows, cols, weights, where) of the p x p upper triangle, row-major.
 
-    weights is 1 on the diagonal and 2 off it, vech's doubling.
+    weights is 1 on the diagonal and 2 off it, vech's doubling; where[i, j]
+    is the position of entry (min(i, j), max(i, j)) in the triangle stack.
     """
     rows, cols = np.triu_indices(p)
     weights = np.where(rows == cols, 1.0, 2.0)
-    for a in (rows, cols, weights):
+    where = np.empty((p, p), dtype=np.intp)
+    where[rows, cols] = where[cols, rows] = np.arange(rows.size)
+    for a in (rows, cols, weights, where):
         a.flags.writeable = False
-    return rows, cols, weights
+    return rows, cols, weights, where
 
 
 def vecs(H):
     """Upper-triangular row-major stack [H11, H12, ..., H1p, H22, ..., Hpp]."""
     H = np.asarray(H, dtype=float)
     require_symmetric(H, "H", tol=_SYM_RTOL * max(1.0, float(np.abs(H).max() or 1.0)))
-    rows, cols, _ = _triangle(H.shape[0])
+    rows, cols = _triangle(H.shape[0])[:2]
     return H[rows, cols]
 
 
@@ -62,21 +66,26 @@ def vech(Z):
     """
     Z = np.asarray(Z, dtype=float)
     require_symmetric(Z, "Z", tol=_SYM_RTOL * max(1.0, float(np.abs(Z).max() or 1.0)))
-    rows, cols, weights = _triangle(Z.shape[-1])
+    rows, cols, weights, _ = _triangle(Z.shape[-1])
     # doubling is exact, so weighting the triangle equals weighting all of Z
     return Z[..., rows, cols] * weights
 
 
 def mat_from_vecs(s):
-    """Inverse of vecs: rebuild the symmetric matrix from its triangle stack."""
-    s = np.asarray(s, dtype=float)
-    p = (math.isqrt(8 * s.size + 1) - 1) // 2
-    if p * (p + 1) // 2 != s.size:
-        raise ValueError(f"length {s.size} is not a triangular number")
-    H = np.zeros((p, p))
-    rows, cols, _ = _triangle(p)
-    H[rows, cols] = s
-    return H + np.triu(H, 1).T
+    """Inverse of vecs: rebuild the symmetric matrix from its triangle stack.
+
+    A stack s of shape (..., p(p+1)/2) gives one matrix per row, shape
+    (..., p, p).  One gather of s + 0.0 gives the bits of scattering the
+    triangle into zeros and adding its strict upper part transposed, whose
+    every entry is a stack value plus +0.0: that turns -0.0 into +0.0 and
+    keeps every other value.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    size = s.shape[-1]
+    p = (math.isqrt(8 * size + 1) - 1) // 2
+    if p * (p + 1) // 2 != size:
+        raise ValueError(f"length {size} is not a triangular number")
+    return (s + 0.0)[..., _triangle(p)[3]]
 
 
 def q_value(H, z):
@@ -134,15 +143,17 @@ def gains_from_q(q):
         raise GainExtractionError(f"gain block is singular: {exc}") from exc
     if not np.isfinite(KK).all():
         raise GainExtractionError("gain block solve produced non-finite entries")
-    return GainPair(KK[:m2], KK[m2:])
+    return _trusted(GainPair, (KK[:m2], KK[m2:]))
 
 
 def values_from_q(q, gains):
-    """Collapse H back to P via the sandwich P = [I; K2; K1]' H [I; K2; K1]."""
+    """Collapse H back to P via the sandwich P = [I; K2; K1]' H [I; K2; K1].
+
+    One stacked sandwich over (H1, H2): a stacked matmul runs the 2-D
+    call's gemm on each member, so each P keeps its bits.
+    """
     n = q.n
     T = np.vstack([np.eye(n), gains.K2, gains.K1])
     if T.shape[0] != q.p:
         raise ValueError(f"gains {gains.K1.shape}/{gains.K2.shape} do not match q")
-    P1 = symmetrize(T.T @ q.H1 @ T)
-    P2 = symmetrize(T.T @ q.H2 @ T)
-    return ValuePair(P1, P2)
+    return _trusted(ValuePair, symmetrize(T.T @ np.array((q.H1, q.H2)) @ T))

@@ -8,20 +8,31 @@ UNPROBED policy at the successor state.  One oracle call per iteration,
 TrajectoryOracle.rollout, returns the window's N rows z and targets; the
 regression rows of all N tuples come from one stacked vech call, and one SVD
 of the (N, p(p+1)/2) regression matrix gives the excitation check and both
-solutions.  Gains come out of H by a block solve, and the run stops on the
-three-part rule (both H changes below eps plus a Lyapunov-flavored
-admissibility margin at a designated probe state).
+solutions, rebuilt as one (2, p, p) stack (H1, H2).  Gains come out of H by
+a block solve, the value pair by one stacked sandwich, and the run stops on
+the three-part rule (both H changes below eps plus a Lyapunov-flavored
+admissibility margin at a designated probe state), which takes the H
+changes the loop has already normed.
+
+Containers are validated where they enter from outside: the caller's gains,
+and the QPair, ValuePair and GainPair any public construction makes.  The
+pairs the loop builds from its own arithmetic (symmetric by construction or
+symmetrized, gains finite-checked by the block solve) go through
+model._trusted, which marks them read-only and checks only the finiteness
+no arithmetic guarantees, with the validated constructor's error.
 
 The engine calls two methods of a TrajectoryOracle, reset and rollout,
 and never reads system matrices.  The learner asks ProbingSchedule.window
-for each window's probes at once.  rollout's base default reads the state,
-forms the targets (through branch or the optional expected_quadratic) and
-applies the inputs tuple by tuple; SystemOracle overrides it
-with one noise draw and one trajectory-kernel pass per window, and forms
-the window's drifts, stage costs and continuation values as stacked
-products over all N rows, still bit-identical to the default.  Model
-knowledge lives on the simulator side of that interface and in the VI
-mirror, which runs gare's value-iteration loop.
+for the probes of a block of 64 windows at once and hands each window its
+slice.  rollout's base default reads the state, forms the targets (through
+branch or the optional expected_quadratic) and applies the inputs tuple by
+tuple; SystemOracle overrides it with one noise draw and one
+trajectory-kernel pass per window, and forms the window's drifts, stage
+costs and both members' continuation values as stacked products over all N
+rows, with (A1, A2), (C1, C2), (MU, S) and (P1, P2) stacked, still
+bit-identical to the default.  Model knowledge lives on the simulator side
+of that interface and in the VI mirror, which runs gare's value-iteration
+loop.
 """
 
 from abc import ABC, abstractmethod
@@ -39,6 +50,8 @@ from .model import (
     NOISE_CASES,
     QPair,
     ValuePair,
+    _fro_norms,
+    _trusted,
 )
 from .gare import _value_iteration
 from .qfunction import (
@@ -52,6 +65,8 @@ from .qfunction import (
 )
 from ._kernels import GUARD, closed_loop_path
 from .sim import _drift_and_noise, stage_costs, step
+
+_PROBE_BLOCK = 64  # learner windows whose probes come from one schedule call
 
 
 @dataclass(frozen=True)
@@ -153,6 +168,10 @@ class SystemOracle(TrajectoryOracle):
         self._noise = noise
         self._x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
         self._k = 0
+        # (A1, A2) and (C1, C2): the drift's and the noise direction's
+        # products with one window are one stacked matmul each
+        self._AA = np.stack((sys.A1, sys.A2))
+        self._CC = np.stack((sys.C1, sys.C2))
 
     @property
     def state(self):
@@ -199,7 +218,9 @@ class SystemOracle(TrajectoryOracle):
         # (gemv for A x and x'P, ddot for inner products), and the branch
         # means share _branch_mean with bellman_targets, so the window equals
         # the default's tuple-by-tuple result exactly.  X @ Q (a gemm) or
-        # einsum row sums would move the last bits.
+        # einsum row sums would move the last bits.  Stacking (A1, A2),
+        # (C1, C2), (MU, S) or (P1, P2) adds outer items to a matmul, each
+        # running the same BLAS call, and the additions keep their order.
         if mode not in ("analytic", "mc"):
             raise ValueError(f"mode must be analytic or mc, got {mode!r}")
         sys_, k = self._sys, self._k
@@ -211,8 +232,12 @@ class SystemOracle(TrajectoryOracle):
         )
         rows = N if bad < 0 else bad
         X, U, V = xs[:rows], us[:rows], vs[:rows]
-        MU = _rows_times(sys_.A1, X) + _rows_times(sys_.B1, U) + _rows_times(sys_.C1, V)
-        S = _rows_times(sys_.A2, X) + _rows_times(sys_.C2, V)
+        # (MU, S) = (A1 X + B1 U + C1 V, A2 X + C2 V), summed in that order
+        MS = _rows_times(self._AA, X)
+        MS[0] += _rows_times(sys_.B1, U)
+        MS += _rows_times(self._CC, V)
+        MU, S = MS
+        PP = np.array((cont.P1, cont.P2))
         if mode == "mc":
             W = self._noise.branch_window(k, rows, branches)
             # successor coordinates first: (n, rows, branches)
@@ -226,10 +251,11 @@ class SystemOracle(TrajectoryOracle):
             self._x, self._k = xs[bad - 1].copy(), k + bad
             raise DivergenceError(k + bad)
         if mode == "analytic":
-            c1 = _quad_rows(MU, cont.P1) + _quad_rows(S, cont.P1)
-            c2 = _quad_rows(MU, cont.P2) + _quad_rows(S, cont.P2)
+            # mu'P mu + s'P s for P1 then P2: items [P, (mu or s), row]
+            quad = _quad_rows(MS, PP[:, None, None])
+            c1, c2 = quad[:, 0] + quad[:, 1]
         else:
-            c1, c2 = _branch_mean(succ, cont.P1), _branch_mean(succ, cont.P2)
+            c1, c2 = _branch_mean(succ, PP)
         r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
         r1 = cost.gamma**2 * _dot_rows(V, V) - r2
         self._x, self._k = xs[N].copy(), k + N
@@ -237,35 +263,40 @@ class SystemOracle(TrajectoryOracle):
 
 
 def _rows_times(A, X):
-    """A x for each row x of X: one gemv per row, as A.dot(x)."""
-    return np.matmul(A, X[:, :, None])[:, :, 0]
+    """A x for each row x of X: one gemv per row, as A.dot(x); a stack A
+    (..., n, k) gives (..., rows, n)."""
+    return np.matmul(A[..., None, :, :], X[:, :, None])[..., 0]
 
 
 def _dot_rows(X, Y):
-    """x'y for each row pair: one ddot per row, as x.dot(y)."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+    """x'y for each row pair of the last axis: one ddot per row, as x.dot(y)."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
 def _quad_rows(X, P):
-    """x'P x for each row x of X, with the products of x.dot(P).dot(x)."""
-    return _dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
+    """x'P x for each row x of X, with the products of x.dot(P).dot(x);
+    X and P broadcast over their leading axes."""
+    return _dot_rows(np.matmul(X[..., None, :], P)[..., 0, :], X)
 
 
-def _branch_mean(succ, P):
-    """Mean of x'P x over the last axis of succ, successor coordinates first.
+def _branch_mean(succ, PP):
+    """Mean of x'P x over the last axis of succ for each P of the stack PP.
 
-    succ is (n, ..., branches).  The terms (x_j P_jk) x_k are summed from
-    zero in one fixed j-major order, which is the order
+    succ is (n, ..., branches), successor coordinates first, and PP is
+    (2, n, n); the result is (2, ...).  The terms (x_j P_jk) x_k are summed
+    from zero in one fixed j-major order, which is the order
     einsum("ij,jk,ik->i") takes on the F-16 runs' shapes, so their targets
     keep their bits.  einsum picks its order by array shape (a 2-state plant
     with one or two branches sums in another), so one einsum over a window
-    would not match a single tuple's.
+    would not match a single tuple's.  Both members accumulate in one
+    stack, elementwise, with each member's bits.
     """
     n = succ.shape[0]
-    acc = np.zeros(succ.shape[1:])
+    acc = np.zeros((len(PP),) + succ.shape[1:])
+    coef = PP.reshape(PP.shape + (1,) * (succ.ndim - 1))
     for j in range(n):
         for k in range(n):
-            acc += (succ[j] * P[j, k]) * succ[k]
+            acc += (succ[j] * coef[:, j, k]) * succ[k]
     return acc.mean(axis=-1)
 
 
@@ -286,7 +317,8 @@ def least_squares_h(X, Y1, Y2, dims):
             f"insufficient excitation: singular values span {sv[0]:.3e}..{sv[-1]:.3e}"
         )
     W = Vt.T @ ((U.T @ np.column_stack([Y1, Y2])) / sv[:, None])
-    q = QPair(mat_from_vecs(W[:, 0]), mat_from_vecs(W[:, 1]), n, m1, m2)
+    # both H in one (2, p, p) rebuild, symmetric by construction
+    q = _trusted(QPair, mat_from_vecs(W.T), n, m1, m2)
     return q, float(sv[-1])
 
 
@@ -320,8 +352,7 @@ def bellman_targets(oracle, cost, cont, x, u, v, branches, mode):
         succ = oracle.branch(u, v, branches)
         if not np.isfinite(succ).all():
             raise DivergenceError(None, "non-finite branched successor")
-        c1 = float(_branch_mean(succ.T, cont.P1))
-        c2 = float(_branch_mean(succ.T, cont.P2))
+        c1, c2 = _branch_mean(succ.T, np.array((cont.P1, cont.P2))).tolist()
     else:
         raise ValueError(f"mode must be analytic or mc, got {mode!r}")
     return r1 + c1, r2 + c2
@@ -339,6 +370,12 @@ def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
     """
     dh1 = float(np.linalg.norm(q_next.H1 - q_prev.H1))
     dh2 = float(np.linalg.norm(q_next.H2 - q_prev.H2))
+    return _stop_rule(dh1, dh2, q_prev, q_next, gains_prev, gains_next,
+                      x_probe, cost, tol)
+
+
+def _stop_rule(dh1, dh2, q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
+    """termination given the Frobenius H changes (dh1, dh2) it would compute."""
     if dh1 >= tol or dh2 >= tol:
         return False, None
     x = np.atleast_1d(np.asarray(x_probe, dtype=float))
@@ -399,15 +436,17 @@ class QLearnReport:
     def to_csv(self, path, reference=None):
         """Per-iteration CSV; with reference = (values, gains) the err columns
         hold each iterate's Frobenius distance to it, else they are blank."""
-        if reference is not None:
+        rows = [[""] * 4] * len(self.history)
+        if reference is not None and self.history:
             rvals, rgains = reference
             ref = (rgains.K1, rgains.K2, rvals.P1, rvals.P2)
+            got = [(it.gains.K1, it.gains.K2, it.values.P1, it.values.P2)
+                   for it in self.history]
+            # one column's distances over all iterates in one call
+            cols = [_fro_norms(np.stack(col) - r).tolist() for col, r in zip(zip(*got), ref)]
+            rows = [[f"{x:.12g}" for x in row] for row in zip(*cols)]
         lines = ["iter,dH1_fro,dH2_fro,errK1,errK2,errP1,errP2,term_flag"]
-        for i, it in enumerate(self.history, start=1):
-            errs = [""] * 4 if reference is None else [
-                f"{np.linalg.norm(a - b):.12g}" for a, b in
-                zip((it.gains.K1, it.gains.K2, it.values.P1, it.values.P2), ref)
-            ]
+        for i, (it, errs) in enumerate(zip(self.history, rows), start=1):
             cells = [str(i), f"{it.dH1:.12g}", f"{it.dH2:.12g}", *errs, str(int(it.stop))]
             lines.append(",".join(cells))
         with open(path, "w") as fh:
@@ -441,7 +480,13 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
 
     N = config.tuples_per_iter
     for i in range(config.max_iters):
-        probes = schedule.window(k, N, m1, m2)
+        t = (i % _PROBE_BLOCK) * N
+        if t == 0:
+            # the probes of the next block of windows (at most the budget's),
+            # each window a slice: rows carry the bits of their own window
+            EU, EV = schedule.window(k, N * min(_PROBE_BLOCK, config.max_iters - i),
+                                     m1, m2)
+        probes = EU[t:t + N], EV[t:t + N]
         Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
                               config.expectation_mode)
         k += N
@@ -464,8 +509,11 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
             ) from exc
         if config.expectation_mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
-            # losing its definiteness means gamma is infeasible
-            if float(np.linalg.eigvalsh(q_next.H1[sv, sv]).min()) <= 0.0:
+            # losing its definiteness means gamma is infeasible.  eigvalsh
+            # of a 1x1 block returns its entry
+            H1vv = q_next.H1[sv, sv]
+            low = H1vv[0, 0] if m2 == 1 else np.linalg.eigvalsh(H1vv).min()
+            if float(low) <= 0.0:
                 raise AttenuationInfeasibleError(
                     f"H1 vv-block lost definiteness at iteration {i + 1}"
                 )
@@ -473,7 +521,8 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
         vals_next = values_from_q(q_next, gains_next)
         dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
         dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
-        stop, why = termination(q, q_next, gains, gains_next, x0, cost, config.tol)
+        stop, why = _stop_rule(dh1, dh2, q, q_next, gains, gains_next, x0, cost,
+                               config.tol)
         history.append(Iterate(dh1, dh2, gains_next, vals_next, stop, svmin))
         q, gains, vals = q_next, gains_next, vals_next
         if stop:

@@ -113,3 +113,66 @@ def test_algo_config_validation():
     with pytest.raises(ValueError, match="unknowns"):
         cfg.validate_for(5)
     AlgoConfig(tuples_per_iter=15).validate_for(5)
+
+
+def _sym_stack(rng, p):
+    M = rng.standard_normal((2, p, p))
+    return M + M.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_trusted_wrap_equals_validated_construction(big):
+    # the learner's wrap and the public constructor give the same arrays,
+    # read-only flags and dims; an entry beyond half the largest double
+    # (whose doubling overflows in symmetrize) takes the validated path
+    from stoch_h2hinf.model import _trusted
+
+    rng = np.random.default_rng(8)
+    for n, m1, m2 in ((3, 1, 1), (2, 3, 2)):
+        p = n + m1 + m2
+        HH, PP = _sym_stack(rng, p), _sym_stack(rng, n)
+        HH[0, 1, 2] = HH[0, 2, 1] = -0.0
+        if big:
+            HH[1, 0, 0] = PP[0, n - 1, n - 1] = 1e308
+        KK = rng.standard_normal((m1 + m2, n))
+        with np.errstate(over="ignore"):
+            pairs = [
+                (_trusted(QPair, HH.copy(), n, m1, m2), QPair(*HH, n, m1, m2), ("H1", "H2")),
+                (_trusted(ValuePair, PP.copy()), ValuePair(*PP), ("P1", "P2")),
+                (_trusted(GainPair, (KK[:m2].copy(), KK[m2:].copy())),
+                 GainPair(KK[:m2], KK[m2:]), ("K1", "K2")),
+            ]
+        for fast, checked, names in pairs:
+            assert type(fast) is type(checked)
+            for name in names:
+                a, b = getattr(fast, name), getattr(checked, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable and not b.flags.writeable
+            if isinstance(fast, QPair):
+                assert fast.dims == checked.dims and fast.p == checked.p
+        if big:
+            assert np.isinf(pairs[0][0].H2[0, 0]) and np.isinf(pairs[1][0].P1[n - 1, n - 1])
+
+
+def test_fro_norms_have_linalg_norm_bits():
+    # one matmul dot per item and sqrt equal np.linalg.norm's ravel, dot and
+    # sqrt, through inf, NaN, signed zeros, subnormals and near-overflow
+    from stoch_h2hinf.model import _fro_norms
+
+    rng = np.random.default_rng(12)
+    for shape in ((7, 5, 5), (6, 1, 3), (6, 1, 1), (64, 3, 3), (6, 2, 4)):
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        flat = M.reshape(len(M), -1)
+        flat[0, 0] = np.inf
+        flat[1, -1] = np.nan
+        flat[2] = -0.0
+        flat[3] = rng.choice([5e-324, -2.2e-308, 1e-160, -0.0], flat.shape[1])
+        flat[4] = rng.choice([1e154, -3e153, 1.0], flat.shape[1])
+        if flat.shape[1] > 1:
+            flat[1, 0] = -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _fro_norms(M)
+            want = np.array([np.linalg.norm(m) for m in M])
+        assert got.shape == (len(M),)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[2:]).sum() >= len(M) - 3

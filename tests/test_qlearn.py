@@ -1,5 +1,7 @@
 """Probing schedules, Bellman targets, regression, and the learning loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,16 @@ from stoch_h2hinf import (
     TrajectoryOracle,
     ValuePair,
     bellman_targets,
+    closed_loop_pair,
     f16_initial_gains,
     gains_from_q,
     gains_from_values,
     h_from_values,
     least_squares_h,
+    ms_stable,
     probed_inputs,
     q_value,
+    random_feasible_system,
     run_q_learning,
     run_value_iteration,
     simulate_closed_loop,
@@ -752,6 +757,22 @@ class TestReportExport:
         errs = [float(c) for c in cells[3:7]]
         assert all(np.isfinite(errs)) and min(errs) > 0
 
+    def test_csv_err_cells_equal_per_cell_norms(self, tmp_path, f16, f16_solution):
+        # the err columns come from one stacked norm per column; each cell
+        # prints np.linalg.norm of its own difference
+        sys_, cost = f16
+        rvals, rgains = f16_solution.values, f16_solution.gains
+        rep = run_q_learning(SystemOracle(sys_, NoiseSource(2), X0), cost,
+                             _analytic_config(max_iters=12), f16_initial_gains(), X0)
+        path = tmp_path / "conv.csv"
+        rep.to_csv(path, (rvals, rgains))
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 12
+        for line, it in zip(lines, rep.history):
+            pairs = ((it.gains.K1, rgains.K1), (it.gains.K2, rgains.K2),
+                     (it.values.P1, rvals.P1), (it.values.P2, rvals.P2))
+            assert line.split(",")[3:7] == [f"{np.linalg.norm(a - b):.12g}" for a, b in pairs]
+
     def test_write_matrix_txt(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix_txt(np.array([[1.5, -2.0], [0.25, 3.0]]), path)
@@ -759,3 +780,312 @@ class TestReportExport:
         back = np.array([[float(c) for c in row] for row in rows])
         np.testing.assert_array_equal(back, [[1.5, -2.0], [0.25, 3.0]])
         assert rows[0][0] == "1.500000000000e+00"
+
+
+def _plain_sym(M):
+    return (M + M.T) / 2.0
+
+
+def _plain_rows_times(A, X):
+    return np.matmul(A, X[:, :, None])[:, :, 0]
+
+
+def _plain_dot_rows(X, Y):
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _plain_quad_rows(X, P):
+    return _plain_dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
+
+
+def _plain_branch_mean(succ, P):
+    n = succ.shape[0]
+    acc = np.zeros(succ.shape[1:])
+    for j in range(n):
+        for k in range(n):
+            acc += (succ[j] * P[j, k]) * succ[k]
+    return acc.mean(axis=-1)
+
+
+def _plain_mat(s, p):
+    H = np.zeros((p, p))
+    H[np.triu_indices(p)] = s
+    return H + np.triu(H, 1).T
+
+
+def _plain_window(sys_, noise, x, k, gains, probes, cost, cont, branches, mode):
+    """One probed window and its targets, every product per member and per
+    term; returns (next state, Z, Y) or raises the window's DivergenceError."""
+    EU, EV = probes
+    N = len(EU)
+    xs, us, vs, bad = qlearn_module.closed_loop_path(
+        sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, gains.K1, gains.K2, x,
+        noise.draw(N), EU, EV)
+    rows = N if bad < 0 else bad
+    X, U, V = xs[:rows], us[:rows], vs[:rows]
+    MU = (_plain_rows_times(sys_.A1, X) + _plain_rows_times(sys_.B1, U)
+          + _plain_rows_times(sys_.C1, V))
+    S = _plain_rows_times(sys_.A2, X) + _plain_rows_times(sys_.C2, V)
+    if mode == "mc":
+        succ = MU.T[:, :, None] + noise.branch_window(k, rows, branches) * S.T[:, :, None]
+        ok = (np.abs(succ) <= qlearn_module.GUARD).all(axis=(0, 2))
+        if not ok.all():
+            raise DivergenceError(k + int(np.argmin(ok)))
+    if bad >= 0:
+        raise DivergenceError(k + bad)
+    if mode == "analytic":
+        c1 = _plain_quad_rows(MU, cont.P1) + _plain_quad_rows(S, cont.P1)
+        c2 = _plain_quad_rows(MU, cont.P2) + _plain_quad_rows(S, cont.P2)
+    else:
+        c1, c2 = _plain_branch_mean(succ, cont.P1), _plain_branch_mean(succ, cont.P2)
+    r2 = _plain_quad_rows(X, cost.Q) + _plain_dot_rows(U, U)
+    r1 = cost.gamma**2 * _plain_dot_rows(V, V) - r2
+    return xs[N], np.hstack([xs[:-1], us, vs]), np.column_stack([r1 + c1, r2 + c2])
+
+
+def _plain_learn(sys_, cost, config, gains, x0, seed):
+    """The learning loop on numpy alone, one member and one product at a time.
+
+    Every iteration builds validated QPair, ValuePair and GainPair objects,
+    rebuilds H1 and H2 one column at a time, runs each T'HT sandwich and
+    each branch mean per member, and asks ProbingSchedule.window for each
+    window on its own.  The trajectory kernel, the noise streams and the
+    probe formula are the package's; tests/test_sim.py and
+    TestProbingSchedule pin them.  Returns (error, history, termination, q):
+    error is None, or the (type, message) of the error the run ends with,
+    and history holds the iterations completed before it.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n, m1, m2 = sys_.dims
+    p = n + m1 + m2
+    sx, su, sv = slice(0, n), slice(n, n + m1), slice(n + m1, p)
+    rows, cols = np.triu_indices(p)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    schedule = ProbingSchedule(config.noise_case)
+    noise = NoiseSource(seed)
+    q = QPair(np.zeros((p, p)), np.zeros((p, p)), n, m1, m2)
+    vals = ValuePair(np.zeros((n, n)), np.zeros((n, n)))
+    x, k, history = x0.copy(), 0, []
+    N, tol = config.tuples_per_iter, config.tol
+    try:
+        for i in range(config.max_iters):
+            probes = schedule.window(k, N, m1, m2)
+            x, Z, Y = _plain_window(sys_, noise, x, k, gains, probes, cost, vals,
+                                    config.branches, config.expectation_mode)
+            k += N
+            X = (Z[:, :, None] * Z[:, None, :])[:, rows, cols] * weights
+            U, s, Vt = np.linalg.svd(X, full_matrices=False)
+            if s[-1] < 1e-10 * s[0]:
+                first, last = np.linalg.norm(Z[[0, -1], :n], axis=1)
+                cn = np.linalg.norm(X, axis=0)
+                e_max = max(float(np.abs(e).max()) for e in probes)
+                x_max = float(np.abs(Z[:, :n]).max())
+                ratio = e_max / x_max if x_max > 0.0 else float("inf")
+                raise ExcitationError(
+                    f"insufficient excitation: singular values span {s[0]:.3e}..{s[-1]:.3e}"
+                    f" at iteration {i + 1}, window |x| {first:.3e} -> {last:.3e}, "
+                    f"X column norms {cn.max():.3e}..{cn.min():.3e}, "
+                    f"probe-to-state ratio {ratio:.3e}")
+            W = Vt.T @ ((U.T @ np.column_stack([Y[:, 0], Y[:, 1]])) / s[:, None])
+            q_next = QPair(_plain_mat(W[:, 0], p), _plain_mat(W[:, 1], p), n, m1, m2)
+            if config.expectation_mode == "analytic":
+                if float(np.linalg.eigvalsh(q_next.H1[sv, sv]).min()) <= 0.0:
+                    raise AttenuationInfeasibleError(
+                        f"H1 vv-block lost definiteness at iteration {i + 1}")
+            H1, H2 = q_next.H1, q_next.H2
+            blk = np.block([[H1[sv, sv], H1[su, sv].T], [H2[su, sv], H2[su, su]]])
+            KK = -np.linalg.solve(blk, np.vstack([H1[sx, sv].T, H2[sx, su].T]))
+            gains_next = GainPair(KK[:m2], KK[m2:])
+            T = np.vstack([np.eye(n), gains_next.K2, gains_next.K1])
+            vals_next = ValuePair(_plain_sym(T.T @ H1 @ T), _plain_sym(T.T @ H2 @ T))
+            dh1 = float(np.linalg.norm(H1 - q.H1))
+            dh2 = float(np.linalg.norm(H2 - q.H2))
+            stop, why = False, None
+            if dh1 < tol and dh2 < tol:
+                u_next, v_next = gains_next.K2 @ x0, gains_next.K1 @ x0
+                z_next = np.concatenate([x0, u_next, v_next])
+                z_prev = np.concatenate([x0, gains.K2 @ x0, gains.K1 @ x0])
+                lead = float(z_next @ H2 @ z_next)
+                sub = float(z_prev @ q.H2 @ z_prev)
+                r2 = float(x0.dot(cost.Q).dot(x0) + u_next.dot(u_next))
+                if lead - sub < r2:
+                    stop = True
+                    why = (f"H changes ({dh1:.3e}, {dh2:.3e}) below {tol:g} "
+                           f"with admissibility margin {r2 - (lead - sub):.3e}")
+            history.append((dh1, dh2, gains_next, vals_next, stop, float(s[-1])))
+            q, gains, vals = q_next, gains_next, vals_next
+            if stop:
+                return None, history, f"stopped at iteration {i + 1}: {why}", q
+    except (DivergenceError, ExcitationError, AttenuationInfeasibleError) as exc:
+        return (type(exc), str(exc)), history, None, q
+    return None, history, f"max_iters {config.max_iters} reached without stop", q
+
+
+def _bits(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_same_run(rep, history, reason, q):
+    assert rep.termination == reason
+    assert len(rep.history) == len(history)
+    for it, (dh1, dh2, g, v, stop, svmin) in zip(rep.history, history):
+        assert (it.dH1, it.dH2, it.stop, it.svmin) == (dh1, dh2, stop, svmin)
+        assert _bits(it.gains.K1, it.gains.K2, it.values.P1, it.values.P2) == \
+            _bits(g.K1, g.K2, v.P1, v.P2)
+    assert _bits(rep.q.H1, rep.q.H2) == _bits(q.H1, q.H2)
+    assert rep.q.dims == q.dims
+
+
+def _assert_learns_plain_bits(sys_, cost, config, gains, x0, seed):
+    """run_q_learning against _plain_learn: every Iterate field, the stop
+    reason and the final q bit for bit, or the same error and message, with
+    the iterations before the error compared on a run whose budget ends
+    there.  Returns the run's report, or the type of its error."""
+    error, history, reason, q = _plain_learn(sys_, cost, config, gains, x0, seed)
+
+    def run(cfg):
+        return run_q_learning(SystemOracle(sys_, NoiseSource(seed), x0), cost, cfg, gains, x0)
+
+    if error is None:
+        rep = run(config)
+        _assert_same_run(rep, history, reason, q)
+        return rep
+    with pytest.raises(error[0]) as exc:
+        run(config)
+    assert str(exc.value) == error[1]
+    if history:
+        budget = len(history)
+        _assert_same_run(run(dataclasses.replace(config, max_iters=budget)), history,
+                         f"max_iters {budget} reached without stop", q)
+    return error[0]
+
+
+class TestPlainReference:
+    """The learner against its plain numpy spelling, bit for bit."""
+
+    @pytest.mark.parametrize("case, budget", [("case1", 500), ("case2", 70), ("case3", 70)])
+    def test_f16_analytic(self, f16, case, budget):
+        # case 1 runs to its stop at iteration 221 through four blocks of
+        # probe windows; a budget of 70 ends in a short second block
+        rep = _assert_learns_plain_bits(*f16, _analytic_config(noise_case=case,
+                                                               max_iters=budget),
+                                        f16_initial_gains(), X0, 3)
+        assert rep.iterations > qlearn_module._PROBE_BLOCK
+
+    @pytest.mark.parametrize("case, seed, outcome", [
+        ("case1", 0, DivergenceError), ("case1", 1, None), ("case1", 2, ExcitationError),
+        ("case2", 1, None), ("case3", 1, ExcitationError),
+    ])
+    def test_f16_monte_carlo(self, f16, case, seed, outcome):
+        # the learn_mc settings; seeds 0 and 2 abort, as the benchmark counts
+        cfg = AlgoConfig(tol=1e-3, max_iters=60, tuples_per_iter=20, branches=100,
+                         noise_case=case, expectation_mode="mc")
+        got = _assert_learns_plain_bits(*f16, cfg, f16_initial_gains(), X0, seed)
+        if outcome is None:
+            assert got.iterations == 60
+        else:
+            assert got is outcome
+
+    @pytest.mark.parametrize("mode", ["analytic", "mc"])
+    @pytest.mark.parametrize("n, m1, m2", [(3, 2, 2), (4, 1, 3), (2, 3, 1)])
+    def test_random_plants(self, n, m1, m2, mode):
+        # several inputs and disturbances: larger H1vv blocks through
+        # eigvalsh, non-square gain blocks, wider branch means
+        sys_, cost = random_feasible_system(np.random.default_rng(5), n=n, m1=m1, m2=m2)
+        p = n + m1 + m2
+        cfg = _analytic_config(max_iters=40, tuples_per_iter=p * (p + 1) // 2 + 3,
+                               expectation_mode=mode, branches=20, noise_case="case3")
+        _assert_learns_plain_bits(sys_, cost, cfg, GainPair.zeros(n, m1, m2), np.ones(n), 7)
+
+
+def _admissible(sys_, gains):
+    return ms_stable(*closed_loop_pair(sys_, gains))
+
+
+def test_unstable_population_admissible_from_vi_iteration(unstable_population):
+    # PAPER.md: the policy is admissible after finitely many iterations.  On
+    # open-loop unstable plants from zero gains it is not admissible at
+    # first; value iteration becomes admissible at sweep i* and stays so,
+    # and the analytic learner's iterates become admissible at the same
+    # iteration, or the run aborts on lost excitation (two plants, whose
+    # state grows by orders of magnitude within a window)
+    cfg = _analytic_config(max_iters=2000)
+    i_stars, aborted = [], []
+    for index, (sys_, cost) in enumerate(unstable_population):
+        vi = run_value_iteration(sys_, cost, AlgoConfig(tol=1e-10, max_iters=5000))
+        ok = [_admissible(sys_, it.gains) for it in vi.history]
+        i_star = ok.index(True) + 1
+        assert all(ok[i_star - 1:])
+        i_stars.append(i_star)
+        got = _assert_learns_plain_bits(sys_, cost, cfg, GainPair.zeros(3), np.ones(3), 1)
+        if isinstance(got, type):
+            assert got is ExcitationError
+            aborted.append(index)
+            continue
+        assert "stopped" in got.termination
+        ok = [_admissible(sys_, it.gains) for it in got.history]
+        assert ok.index(True) + 1 == i_star and all(ok[i_star - 1:])
+    assert i_stars == [2, 2, 3, 4, 5, 4, 2, 2, 2, 3, 2, 2]
+    assert aborted == [2, 3]
+
+
+def test_learner_builds_validated_containers_a_fixed_number_of_times(f16, monkeypatch):
+    # the loop's own QPair, ValuePair and GainPair skip __post_init__: the
+    # validated constructions of a run must not grow with its iterations
+    built = []
+    for cls in (QPair, ValuePair, GainPair):
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            built.append(_name)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    counts = {}
+    for mode, branches in (("analytic", 1), ("mc", 100)):
+        for iters in (2, 9):
+            gains = f16_initial_gains()
+            built.clear()
+            rep = run_q_learning(SystemOracle(f16[0], NoiseSource(1), X0), f16[1],
+                                 _analytic_config(max_iters=iters, expectation_mode=mode,
+                                                  branches=branches), gains, X0)
+            assert rep.iterations == iters
+            counts[mode, iters] = sorted(built)
+    assert all(c == ["QPair", "ValuePair"] for c in counts.values())
+
+
+class TestNonFiniteEstimates:
+    """A non-finite estimate raises the validated constructor's ValueError."""
+
+    @pytest.mark.parametrize("column, bad", [(0, np.inf), (1, np.nan)])
+    def test_regression_solution(self, column, bad):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 15))
+        Y = rng.standard_normal((30, 2))
+        Y[4, column] = bad
+        member = f"H{column + 1}"
+        H = [np.eye(5), np.eye(5)]
+        H[column] = np.full((5, 5), bad)
+        with pytest.raises(ValueError) as expected:
+            QPair(*H, 3, 1, 1)
+        with pytest.raises(ValueError, match=f"^{member} has non-finite entries$") as exc:
+            with np.errstate(invalid="ignore"):
+                least_squares_h(X, Y[:, 0], Y[:, 1], (3, 1, 1))
+        assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_value_pair(self, member):
+        # a finite H whose sandwich overflows
+        H = [np.eye(5), np.eye(5)]
+        H[member] = 1e300 * np.eye(5)
+        gains = GainPair(np.full((1, 3), 1e10), np.full((1, 3), -1e10))
+        T = np.vstack([np.eye(3), gains.K2, gains.K1])
+        with pytest.raises(ValueError) as expected, np.errstate(all="ignore"):
+            ValuePair(*(T.T @ h @ T for h in H))
+        with pytest.raises(ValueError, match=f"^P{member + 1} has non-finite") as exc, \
+                np.errstate(all="ignore"):
+            values_from_q(QPair(*H, 3, 1, 1), gains)
+        assert str(exc.value) == str(expected.value)
+
+    def test_inconsistent_dims_rejected_as_before(self):
+        X = np.random.default_rng(3).standard_normal((30, 15))
+        with pytest.raises(ValueError, match="inconsistent with partition"):
+            least_squares_h(X, np.ones(30), np.ones(30), (2, 1, 1))
