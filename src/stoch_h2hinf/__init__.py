@@ -48,6 +48,7 @@ from .sim import (
     Trajectory,
     empirical_attenuation,
     simulate_closed_loop,
+    simulate_to_csv,
     stage_costs,
     step,
 )

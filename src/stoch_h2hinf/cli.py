@@ -39,7 +39,7 @@ from .qlearn import (
     run_value_iteration,
     write_matrix_txt,
 )
-from .sim import NoiseSource, simulate_closed_loop
+from .sim import NoiseSource, simulate_to_csv
 
 SEED_ENV = "STOCH_H2HINF_SEED"
 
@@ -264,10 +264,8 @@ def _cmd_qlearn(cfg, outdir):
     # the paper's final unprobed run: the learned controller, probe off,
     # from the benchmark x0
     try:
-        traj = simulate_closed_loop(
-            sys_, cost, report.gains, x0, cfg.steps, NoiseSource(cfg.seed + 1)
-        )
-        traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+        simulate_to_csv(sys_, cost, report.gains, x0, cfg.steps, NoiseSource(cfg.seed + 1),
+                        os.path.join(outdir, "trajectory.csv"))
     except DivergenceError as exc:
         reason += f"; learned-gain trajectory diverged at step {exc.step}"
     print(reason)
@@ -278,10 +276,8 @@ def _cmd_simulate(cfg, outdir):
     _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
     solved = solve_coupled_gare(sys_, cost, *_solve_settings(cfg))
-    traj = simulate_closed_loop(
-        sys_, cost, solved.gains, _x0_for(sys_, cfg), cfg.steps, NoiseSource(cfg.seed)
-    )
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+    simulate_to_csv(sys_, cost, solved.gains, _x0_for(sys_, cfg), cfg.steps,
+                    NoiseSource(cfg.seed), os.path.join(outdir, "trajectory.csv"))
     _write_gains_values(outdir, solved.gains, solved.values)
     reason = f"simulated {cfg.steps} steps under the solved gains"
     print(reason)

@@ -71,6 +71,15 @@ def vech(Z):
     return Z[..., rows, cols] * weights
 
 
+def _outer_vech(Z):
+    """vech(z z') of each row z of Z, shape (N, p(p+1)/2), with the bits of
+    vech(Z[:, :, None] * Z[:, None, :]) but without its symmetry pass: an
+    outer product is symmetric by construction, and each triangle entry is
+    the same product z_i z_j, weighted."""
+    rows, cols, weights, _ = _triangle(Z.shape[-1])
+    return (Z[:, rows] * Z[:, cols]) * weights
+
+
 def mat_from_vecs(s):
     """Inverse of vecs: rebuild the symmetric matrix from its triangle stack.
 
@@ -119,7 +128,7 @@ def h_from_values(sys, cost, vals):
     base2[su, su] = np.eye(m1)
     H1 = base1 + L.T @ vals.P1 @ L + G.T @ vals.P1 @ G
     H2 = base2 + L.T @ vals.P2 @ L + G.T @ vals.P2 @ G
-    return QPair(symmetrize(H1), symmetrize(H2), n, m1, m2)
+    return _trusted(QPair, symmetrize(np.array((H1, H2))), n, m1, m2)
 
 
 def gains_from_q(q):

@@ -6,8 +6,10 @@ the next (H1, H2): the row for a tuple is vech(zz') with z = [x; u; v], the
 target is the stage cost plus the averaged continuation value of the
 UNPROBED policy at the successor state.  One oracle call per iteration,
 TrajectoryOracle.rollout, returns the window's N rows z and targets; the
-regression rows of all N tuples come from one stacked vech call, and one SVD
-of the (N, p(p+1)/2) regression matrix gives the excitation check and both
+regression rows of all N tuples come from one stacked product of z's
+upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
+symmetric by construction), and one SVD of the (N, p(p+1)/2) regression
+matrix gives the excitation check and both
 solutions, rebuilt as one (2, p, p) stack (H1, H2).  Gains come out of H by
 a block solve, the value pair by one stacked sandwich, and the run stops on
 the three-part rule (both H changes below eps plus a Lyapunov-flavored
@@ -55,13 +57,13 @@ from .model import (
 )
 from .gare import _value_iteration
 from .qfunction import (
+    _outer_vech,
     block_slices,
     gains_from_q,
     h_from_values,
     mat_from_vecs,
     q_value,
     values_from_q,
-    vech,
 )
 from ._kernels import GUARD, closed_loop_path
 from .sim import _drift_and_noise, stage_costs, step
@@ -460,7 +462,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
     which is reported rather than raised, and returns the learned pair.  It
     runs no closing trajectory: the paper's final unprobed run under the
     learned gains is the caller's, e.g. the qlearn command's trajectory.csv
-    from simulate_closed_loop.
+    from simulate_to_csv.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -490,7 +492,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
         Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
                               config.expectation_mode)
         k += N
-        X = vech(Z[:, :, None] * Z[:, None, :])
+        X = _outer_vech(Z)
         try:
             q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
         except ExcitationError as exc:
@@ -554,8 +556,10 @@ def run_value_iteration(sys, cost, config):
             with np.errstate(over="ignore"):
                 dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
                 dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
-            q, vals = q_next, ValuePair(P1, P2)
-            history.append(Iterate(dh1, dh2, GainPair(K1, K2), vals, stop))
+            # the sweep's P pair is finite and symmetrized, and its gains
+            # finite, or the loop would have raised
+            q, vals = q_next, _trusted(ValuePair, (P1, P2))
+            history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)), vals, stop))
     except ConvergenceError as err:
         err.report = QLearnReport(q, tuple(history), str(err))
         raise

@@ -14,6 +14,7 @@ PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905) to each, then
 samples every key from one reused generator.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ _TAG_MAIN = 0x51B1
 _TAG_BRANCH = 0x51B2
 _TAG_RUN = 0x51B3
 
-_CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
+_CHUNK = 16 * _kernels._BLOCK  # steps simulated, and rows formatted, per pass
 
 # SeedSequence's hash constants (default pool of four words) and PCG64's
 # 128-bit multiplier
@@ -234,39 +235,91 @@ class Trajectory:
                 start = max(start, int(differ[-1]) + 1)
         return start
 
-    def to_csv(self, path):
-        dims = (("x", self.states), ("u", self.inputs_u), ("v", self.inputs_v))
-        header = ["k", *(f"{c}{i+1}" for c, a in dims for i in range(a.shape[1]))]
-        header += ["omega", "r1", "r2"]
+    def _write_rows(self, fh, k0):
+        """The rows of trajectory.csv for this record's steps, numbered from k0,
+        formatted and written _CHUNK rows at a time."""
+        width = 4 + sum(a.shape[1] for a in (self.states, self.inputs_u, self.inputs_v))
         # k is an exact float in the block; "%.12g" prints like f"{x:.12g}"
-        row = "%d," + ",".join(["%.12g"] * (len(header) - 1)) + "\n"
+        row = "%d," + ",".join(["%.12g"] * (width - 1)) + "\n"
         start = self._constant_tail() if self.steps else 0
+        for a in range(0, start, _CHUNK):
+            b = min(a + _CHUNK, start)
+            block = np.column_stack((
+                np.arange(k0 + a, k0 + b), self.states[a:b], self.inputs_u[a:b],
+                self.inputs_v[a:b], self.noises[a:b], self.r1[a:b], self.r2[a:b],
+            ))
+            fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
+        if start < self.steps:
+            # the repeated rows differ only in k and omega: their other
+            # cells are formatted once into the row template
+            last = np.concatenate([np.ravel(a[-1]) for a in self._repeated()])
+            cells = ["%.12g" % x for x in last.tolist()]
+            n_xuv = width - 4
+            const = ("%d," + ",".join(cells[:n_xuv]) + ",%.12g,"
+                     + ",".join(cells[n_xuv:]) + "\n")
+            for a in range(start, self.steps, _CHUNK):
+                b = min(a + _CHUNK, self.steps)
+                args = [0] * (2 * (b - a))
+                args[::2] = range(k0 + a, k0 + b)
+                args[1::2] = self.noises[a:b].tolist()
+                fh.write((const * (b - a)) % tuple(args))
+
+    def to_csv(self, path):
         with open(path, "w") as fh:
+            _write_csv(fh, [(0, self)])
+
+
+def _write_csv(fh, chunks):
+    """trajectory.csv of a path given as (first k, Trajectory) chunks in order,
+    each starting at the state the one before ended in: the header, one row
+    per step, then the terminal state's row."""
+    for k, chunk in chunks:
+        if k == 0:
+            dims = (("x", chunk.states), ("u", chunk.inputs_u), ("v", chunk.inputs_v))
+            header = ["k", *(f"{c}{i+1}" for c, a in dims for i in range(a.shape[1]))]
+            header += ["omega", "r1", "r2"]
             fh.write(",".join(header) + "\n")
-            for a in range(0, start, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, start)
-                block = np.column_stack((
-                    np.arange(a, b), self.states[a:b], self.inputs_u[a:b],
-                    self.inputs_v[a:b], self.noises[a:b], self.r1[a:b], self.r2[a:b],
-                ))
-                fh.write((row * (b - a)) % tuple(block.ravel().tolist()))
-            if start < self.steps:
-                # the repeated rows differ only in k and omega: their other
-                # cells are formatted once into the row template
-                last = np.concatenate([np.ravel(a[-1]) for a in self._repeated()])
-                cells = ["%.12g" % x for x in last.tolist()]
-                n_xuv = len(header) - 4
-                const = ("%d," + ",".join(cells[:n_xuv]) + ",%.12g,"
-                         + ",".join(cells[n_xuv:]) + "\n")
-                for a in range(start, self.steps, _CSV_BLOCK):
-                    b = min(a + _CSV_BLOCK, self.steps)
-                    args = [0] * (2 * (b - a))
-                    args[::2] = range(a, b)
-                    args[1::2] = self.noises[a:b].tolist()
-                    fh.write((const * (b - a)) % tuple(args))
-            # terminal state row, inputs blank
-            tail = [str(self.steps)] + [f"{x:.12g}" for x in self.states[-1]]
-            fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")
+        chunk._write_rows(fh, k)
+    # terminal state row, inputs blank
+    tail = [str(k + chunk.steps)] + [f"{x:.12g}" for x in chunk.states[-1]]
+    fh.write(",".join(tail + [""] * (len(header) - len(tail))) + "\n")
+
+
+def _closed_loop_chunks(sys, cost, gains, x0, steps, noise):
+    """The plain closed loop u = K2 x, v = K1 x as (first k, Trajectory)
+    chunks of _CHUNK steps, each starting at the last one's final state.
+
+    Each chunk draws its omegas, takes one kernel pass and forms its stage
+    costs, with the bits of the whole path run at once.  A chunk boundary is
+    a kernel block end, where the one-pass kernel would test for a settled
+    path: when the last two states are equal and _settled_step passes on the
+    chunk ahead, the chunk is filled with that step's rows and the kernel
+    is not called, so the kernel computes the same steps as in one pass.
+    """
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    mats = (sys.A1, sys.B1, sys.C1, sys.A2, sys.C2, gains.K1, gains.K2)
+    eu, ev = np.zeros((min(steps, _CHUNK), sys.m1)), np.zeros((min(steps, _CHUNK), sys.m2))
+    prev = None
+    for k in range(0, steps, _CHUNK):
+        T = min(_CHUNK, steps - k)
+        omegas = noise.draw(T)
+        settled = None
+        if prev is not None and (x == prev).all():
+            settled = _kernels._settled_step(*mats, x, omegas, eu[:T], ev[:T])
+        if settled is not None:
+            xs = np.tile(x, (T + 1, 1))
+            us, vs = (np.tile(a, (T, 1)) for a in settled)
+        else:
+            xs, us, vs, bad = _kernels.closed_loop_path(*mats, x, omegas, eu[:T], ev[:T])
+            if bad >= 0:
+                raise DivergenceError(k + bad)
+        prev, x = xs[-2], xs[-1]
+        xQx = np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
+        r2 = xQx + np.einsum("ij,ij->i", us, us)
+        r1 = cost.gamma**2 * np.einsum("ij,ij->i", vs, vs) - r2
+        yield k, Trajectory(xs, us, vs, omegas, r1, r2)
 
 
 def simulate_closed_loop(sys, cost, gains, x0, steps, noise):
@@ -275,22 +328,30 @@ def simulate_closed_loop(sys, cost, gains, x0, steps, noise):
     No probe is added.  Raises DivergenceError when a state leaves the guard
     region.
     """
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    omegas = noise.draw(steps)
-    xs, us, vs, bad = _kernels.closed_loop_path(
-        sys.A1, sys.B1, sys.C1, sys.A2, sys.C2, gains.K1, gains.K2, x0, omegas,
-        np.zeros((steps, sys.m1)), np.zeros((steps, sys.m2)),
-    )
-    if bad >= 0:
-        raise DivergenceError(bad)
-    xQx = np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
-    uu = np.einsum("ij,ij->i", us, us)
-    vv = np.einsum("ij,ij->i", vs, vs)
-    r2 = xQx + uu
-    r1 = cost.gamma**2 * vv - r2
-    return Trajectory(xs, us, vs, omegas, r1, r2)
+    chunks = [chunk for _, chunk in _closed_loop_chunks(sys, cost, gains, x0, steps, noise)]
+    states = np.concatenate([c.states[:-1] for c in chunks] + [chunks[-1].states[-1:]])
+    rest = (np.concatenate([getattr(c, name) for c in chunks])
+            for name in ("inputs_u", "inputs_v", "noises", "r1", "r2"))
+    return Trajectory(states, *rest)
+
+
+def simulate_to_csv(sys, cost, gains, x0, steps, noise, path):
+    """Write simulate_closed_loop's trajectory.csv to path, byte for byte,
+    holding one chunk of _CHUNK steps at a time, so memory does not grow
+    with steps.
+
+    The file is written under a temporary name beside path and moved into
+    place once complete: a run that raises, on a DivergenceError say, leaves
+    path as it was and no temporary file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            _write_csv(fh, _closed_loop_chunks(sys, cost, gains, x0, steps, noise))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def empirical_attenuation(sys, cost, K2, disturbance, horizon, runs, seed):

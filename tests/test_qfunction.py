@@ -21,6 +21,7 @@ from stoch_h2hinf import (
     vecs,
     vi_value_update,
 )
+from stoch_h2hinf.qfunction import _outer_vech
 
 # Hand-worked scalar case: a1=0.8, a2=0.1, b1=0.5, c1=0.2, c2=0.05,
 # gamma=2, Q=1, P1=-1, P2=2.
@@ -62,6 +63,22 @@ def test_vech_stack_matches_per_matrix():
     rows = vech(Z[:, :, None] * Z[:, None, :])
     assert rows.shape == (25, 15)
     np.testing.assert_array_equal(rows, np.array([vech(np.outer(z, z)) for z in Z]))
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 8])
+def test_outer_vech_bits_equal_stacked_vech(p):
+    # the learner's regression rows skip vech's symmetry pass; each entry is
+    # the same product z_i z_j, weighted, so the bits are vech's, signed
+    # zeros, subnormals, infinities and products that underflow included
+    rng = np.random.default_rng(p)
+    Z = rng.standard_normal((40, p)) * 10.0 ** rng.integers(-170, 170, (40, p))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-160, -1e-170, 1e300, np.inf, -np.inf]
+    Z.reshape(-1)[: len(special)] = special[: Z.size]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = _outer_vech(Z)
+        expect = vech(Z[:, :, None] * Z[:, None, :])
+    assert got.shape == expect.shape == (40, p * (p + 1) // 2)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_vech_stack_rejects_one_asymmetric_member():

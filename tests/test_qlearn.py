@@ -45,6 +45,7 @@ from stoch_h2hinf import (
     vi_value_update,
     write_matrix_txt,
 )
+from stoch_h2hinf import model, qfunction
 from stoch_h2hinf import qlearn as qlearn_module
 from stoch_h2hinf import sim as sim_module
 from stoch_h2hinf.f16 import X0
@@ -1049,7 +1050,40 @@ def test_learner_builds_validated_containers_a_fixed_number_of_times(f16, monkey
                                                   branches=branches), gains, X0)
             assert rep.iterations == iters
             counts[mode, iters] = sorted(built)
+    # the VI mirror: its zero start pair only, whatever its sweep count
+    for tol in (1e-1, 1e-3):
+        built.clear()
+        rep = run_value_iteration(*f16, AlgoConfig(tol=tol, max_iters=500))
+        counts["vi", rep.iterations] = sorted(built)
+    assert ("vi", 221) in counts and len(counts) == 6
     assert all(c == ["QPair", "ValuePair"] for c in counts.values())
+
+
+def test_learner_iteration_checks_no_symmetry(f16, monkeypatch):
+    # the regression rows skip vech's symmetry pass and the loop's pairs
+    # skip __post_init__'s: require_symmetric calls do not grow with the
+    # iterations
+    calls = []
+    original = model.require_symmetric
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (model, qfunction):
+        monkeypatch.setattr(module, "require_symmetric", counting)
+    counts = {}
+    for mode, branches in (("analytic", 1), ("mc", 100)):
+        for iters in (2, 9):
+            calls.clear()
+            rep = run_q_learning(SystemOracle(f16[0], NoiseSource(1), X0), f16[1],
+                                 _analytic_config(max_iters=iters, expectation_mode=mode,
+                                                  branches=branches),
+                                 f16_initial_gains(), X0)
+            assert rep.iterations == iters
+            counts[mode, iters] = sorted(calls)
+    assert all(c == counts["analytic", 2] for c in counts.values())
+    assert "Z" not in counts["analytic", 2]
 
 
 class TestNonFiniteEstimates:

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import os
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stoch_h2hinf import (
+    AlgoConfig,
     CostSpec,
     DivergenceError,
     GainPair,
@@ -21,15 +24,20 @@ from stoch_h2hinf import (
     Trajectory,
     ValuePair,
     empirical_attenuation,
+    f16_initial_gains,
+    run_q_learning,
     simulate_closed_loop,
+    simulate_to_csv,
     solve_coupled_gare,
     stage_costs,
     step,
 )
 from stoch_h2hinf import _kernels
+from stoch_h2hinf import sim as sim_module
 from stoch_h2hinf._kernels import _BLOCK, GUARD, closed_loop_path
 from stoch_h2hinf.cli import main
-from stoch_h2hinf.sim import _CSV_BLOCK, _TAG_BRANCH, _TAG_RUN
+from stoch_h2hinf.f16 import X0
+from stoch_h2hinf.sim import _CHUNK, _TAG_BRANCH, _TAG_RUN
 
 
 def _numpy_rows(seed, tag, key, rows, count):
@@ -315,7 +323,7 @@ class TestSimulate:
         assert int(tail[0]) == 3
         assert tail[2:] == [""] * 5
 
-    @pytest.mark.parametrize("steps", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("steps", [1, _CHUNK, _CHUNK + 1])
     def test_trajectory_csv_matches_per_cell_writer(self, tmp_path, steps):
         # the block writer against the per-cell f"{x:.12g}" writer it
         # replaced, byte for byte, on m1 = m2 = 2 and awkward floats
@@ -352,8 +360,8 @@ def _plain_csv(traj, path):
     row = "%d," + ",".join(["%.12g"] * (len(header) - 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for a in range(0, traj.steps, _CSV_BLOCK):
-            b = min(a + _CSV_BLOCK, traj.steps)
+        for a in range(0, traj.steps, _CHUNK):
+            b = min(a + _CHUNK, traj.steps)
             block = np.column_stack((
                 np.arange(a, b), traj.states[a:b], traj.inputs_u[a:b],
                 traj.inputs_v[a:b], traj.noises[a:b], traj.r1[a:b], traj.r2[a:b],
@@ -377,8 +385,8 @@ def _tailed_trajectory(T, start, rng):
 
 class TestTrajectoryCsv:
     @pytest.mark.parametrize("T, start", [
-        (1, 0), (2, 0), (7, 3), (7, 6), (_CSV_BLOCK + 9, 4),
-        (2 * _CSV_BLOCK + 3, _CSV_BLOCK + 5), (_CSV_BLOCK, _CSV_BLOCK - 1)])
+        (1, 0), (2, 0), (7, 3), (7, 6), (_CHUNK + 9, 4),
+        (2 * _CHUNK + 3, _CHUNK + 5), (_CHUNK, _CHUNK - 1)])
     def test_repeated_tail_matches_plain_writer(self, tmp_path, T, start):
         # a tail where only omega (and k) varies, starting in the first or
         # a later block; start = T - 1 repeats no row but the last, and
@@ -424,17 +432,24 @@ class TestTrajectoryCsv:
                              for k in ("a1", "a2", "b1", "c1", "c2")))
         cost = CostSpec(1.0, np.eye(2))
         g = solve_coupled_gare(sys_, cost, 1e-9, 5000).gains
-        omegas = NoiseSource(7).draw(2000)
-        xs, us, vs, bad = _reference_path(
-            sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1, g.K2, np.ones(2), omegas,
-            np.zeros((2000, 1)), np.zeros((2000, 1)))
+        traj, bad = _reference_trajectory(sys_, cost, g, np.ones(2), NoiseSource(7).draw(2000))
         assert bad == -1
-        r2 = (np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
-              + np.einsum("ij,ij->i", us, us))
-        r1 = cost.gamma**2 * np.einsum("ij,ij->i", vs, vs) - r2
-        _plain_csv(Trajectory(xs, us, vs, omegas, r1, r2), tmp_path / "plain.csv")
+        _plain_csv(traj, tmp_path / "plain.csv")
         assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
                 == (tmp_path / "plain.csv").read_bytes())
+
+
+def _reference_trajectory(sys_, cost, gains, x0, omegas):
+    """(Trajectory, bad) of the unprobed closed loop on these omegas: the
+    per-step reference path, its stage costs formed over the whole path."""
+    T = omegas.shape[0]
+    xs, us, vs, bad = _reference_path(
+        sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, gains.K1, gains.K2,
+        np.asarray(x0, dtype=float), omegas, np.zeros((T, sys_.m1)), np.zeros((T, sys_.m2)))
+    r2 = (np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
+          + np.einsum("ij,ij->i", us, us))
+    r1 = cost.gamma**2 * np.einsum("ij,ij->i", vs, vs) - r2
+    return Trajectory(xs, us, vs, omegas, r1, r2), bad
 
 
 def _reference_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
@@ -657,6 +672,202 @@ def _settle_spy(T):
 
     with mock.patch.object(_kernels, "_settled_step", spy):
         yield taken
+
+
+@contextlib.contextmanager
+def _kernel_steps():
+    """Collects the steps each closed_loop_path call computes: its length, or
+    the block end where it takes the settled-tail shortcut."""
+    counted = []
+    real_path, real_settled = _kernels.closed_loop_path, _kernels._settled_step
+
+    def path(*args):
+        cut = []
+
+        def settled(*a):
+            out = real_settled(*a)
+            if out is not None:
+                cut.append(args[8].shape[0] - a[8].shape[0])  # [8]: the omegas
+            return out
+
+        with mock.patch.object(_kernels, "_settled_step", settled):
+            out = real_path(*args)
+        counted.append(cut[0] if cut else args[8].shape[0])
+        return out
+
+    with mock.patch.object(_kernels, "closed_loop_path", path):
+        yield counted
+
+
+def _slow_plant(n, m1, m2, seed):
+    """A plant with A1 near 0.99 I, small gains and small multiplicative
+    noise: its path decays by about 1e-54 over 12k steps, far from the guard
+    and from underflow."""
+    rng = np.random.default_rng(seed)
+    sys_ = SdltiSystem(0.99 * np.eye(n) + 1e-3 * rng.standard_normal((n, n)),
+                       0.01 * rng.standard_normal((n, n)), rng.standard_normal((n, m1)),
+                       rng.standard_normal((n, m2)), 0.01 * rng.standard_normal((n, m2)))
+    gains = GainPair(1e-3 * rng.standard_normal((m2, n)), 1e-3 * rng.standard_normal((m1, n)))
+    return sys_, CostSpec(2.0, np.eye(n)), gains, rng.standard_normal(n)
+
+
+def _spiked_noise(monkeypatch, seed, at):
+    """Make NoiseSource(seed)'s main stream carry 1e300 at draw `at`, however
+    its draws are split; other seeds' streams are left as they are."""
+    real = NoiseSource.draw
+
+    def draw(self, count=1):
+        out = real(self, count)
+        if self.seed == seed:
+            start = getattr(self, "_drawn", 0)
+            if start <= at < start + out.size:
+                out[at - start] = 1e300
+            self._drawn = start + out.size
+        return out
+
+    monkeypatch.setattr(NoiseSource, "draw", draw)
+
+
+class TestStream:
+    """simulate_to_csv against the per-step reference run in one pass."""
+
+    def _assert_streams_reference(self, tmp_path, sys_, cost, gains, x0, steps, seed):
+        expect, bad = _reference_trajectory(sys_, cost, gains, x0, NoiseSource(seed).draw(steps))
+        assert bad == -1
+        _plain_csv(expect, tmp_path / "plain.csv")
+        with _kernel_steps() as streamed:
+            simulate_to_csv(sys_, cost, gains, x0, steps, NoiseSource(seed),
+                            tmp_path / "trajectory.csv")
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+        assert not list(tmp_path.glob("*.tmp"))
+        got = simulate_closed_loop(sys_, cost, gains, x0, steps, NoiseSource(seed))
+        for name in ("states", "inputs_u", "inputs_v", "noises", "r1", "r2"):
+            a, b = getattr(got, name), getattr(expect, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # the kernel computes the steps one pass over the whole path does
+        with _kernel_steps() as one_pass:
+            T = expect.steps
+            _kernels.closed_loop_path(sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2,
+                                      gains.K1, gains.K2, np.asarray(x0, dtype=float),
+                                      expect.noises, np.zeros((T, sys_.m1)),
+                                      np.zeros((T, sys_.m2)))
+        assert sum(streamed) == sum(one_pass)
+        return streamed
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 1, 3), (2, 3, 1)])
+    @pytest.mark.parametrize("steps", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
+    def test_chunked_path_equals_one_pass(self, tmp_path, dims, steps):
+        sys_, cost, gains, x0 = _slow_plant(*dims, seed=sum(dims))
+        streamed = self._assert_streams_reference(tmp_path, sys_, cost, gains, x0, steps, 5)
+        assert streamed == [_CHUNK] * (steps // _CHUNK) + [steps % _CHUNK] * (steps % _CHUNK > 0)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 1, 3), (2, 3, 1)])
+    @pytest.mark.parametrize("where", ["boundary", "inside"])
+    def test_settled_chunks_are_filled(self, tmp_path, monkeypatch, dims, where):
+        # a plant that settles at block end b in one pass: with chunks of b
+        # steps it settles exactly at the first chunk boundary, with chunks
+        # of b + _BLOCK inside the first chunk; either way the later chunks
+        # are filled without a kernel call, and the bytes are the reference's
+        args = _settling_args(*dims, 8 * _BLOCK, 0.1, 1.0, sum(dims))
+        sys_ = SdltiSystem(*(args[i] for i in (0, 3, 1, 2, 4)))
+        gains, x0 = GainPair(args[5], args[6]), args[7]
+        with _settle_spy(8 * _BLOCK) as taken:
+            _kernels.closed_loop_path(*args[:8], NoiseSource(3).draw(8 * _BLOCK),
+                                      *args[9:])
+        b = taken[0]
+        chunk = b if where == "boundary" else b + _BLOCK
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+        cost = CostSpec(1.0, np.eye(dims[0]))
+        streamed = self._assert_streams_reference(tmp_path, sys_, cost, gains, x0,
+                                                  3 * chunk + 17, 3)
+        assert streamed == [b]
+
+    def test_divergence_in_a_later_chunk(self, tmp_path):
+        # x grows by 1.003 a step and trips the guard in the third chunk: the
+        # error names the absolute step, and no file is left behind
+        sys_ = SdltiSystem([[1.003]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
+        cost, gains = CostSpec(1.0, [[1.0]]), GainPair.zeros(1)
+        steps = 4 * _CHUNK
+        _, bad = _reference_trajectory(sys_, cost, gains, [1.0], NoiseSource(0).draw(steps))
+        assert 2 * _CHUNK < bad < 3 * _CHUNK
+        path = tmp_path / "trajectory.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: simulate_to_csv(sys_, cost, gains, [1.0], steps,
+                                                NoiseSource(0), path),
+                        lambda: simulate_closed_loop(sys_, cost, gains, [1.0], steps,
+                                                     NoiseSource(0))):
+                with pytest.raises(DivergenceError) as exc:
+                    run()
+                assert exc.value.step == bad
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_simulate_divergence_in_a_later_chunk(self, tmp_path, monkeypatch, f16,
+                                                      f16_solution, capsys):
+        # an omega of 1e300 at step 5000 of seed 4's stream throws the F-16
+        # path past the guard in the second chunk; simulate exits 2 naming the
+        # step a one-pass kernel run trips at, and writes only its manifest
+        sys_, _ = f16
+        _spiked_noise(monkeypatch, 4, 5000)
+        g = f16_solution.gains
+        steps = 3 * _CHUNK
+        bad = _kernels.closed_loop_path(sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1,
+                                        g.K2, X0, NoiseSource(4).draw(steps),
+                                        np.zeros((steps, 1)), np.zeros((steps, 1)))[3]
+        assert bad == 5001
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--steps", str(steps), "--seed", "4",
+                         "--out", str(out)]) == 2
+        message = f"run failed: state exceeded divergence guard at step {bad}"
+        assert capsys.readouterr().out == message + "\n"
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
+
+    def test_cli_qlearn_divergence_in_a_later_chunk(self, tmp_path, monkeypatch, f16,
+                                                    capsys):
+        # the closing run (noise seed --seed + 1) diverges in its second
+        # chunk: the learning artifacts stay, the reason names the absolute
+        # step, and neither trajectory.csv nor its temporary file is left
+        sys_, cost = f16
+        _spiked_noise(monkeypatch, 1, 5000)
+        config = AlgoConfig(tol=1e-3, max_iters=3, expectation_mode="analytic")
+        report = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost, config,
+                                f16_initial_gains(), X0)
+        steps = 3 * _CHUNK
+        g = report.gains
+        bad = _kernels.closed_loop_path(sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1,
+                                        g.K2, X0, NoiseSource(1).draw(steps),
+                                        np.zeros((steps, 1)), np.zeros((steps, 1)))[3]
+        assert _CHUNK < bad <= 2 * _CHUNK
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qlearn", "--mode", "analytic", "--max-iters", "3", "--steps",
+                         str(steps), "--seed", "0", "--out", str(out)]) == 0
+        reason = f"{report.termination}; learned-gain trajectory diverged at step {bad}"
+        assert capsys.readouterr().out == reason + "\n"
+        assert sorted(os.listdir(out)) == ["convergence.csv", "gains.txt", "manifest.txt",
+                                           "p1.txt", "p2.txt"]
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        # the stream holds one chunk at a time: writing 200k steps peaks
+        # within 1 MiB of writing 20k.  The plant settles within a few
+        # blocks, which keeps the kernel's share of the traced run small
+        args = _settling_args(3, 1, 1, 1, 0.3, 1.0, 1)
+        sys_ = SdltiSystem(*(args[i] for i in (0, 3, 1, 2, 4)))
+        cost, gains = CostSpec(1.0, np.eye(3)), GainPair(args[5], args[6])
+        peaks = []
+        for steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                simulate_to_csv(sys_, cost, gains, args[7], steps, NoiseSource(0),
+                                tmp_path / f"{steps}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 class TestAttenuation:
