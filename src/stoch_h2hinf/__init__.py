@@ -58,12 +58,9 @@ from .qlearn import (
     QLearnReport,
     SystemOracle,
     TrajectoryOracle,
-    bellman_targets,
     least_squares_h,
-    probed_inputs,
     run_q_learning,
     run_value_iteration,
-    termination,
     write_matrix_txt,
 )
 from .f16 import f16_initial_gains, f16_reference, f16_system

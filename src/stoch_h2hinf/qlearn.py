@@ -5,16 +5,19 @@ v = K1 x + e_v, collects N tuples, and solves a least-squares problem for
 the next (H1, H2): the row for a tuple is vech(zz') with z = [x; u; v], the
 target is the stage cost plus the averaged continuation value of the
 UNPROBED policy at the successor state.  One oracle call per iteration,
-TrajectoryOracle.rollout, returns the window's N rows z and targets; the
-regression rows of all N tuples come from one stacked product of z's
-upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
+TrajectoryOracle.rollout, returns the window's N rows z and their successor
+data, (mu, s) in analytic mode or sampled successors in mc mode; the learner
+checks their shapes and forms the targets itself (_targets), from the stage
+costs of z's x, u and v columns and the continuation values of its own value
+pair.  The regression rows of all N tuples come from one stacked product of
+z's upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
 symmetric by construction), and one SVD of the (N, p(p+1)/2) regression
-matrix gives the excitation check and both
-solutions, rebuilt as one (2, p, p) stack (H1, H2).  Gains come out of H by
-a block solve, the value pair by one stacked sandwich, and the run stops on
-the three-part rule (both H changes below eps plus a Lyapunov-flavored
-admissibility margin at a designated probe state), which takes the H
-changes the loop has already normed.
+matrix gives the excitation check and both solutions, rebuilt as one
+(2, p, p) stack (H1, H2).  Gains come out of H by a block solve, the value
+pair by one stacked sandwich, and the run stops on the three-part rule (both
+H changes below eps plus a Lyapunov-flavored admissibility margin at a
+designated probe state), which takes the H changes the loop has already
+normed.
 
 Containers are validated where they enter from outside: the caller's gains,
 and the QPair, ValuePair and GainPair any public construction makes.  The
@@ -23,16 +26,13 @@ symmetrized, gains finite-checked by the block solve) go through
 model._trusted, which marks them read-only and checks only the finiteness
 no arithmetic guarantees, with the validated constructor's error.
 
-The engine calls two methods of a TrajectoryOracle, reset and rollout,
-and never reads system matrices.  The learner asks ProbingSchedule.window
-for the probes of a block of 64 windows at once and hands each window its
-slice.  rollout's base default reads the state, forms the targets (through
-branch or the optional expected_quadratic) and applies the inputs tuple by
-tuple; SystemOracle overrides it with one noise draw and one
-trajectory-kernel pass per window, and forms the window's drifts, stage
-costs and both members' continuation values as stacked products over all N
-rows, with (A1, A2), (C1, C2), (MU, S) and (P1, P2) stacked, still
-bit-identical to the default.  Model knowledge lives on the simulator side
+The engine calls the two methods of a TrajectoryOracle, reset and rollout,
+and never reads system matrices; no oracle method takes the learner's cost
+or value pair.  The learner asks ProbingSchedule.window for the probes of a
+block of 64 windows at once and hands each window its slice.  SystemOracle
+steps a window with one noise draw and one trajectory-kernel pass and forms
+its drifts and noise directions as stacked products over all N rows, with
+(A1, A2) and (C1, C2) stacked.  Model knowledge lives on the simulator side
 of that interface and in the VI mirror, which runs gare's value-iteration
 loop.
 """
@@ -66,7 +66,7 @@ from .qfunction import (
     values_from_q,
 )
 from ._kernels import GUARD, closed_loop_path
-from .sim import _drift_and_noise, stage_costs, step
+from .sim import stage_costs
 
 _PROBE_BLOCK = 64  # learner windows whose probes come from one schedule call
 
@@ -115,51 +115,23 @@ class ProbingSchedule:
 
 
 class TrajectoryOracle(ABC):
-    """Black-box plant interface; the learner sees states, never matrices."""
-
-    @property
-    @abstractmethod
-    def state(self):
-        """Current state vector."""
-
-    @abstractmethod
-    def apply(self, u, v):
-        """Advance one step with the given inputs; returns the next state."""
-
-    @abstractmethod
-    def branch(self, u, v, count):
-        """`count` independent one-step successors from the current state,
-        without advancing."""
+    """Black-box plant interface; the learner sees window data, never matrices."""
 
     @abstractmethod
     def reset(self, x):
         """Move the plant to state x."""
 
-    def expected_quadratic(self, vals, u, v):
-        """Exact (E(x+' P1 x+), E(x+' P2 x+)) for the value pair vals given the
-        current state; testing-only privilege."""
-        raise NotImplementedError("this oracle cannot take exact expectations")
-
-    def rollout(self, gains, probes, cost, cont, branches, mode):
+    @abstractmethod
+    def rollout(self, gains, probes, branches, mode):
         """Advance N steps under u = K2 x + e_u, v = K1 x + e_v.
 
         probes is the window's (EU (N, m1), EV (N, m2)) pair, one row per
-        step.  Returns the (N, p) rows z = [x; u; v] and the (N, 2) Bellman
-        targets of each step, in order.  This default asks the oracle tuple
-        by tuple through state, bellman_targets and apply; an oracle that can
-        step a whole window at once may override it with the same values.
+        step.  Returns the (N, p) rows z = [x; u; v] of each step, in order,
+        and their successor data: in analytic mode the (2, N, n) stack
+        (mu, s) of each row, whose successor is x+ = mu + w s for a zero-mean,
+        unit-variance scalar w; in mc mode the (n, N, branches) sampled
+        successors x+ of each row, coordinates first.
         """
-        EU, EV = probes
-        N = len(EU)
-        Z = np.empty((N, gains.K1.shape[1] + EU.shape[1] + EV.shape[1]))
-        Y = np.empty((N, 2))
-        for t, e in enumerate(zip(EU, EV)):
-            x = self.state
-            u, v = probed_inputs(gains, x, e)
-            Y[t] = bellman_targets(self, cost, cont, x, u, v, branches, mode)
-            Z[t] = np.concatenate([x, u, v])
-            self.apply(u, v)
-        return Z, Y
 
 
 class SystemOracle(TrajectoryOracle):
@@ -175,54 +147,15 @@ class SystemOracle(TrajectoryOracle):
         self._AA = np.stack((sys.A1, sys.A2))
         self._CC = np.stack((sys.C1, sys.C2))
 
-    @property
-    def state(self):
-        return self._x.copy()
-
-    def _check(self, x, where):
-        # NaN compares false, so it trips the guard like an infinity does
-        if not (np.abs(x) <= GUARD).all():
-            raise DivergenceError(where)
-
-    def apply(self, u, v):
-        omega = self._noise.draw(1)[0]
-        x = step(self._sys, self._x, u, v, omega)
-        self._k += 1
-        self._check(x, self._k)
-        self._x = x
-        return x.copy()
-
-    def branch(self, u, v, count):
-        omegas = self._noise.branch_window(self._k, 1, count)[0]
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        mu, s = _drift_and_noise(self._sys, self._x, u, v)
-        out = mu[None, :] + omegas[:, None] * s[None, :]
-        self._check(out, self._k)
-        return out
-
-    def expected_quadratic(self, vals, u, v):
-        # mu'P mu + s'P s for each member; one (mu, s) serves both, and the
-        # members of a validated ValuePair need no symmetry check per call
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        mu, s = _drift_and_noise(self._sys, self._x, u, v)
-        return tuple(float(mu.dot(P).dot(mu) + s.dot(P).dot(s))
-                     for P in (vals.P1, vals.P2))
-
     def reset(self, x):
         self._x = np.atleast_1d(np.asarray(x, dtype=float)).copy()
 
-    def rollout(self, gains, probes, cost, cont, branches, mode):
-        # One draw(N) gives the values of N draw(1) calls, and the kernel's
-        # states equal step()'s bit for bit.  The targets are stacked
-        # products that run, row by row, the BLAS call of the per-tuple .dot
-        # (gemv for A x and x'P, ddot for inner products), and the branch
-        # means share _branch_mean with bellman_targets, so the window equals
-        # the default's tuple-by-tuple result exactly.  X @ Q (a gemm) or
-        # einsum row sums would move the last bits.  Stacking (A1, A2),
-        # (C1, C2), (MU, S) or (P1, P2) adds outer items to a matmul, each
-        # running the same BLAS call, and the additions keep their order.
+    def rollout(self, gains, probes, branches, mode):
+        # One draw(N) gives the values of N per-step draws, and the kernel's
+        # states equal sim.step's bit for bit.  (MU, S) are stacked products
+        # that run, row by row, the gemv of A.dot(x); stacking (A1, A2) or
+        # (C1, C2) adds outer items to a matmul, each running the same BLAS
+        # call, and the additions keep their order.
         if mode not in ("analytic", "mc"):
             raise ValueError(f"mode must be analytic or mc, got {mode!r}")
         sys_, k = self._sys, self._k
@@ -239,7 +172,6 @@ class SystemOracle(TrajectoryOracle):
         MS[0] += _rows_times(sys_.B1, U)
         MS += _rows_times(self._CC, V)
         MU, S = MS
-        PP = np.array((cont.P1, cont.P2))
         if mode == "mc":
             W = self._noise.branch_window(k, rows, branches)
             # successor coordinates first: (n, rows, branches)
@@ -252,16 +184,8 @@ class SystemOracle(TrajectoryOracle):
         if bad >= 0:
             self._x, self._k = xs[bad - 1].copy(), k + bad
             raise DivergenceError(k + bad)
-        if mode == "analytic":
-            # mu'P mu + s'P s for P1 then P2: items [P, (mu or s), row]
-            quad = _quad_rows(MS, PP[:, None, None])
-            c1, c2 = quad[:, 0] + quad[:, 1]
-        else:
-            c1, c2 = _branch_mean(succ, PP)
-        r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
-        r1 = cost.gamma**2 * _dot_rows(V, V) - r2
         self._x, self._k = xs[N].copy(), k + N
-        return np.hstack([xs[:-1], us, vs]), np.column_stack([r1 + c1, r2 + c2])
+        return np.hstack([xs[:-1], us, vs]), MS if mode == "analytic" else succ
 
 
 def _rows_times(A, X):
@@ -302,6 +226,26 @@ def _branch_mean(succ, PP):
     return acc.mean(axis=-1)
 
 
+def _targets(Z, succ, cost, cont, slices, mode):
+    """The window's (N, 2) Bellman targets: the stage cost of each row
+    z = [x; u; v] plus E[x+'P x+] for the value pair cont = (P1, P2), exact
+    from (mu, s) or the branch mean.  Each product runs, row by row, the BLAS
+    call of a per-tuple .dot; X @ Q (a gemm) or einsum row sums would move
+    the last bits."""
+    sx, su, sv = slices
+    PP = np.array((cont.P1, cont.P2))
+    if mode == "analytic":
+        # mu'P mu + s'P s for P1 then P2: items [P, (mu or s), row]
+        quad = _quad_rows(succ, PP[:, None, None])
+        c1, c2 = quad[:, 0] + quad[:, 1]
+    else:
+        c1, c2 = _branch_mean(succ, PP)
+    X, U, V = Z[:, sx], Z[:, su], Z[:, sv]
+    r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
+    r1 = cost.gamma**2 * _dot_rows(V, V) - r2
+    return np.column_stack([r1 + c1, r2 + c2])
+
+
 def least_squares_h(X, Y1, Y2, dims):
     """Solve both regressions with one SVD of X; returns (q, svmin).
 
@@ -324,12 +268,6 @@ def least_squares_h(X, Y1, Y2, dims):
     return q, float(sv[-1])
 
 
-def probed_inputs(gains, x, e):
-    """(u, v) = (K2 x + e_u, K1 x + e_v)."""
-    eu, ev = e
-    return gains.K2 @ x + eu, gains.K1 @ x + ev
-
-
 def write_matrix_txt(M, path):
     """Plain-text matrix export: one row per line, %.12e entries."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -338,46 +276,17 @@ def write_matrix_txt(M, path):
             fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
 
 
-def bellman_targets(oracle, cost, cont, x, u, v, branches, mode):
-    """One tuple's targets (d1, d2) at state x under the executed inputs (u, v).
+def _stop_rule(dh1, dh2, q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
+    """Three-part stop rule given the Frobenius H changes (dh1, dh2); returns
+    (stop, reason).
 
-    The executed inputs carry the probe; the continuation value inside the
-    targets is E[x+' P x+] for the unprobed policy's value pair cont =
-    (P1, P2) at the successor state.  Monte-Carlo mode averages x+' P x+
-    over `branches` one-step successors; analytic mode asks the oracle for
-    the exact conditional expectation.
-    """
-    r1, r2 = stage_costs(cost, x, u, v)
-    if mode == "analytic":
-        c1, c2 = oracle.expected_quadratic(cont, u, v)
-    elif mode == "mc":
-        succ = oracle.branch(u, v, branches)
-        if not np.isfinite(succ).all():
-            raise DivergenceError(None, "non-finite branched successor")
-        c1, c2 = _branch_mean(succ.T, np.array((cont.P1, cont.P2))).tolist()
-    else:
-        raise ValueError(f"mode must be analytic or mc, got {mode!r}")
-    return r1 + c1, r2 + c2
-
-
-def termination(q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
-    """Three-part stop rule; returns (stop, reason).
-
-    Conditions: both Frobenius H changes below tol, and at the designated
-    probe state the new Q2 under the new policy has dropped by more than the
-    new stage cost relative to the previous iterate's Q2 value.  It must be
-    the previous Q2: subtracting the previous Q1 leaves a gap of about
+    Conditions: both H changes below tol, and at the designated probe state
+    the new Q2 under the new policy has dropped by more than the new stage
+    cost relative to the previous iterate's Q2 value.  It must be the
+    previous Q2: subtracting the previous Q1 leaves a gap of about
     x'(P2 - P1)x, far above the stage cost, so that reading never fires at
     the fixed point.
     """
-    dh1 = float(np.linalg.norm(q_next.H1 - q_prev.H1))
-    dh2 = float(np.linalg.norm(q_next.H2 - q_prev.H2))
-    return _stop_rule(dh1, dh2, q_prev, q_next, gains_prev, gains_next,
-                      x_probe, cost, tol)
-
-
-def _stop_rule(dh1, dh2, q_prev, q_next, gains_prev, gains_next, x_probe, cost, tol):
-    """termination given the Frobenius H changes (dh1, dh2) it would compute."""
     if dh1 >= tol or dh2 >= tol:
         return False, None
     x = np.atleast_1d(np.asarray(x_probe, dtype=float))
@@ -480,7 +389,10 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
     reason = None
     sx, su, sv = block_slices(n, m1, m2)
 
-    N = config.tuples_per_iter
+    N, mode = config.tuples_per_iter, config.expectation_mode
+    # the oracle is outside input: a window of another shape would broadcast
+    # into wrong targets, e.g. mc successors (n, N, n) under analytic mode
+    want = (2, N, n) if mode == "analytic" else (n, N, config.branches)
     for i in range(config.max_iters):
         t = (i % _PROBE_BLOCK) * N
         if t == 0:
@@ -489,8 +401,13 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
             EU, EV = schedule.window(k, N * min(_PROBE_BLOCK, config.max_iters - i),
                                      m1, m2)
         probes = EU[t:t + N], EV[t:t + N]
-        Z, Y = oracle.rollout(gains, probes, cost, vals, config.branches,
-                              config.expectation_mode)
+        Z, succ = oracle.rollout(gains, probes, config.branches, mode)
+        if np.shape(Z) != (N, p) or np.shape(succ) != want:
+            raise ValueError(
+                f"{mode} rollout returned rows {np.shape(Z)} and successor data "
+                f"{np.shape(succ)}, expected {(N, p)} and {want}"
+            )
+        Y = _targets(Z, succ, cost, vals, (sx, su, sv), mode)
         k += N
         X = _outer_vech(Z)
         try:
@@ -509,7 +426,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
                 f"X column norms {cols.max():.3e}..{cols.min():.3e}, "
                 f"probe-to-state ratio {ratio:.3e}"
             ) from exc
-        if config.expectation_mode == "analytic":
+        if mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
             # losing its definiteness means gamma is infeasible.  eigvalsh
             # of a 1x1 block returns its entry

@@ -27,7 +27,6 @@ from stoch_h2hinf import (
     SdltiSystem,
     SystemOracle,
     ValuePair,
-    bellman_targets,
     closed_loop_pair,
     empirical_attenuation,
     f16_initial_gains,
@@ -39,7 +38,6 @@ from stoch_h2hinf import (
     mat_from_vecs,
     ms_radius,
     ms_stable,
-    probed_inputs,
     run_q_learning,
     run_value_iteration,
     simulate_closed_loop,
@@ -50,6 +48,8 @@ from stoch_h2hinf import (
     vi_value_update,
 )
 from stoch_h2hinf.f16 import X0
+from stoch_h2hinf.qfunction import block_slices
+from stoch_h2hinf.qlearn import _targets
 
 RESULTS = []
 
@@ -255,18 +255,11 @@ def test_criterion_6_unbiased_regression(f16):
         for _ in range(60):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            rows, Y1, Y2 = [], [], []
-            for _ in range(20):
-                x = oracle.state
-                u, v = probed_inputs(gains, x, [e[0] for e in schedule.window(k, 1)])
-                d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
-                z = np.concatenate([x, u, v])
-                rows.append(vech(np.outer(z, z)))
-                Y1.append(d1)
-                Y2.append(d2)
-                oracle.apply(u, v)
-                k += 1
-            q, _ = least_squares_h(np.array(rows), np.array(Y1), np.array(Y2), (3, 1, 1))
+            Z, MS = oracle.rollout(gains, schedule.window(k, 20), 1, "analytic")
+            k += 20
+            Y = _targets(Z, MS, cost, cont, block_slices(3, 1, 1), "analytic")
+            rows = [vech(np.outer(z, z)) for z in Z]
+            q, _ = least_squares_h(np.array(rows), Y[:, 0], Y[:, 1], (3, 1, 1))
             worst = max(
                 worst,
                 np.abs(q.H1 - expected.H1).max(),

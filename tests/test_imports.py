@@ -4,8 +4,12 @@ No linter ships with the test dependencies, so this walks each module's
 syntax tree instead: a name bound by a top-level import must be read
 somewhere in the module, a private top-level name (a `_x` def, class or
 assignment) somewhere in the package, and a public name somewhere outside
-the tests: in a package module, in the benchmark, or in the README.  The
-package's star import is checked too.
+the tests: in a package module, in the benchmark, or in the README.  A
+public name is reached by a load of the bare name, by an attribute read on a
+package module (`sim.step`, `stoch_h2hinf.step`) or by a README code token
+that does not follow a `.`; an attribute of any other object, such as
+`report.termination`, is another name.  The package's star import is checked
+too.
 """
 
 import ast
@@ -21,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stoch_h2hinf"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the names a package module is read through
+MODULE_NAMES = {"stoch_h2hinf"} | {Path(m).stem for m in MODULES}
 
 
 def unused_imports(source):
@@ -61,12 +67,25 @@ def unread_private_names(sources):
     return sorted(private - read)
 
 
+def names_reached(tree):
+    """The names the syntax tree loads and the attributes it reads on a
+    package module."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in MODULE_NAMES):
+            read.add(n.attr)
+    return read
+
+
 def unreached_public_names(public, sources, readme):
-    """Public names read in none of the sources and named in no code span or
-    fenced block of the readme."""
-    read = set().union(*(names_read(ast.parse(source)) for source in sources))
+    """Public names reached in none of the sources and named in no code span
+    or fenced block of the readme, other than as an attribute."""
+    read = set().union(*(names_reached(ast.parse(source)) for source in sources))
     spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
-    named = set(re.findall(r"\w+", " ".join(spans)))
+    named = set(re.findall(r"(?<![.\w])\w+", " ".join(spans)))
     return sorted(set(public) - read - named)
 
 
@@ -96,10 +115,21 @@ def test_detects_an_unused_import():
 
 
 def test_detects_a_public_name_only_tests_reach():
-    sources = ["def solve():\n    return _step()\n", "import pkg\npkg.report()\n"]
+    sources = ["def solve():\n    return _step()\n",
+               "import stoch_h2hinf\nstoch_h2hinf.report()\n"]
     readme = "```sh\nrun\n```\nCall `solve(sys)`; the helper step is internal.\n"
     public = ["solve", "report", "step", "helper"]
     assert unreached_public_names(public, sources, readme) == ["helper", "step"]
+
+
+def test_an_attribute_of_another_object_reaches_no_public_name():
+    # report.termination is a field, not the function termination; sim.step
+    # and stoch_h2hinf.solve read the package's names
+    sources = ["import sim\nx = report.termination + sim.step\n",
+               "import stoch_h2hinf\nstoch_h2hinf.solve()\n"]
+    readme = "Print `report.termination`; `sim.step` and `report` are shown.\n"
+    public = ["termination", "step", "solve", "report"]
+    assert unreached_public_names(public, sources, readme) == ["termination"]
 
 
 def test_every_public_name_is_reached():

@@ -1,4 +1,4 @@
-"""Probing schedules, Bellman targets, regression, and the learning loops."""
+"""Probing schedules, oracle windows, Bellman targets, regression, and the learning loops."""
 
 import dataclasses
 
@@ -22,7 +22,6 @@ from stoch_h2hinf import (
     SystemOracle,
     TrajectoryOracle,
     ValuePair,
-    bellman_targets,
     closed_loop_pair,
     f16_initial_gains,
     gains_from_q,
@@ -30,7 +29,6 @@ from stoch_h2hinf import (
     h_from_values,
     least_squares_h,
     ms_stable,
-    probed_inputs,
     q_value,
     random_feasible_system,
     run_q_learning,
@@ -38,7 +36,6 @@ from stoch_h2hinf import (
     simulate_closed_loop,
     solve_coupled_gare,
     stage_costs,
-    termination,
     values_from_q,
     vech,
     vecs,
@@ -47,7 +44,6 @@ from stoch_h2hinf import (
 )
 from stoch_h2hinf import model, qfunction
 from stoch_h2hinf import qlearn as qlearn_module
-from stoch_h2hinf import sim as sim_module
 from stoch_h2hinf.f16 import X0
 
 
@@ -115,16 +111,29 @@ class TestProbingSchedule:
         assert EV.tobytes() == np.array([[r[1] for r in row[:m2]] for row in ref]).tobytes()
 
 
+def _window(oracle, gains, probes, cost, cont, branches, mode):
+    """One rollout window and the learner's targets for it: (Z, succ, Y)."""
+    Z, succ = oracle.rollout(gains, probes, branches, mode)
+    slices = qfunction.block_slices(gains.K1.shape[1], len(gains.K2), len(gains.K1))
+    return Z, succ, qlearn_module._targets(Z, succ, cost, cont, slices, mode)
+
+
+def _one_tuple(sys_, seed, x, e, gains, cost, cont, branches, mode):
+    """The window of one tuple at state x with probe e = (e_u, e_v):
+    (z, succ[..., 0, :], (d1, d2))."""
+    oracle = SystemOracle(sys_, NoiseSource(seed), x)
+    probes = tuple(np.atleast_1d(np.asarray(p, dtype=float))[None] for p in e)
+    Z, succ, Y = _window(oracle, gains, probes, cost, cont, branches, mode)
+    return Z[0], succ[:, 0], tuple(Y[0].tolist())
+
+
 class TestBellmanTargets:
     def test_zero_h_gives_stage_costs(self, f16):
         sys_, cost = f16
+        e = [row[0] for row in ProbingSchedule("case1").window(0, 1)]
         for mode in ("analytic", "mc"):
-            oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
-            e = [row[0] for row in ProbingSchedule("case1").window(0, 1)]
-            u, v = probed_inputs(GainPair.zeros(3), np.zeros(3), e)
-            d1, d2 = bellman_targets(
-                oracle, cost, ValuePair.zeros(3), np.zeros(3), u, v, 50, mode
-            )
+            _, _, (d1, d2) = _one_tuple(sys_, 0, np.zeros(3), e, GainPair.zeros(3), cost,
+                                        ValuePair.zeros(3), 50, mode)
             assert d1 == 0.0
             assert d2 == 1.0
 
@@ -139,13 +148,12 @@ class TestBellmanTargets:
             q = h_from_values(sys_, cost, vals)
             gains = gains_from_q(q)
             x = rng.standard_normal(sys_.n)
-            oracle = SystemOracle(sys_, NoiseSource(1), x)
             e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
             cont = values_from_q(q, gains)
-            u, v = probed_inputs(gains, x, e)
-            d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
+            z, _, (d1, d2) = _one_tuple(sys_, 1, x, e, gains, cost, cont, 1, "analytic")
+            assert z.tobytes() == np.concatenate([x, gains.K2 @ x + e[0],
+                                                  gains.K1 @ x + e[1]]).tobytes()
             h_next = h_from_values(sys_, cost, cont)
-            z = np.concatenate([x, u, v])
             row = vech(np.outer(z, z))
             assert d1 == pytest.approx(q_value(h_next.H1, z), rel=1e-12, abs=1e-12)
             assert d2 == pytest.approx(q_value(h_next.H2, z), rel=1e-12, abs=1e-12)
@@ -157,6 +165,7 @@ class TestBellmanTargets:
         # successors mapped through T = [I; K2; K1]
         rng = np.random.default_rng(23)
         for sys_, cost in [f16, random_population[1]]:
+            n, m1, _ = sys_.dims
             vals = ValuePair.zeros(sys_.n)
             for _ in range(3):
                 vals = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
@@ -164,14 +173,12 @@ class TestBellmanTargets:
             gains = gains_from_q(q)
             x = rng.standard_normal(sys_.n)
             e = (rng.standard_normal(sys_.m1), rng.standard_normal(sys_.m2))
-            oracle = SystemOracle(sys_, NoiseSource(3), x)
-            u_hat, v_hat = probed_inputs(gains, x, e)
-            d1, d2 = bellman_targets(
-                oracle, cost, values_from_q(q, gains), x, u_hat, v_hat, 64, "mc"
-            )
+            z, succ, (d1, d2) = _one_tuple(sys_, 3, x, e, gains, cost,
+                                           values_from_q(q, gains), 64, "mc")
+            assert succ.shape == (n, 64)
             T = np.vstack([np.eye(sys_.n), gains.K2, gains.K1])
-            Z = oracle.branch(u_hat, v_hat, 64) @ T.T
-            r1, r2 = stage_costs(cost, x, u_hat, v_hat)
+            Z = succ.T @ T.T
+            r1, r2 = stage_costs(cost, x, z[n:n + m1], z[n + m1:])
             ref1 = r1 + np.einsum("ij,jk,ik->i", Z, q.H1, Z).mean()
             ref2 = r2 + np.einsum("ij,jk,ik->i", Z, q.H2, Z).mean()
             assert d1 == pytest.approx(ref1, rel=1e-12)
@@ -185,13 +192,13 @@ class TestBellmanTargets:
         rng = np.random.default_rng(branches)
         for _ in range(20):
             x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 4)
-            u, v = rng.standard_normal((2, 1))
+            e = rng.standard_normal((2, 1))
             M1, M2 = rng.standard_normal((2, 3, 3))
             cont = ValuePair(M1 + M1.T, M2 + M2.T)
-            oracle = SystemOracle(sys_, NoiseSource(int(rng.integers(1000))), x)
-            d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, branches, "mc")
-            succ = oracle.branch(u, v, branches)
-            r1, r2 = stage_costs(cost, x, u, v)
+            z, succ, (d1, d2) = _one_tuple(sys_, int(rng.integers(1000)), x, e,
+                                           GainPair.zeros(3), cost, cont, branches, "mc")
+            succ = succ.T
+            r1, r2 = stage_costs(cost, x, z[3:4], z[4:])
             assert d1 == r1 + float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
             assert d2 == r2 + float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
 
@@ -201,10 +208,9 @@ class TestBellmanTargets:
         cont = values_from_q(h_from_values(sys_, cost, f16_solution.values), gains)
         x = np.array([2.0, -1.0, 0.5])
         e = [row[0] for row in ProbingSchedule("case1").window(7, 1)]
-        oracle = SystemOracle(sys_, NoiseSource(2), x)
-        u, v = probed_inputs(gains, x, e)
-        d1_exact, d2_exact = bellman_targets(oracle, cost, cont, x, u, v, 1, "analytic")
-        d1_mc, d2_mc = bellman_targets(oracle, cost, cont, x, u, v, 200_000, "mc")
+        _, _, (d1_exact, d2_exact) = _one_tuple(sys_, 2, x, e, gains, cost, cont, 1,
+                                                "analytic")
+        _, _, (d1_mc, d2_mc) = _one_tuple(sys_, 2, x, e, gains, cost, cont, 200_000, "mc")
         assert d1_mc == pytest.approx(d1_exact, abs=0.05)
         assert d2_mc == pytest.approx(d2_exact, abs=0.05)
 
@@ -212,26 +218,14 @@ class TestBellmanTargets:
         sys_, cost = f16
         oracle = SystemOracle(sys_, NoiseSource(0), np.zeros(3))
         with pytest.raises(ValueError, match="mode"):
-            bellman_targets(
-                oracle, cost, ValuePair.zeros(3), np.zeros(3), np.zeros(1),
-                np.zeros(1), 10, "exact",
-            )
+            oracle.rollout(GainPair.zeros(3), (np.zeros((1, 1)), np.zeros((1, 1))), 10,
+                           "exact")
 
 
-def _collect_tuples(oracle, cost, cont, gains, probes, branches, mode):
-    """Tuple-by-tuple reference collection over the window's probe rows:
-    rows vech(zz') and targets."""
-    rows, Y1, Y2 = [], [], []
-    for e in zip(*probes):
-        x = oracle.state
-        u, v = probed_inputs(gains, x, e)
-        d1, d2 = bellman_targets(oracle, cost, cont, x, u, v, branches, mode)
-        z = np.concatenate([x, u, v])
-        rows.append(vech(np.outer(z, z)))
-        Y1.append(d1)
-        Y2.append(d2)
-        oracle.apply(u, v)
-    return np.array(rows), np.array(Y1), np.array(Y2)
+def _collect(oracle, cost, cont, gains, probes, branches, mode):
+    """One window's per-tuple rows vech(zz') and its targets."""
+    Z, _, Y = _window(oracle, gains, probes, cost, cont, branches, mode)
+    return np.array([vech(np.outer(z, z)) for z in Z]), Y[:, 0], Y[:, 1]
 
 
 def _collect_mc(sys_, cost, case, tuples=20):
@@ -241,8 +235,7 @@ def _collect_mc(sys_, cost, case, tuples=20):
     else:
         probes = ProbingSchedule(case).window(0, tuples)
     oracle = SystemOracle(sys_, NoiseSource(0), X0)
-    return _collect_tuples(oracle, cost, ValuePair.zeros(3), f16_initial_gains(),
-                           probes, 5, "mc")
+    return _collect(oracle, cost, ValuePair.zeros(3), f16_initial_gains(), probes, 5, "mc")
 
 
 class TestRegression:
@@ -295,7 +288,7 @@ class TestTermination:
         _, cost = f16
         q = h_from_values(*f16, f16_solution.values)
         g = f16_solution.gains
-        stop, reason = termination(q, q, g, g, X0, cost, 1e-3)
+        stop, reason = qlearn_module._stop_rule(0.0, 0.0, q, q, g, g, X0, cost, 1e-3)
         assert stop
         assert "below 0.001" in reason
 
@@ -304,7 +297,9 @@ class TestTermination:
         q = h_from_values(*f16, f16_solution.values)
         shifted = QPair(q.H1 + 10 * 1e-3 / np.sqrt(25), q.H2, 3, 1, 1)
         g = f16_solution.gains
-        stop, reason = termination(q, shifted, g, g, X0, cost, 1e-3)
+        dh1 = float(np.linalg.norm(shifted.H1 - q.H1))
+        assert dh1 > 1e-3
+        stop, reason = qlearn_module._stop_rule(dh1, 0.0, q, shifted, g, g, X0, cost, 1e-3)
         assert not stop and reason is None
 
 
@@ -315,6 +310,30 @@ def _analytic_config(**kw):
     )
     base.update(kw)
     return AlgoConfig(**base)
+
+
+class _Reshaped(TrajectoryOracle):
+    """SystemOracle windows in a fixed mode, whatever mode the learner asks
+    for, cut to their first `rows` rows z."""
+
+    def __init__(self, inner, mode, rows=None):
+        self.inner, self.mode, self.rows = inner, mode, rows
+
+    def rollout(self, gains, probes, branches, mode):
+        Z, succ = self.inner.rollout(gains, probes, branches, self.mode)
+        return Z[:self.rows], succ
+
+    def reset(self, x):
+        self.inner.reset(x)
+
+
+def _rejection(sys_, cost, mode, oracle_mode, rows=None):
+    """The ValueError message of a learner in `mode` fed _Reshaped windows."""
+    oracle = _Reshaped(SystemOracle(sys_, NoiseSource(0), X0), oracle_mode, rows)
+    cfg = _analytic_config(max_iters=1, branches=3, expectation_mode=mode)
+    with pytest.raises(ValueError) as exc:
+        run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0)
+    return str(exc.value)
 
 
 class TestRunQLearning:
@@ -338,7 +357,7 @@ class TestRunQLearning:
     @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
     def test_iterations_match_tuple_by_tuple(self, f16, case, mode, branches):
         # The batched rows and the one-SVD solve give exactly the q of the
-        # per-tuple rows vech(zz') and targets on the same oracle calls; the
+        # per-tuple rows vech(zz') and the targets of the same windows; the
         # second iteration has a nonzero continuation value.
         sys_, cost = f16
         cfg = _analytic_config(max_iters=2, noise_case=case,
@@ -348,9 +367,8 @@ class TestRunQLearning:
         oracle = SystemOracle(sys_, NoiseSource(4), X0)
         gains, cont = f16_initial_gains(), ValuePair.zeros(3)
         for i, it in enumerate(rep.history):
-            X, Y1, Y2 = _collect_tuples(oracle, cost, cont, gains,
-                                        ProbingSchedule(case).window(20 * i, 20),
-                                        branches, mode)
+            X, Y1, Y2 = _collect(oracle, cost, cont, gains,
+                                 ProbingSchedule(case).window(20 * i, 20), branches, mode)
             q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
             gains = gains_from_q(q)
             cont = values_from_q(q, gains)
@@ -393,7 +411,7 @@ class TestRunQLearning:
         for i in range(40):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            X, Y1, Y2 = _collect_tuples(
+            X, Y1, Y2 = _collect(
                 oracle, cost, cont, gains, schedule.window(k, 20), 1, "analytic"
             )
             k += 20
@@ -404,28 +422,17 @@ class TestRunQLearning:
 
     def test_model_free_replay(self, f16):
         # The engine only touches the oracle interface: a replay double
-        # fed from recorded transitions reproduces the run bit for bit.
+        # fed from recorded windows reproduces the run bit for bit.
         sys_, cost = f16
 
         class RecordingOracle(TrajectoryOracle):
             def __init__(self, inner):
                 self.inner = inner
-                self.states, self.applies, self.branches, self.resets = [], [], [], []
+                self.windows, self.resets = [], []
 
-            @property
-            def state(self):
-                x = self.inner.state
-                self.states.append(x)
-                return x
-
-            def apply(self, u, v):
-                x = self.inner.apply(u, v)
-                self.applies.append(x)
-                return x
-
-            def branch(self, u, v, count):
-                out = self.inner.branch(u, v, count)
-                self.branches.append(out)
+            def rollout(self, gains, probes, branches, mode):
+                out = self.inner.rollout(gains, probes, branches, mode)
+                self.windows.append(out)
                 return out
 
             def reset(self, x):
@@ -434,21 +441,12 @@ class TestRunQLearning:
 
         class ReplayOracle(TrajectoryOracle):
             def __init__(self, tape):
-                self._states = iter(tape.states)
-                self._applies = iter(tape.applies)
-                self._branches = iter(tape.branches)
+                self._windows = iter(tape.windows)
 
-            @property
-            def state(self):
-                return next(self._states)
-
-            def apply(self, u, v):
-                return next(self._applies)
-
-            def branch(self, u, v, count):
-                out = next(self._branches)
-                assert out.shape[0] == count
-                return out
+            def rollout(self, gains, probes, branches, mode):
+                Z, succ = next(self._windows)
+                assert len(Z) == len(probes[0]) and succ.shape[-1] == branches
+                return Z, succ
 
             def reset(self, x):
                 pass
@@ -459,6 +457,7 @@ class TestRunQLearning:
         )
         tape = RecordingOracle(SystemOracle(sys_, NoiseSource(3), X0))
         first = run_q_learning(tape, cost, cfg, f16_initial_gains(), X0)
+        assert len(tape.windows) == 4 and len(tape.resets) == 1
         second = run_q_learning(ReplayOracle(tape), cost, cfg, f16_initial_gains(), X0)
         np.testing.assert_array_equal(first.q.H1, second.q.H1)
         np.testing.assert_array_equal(first.gains.K1, second.gains.K1)
@@ -522,50 +521,47 @@ class TestRunQLearning:
             )
 
     def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
-        # the window's states come from the trajectory kernel and its (mu, s)
-        # from stacked products, so no tuple of a window asks for its drift,
-        # and the learner runs no closing trajectory that would
+        # one rollout per iteration returns one (mu, s) per tuple, from one
+        # trajectory-kernel pass, and the learner runs no closing trajectory
+        # that would make another pass
         sys_, cost = f16
-        calls = []
+        kernel, windows = [], []
 
         def counted(*args):
-            calls.append(1)
-            return drift(*args)
+            kernel.append(1)
+            return path(*args)
 
-        drift = sim_module._drift_and_noise
-        monkeypatch.setattr(sim_module, "_drift_and_noise", counted)
-        monkeypatch.setattr(qlearn_module, "_drift_and_noise", counted)
+        def recorded(self, *args):
+            windows.append(rollout(self, *args))
+            return windows[-1]
+
+        path, rollout = qlearn_module.closed_loop_path, SystemOracle.rollout
+        monkeypatch.setattr(qlearn_module, "closed_loop_path", counted)
+        monkeypatch.setattr(SystemOracle, "rollout", recorded)
         rep = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost,
                              _analytic_config(max_iters=3), f16_initial_gains(), X0)
         assert rep.iterations == 3
-        assert len(calls) == 0
+        assert len(kernel) == 3
+        assert [(Z.shape, succ.shape) for Z, succ in windows] == [((20, 5), (2, 20, 3))] * 3
 
     def test_oracle_without_expectations_rejects_analytic(self, f16):
-        sys_, cost = f16
+        # an oracle that only samples successors cannot serve analytic mode:
+        # with 3 branches on the 3-state F-16 its (3, 20, 3) successors
+        # would broadcast silently into wrong analytic targets
+        assert _rejection(*f16, "analytic", "mc") == (
+            "analytic rollout returned rows (20, 5) and successor data (3, 20, 3), "
+            "expected (20, 5) and (2, 20, 3)")
 
-        class BlindOracle(TrajectoryOracle):
-            def __init__(self, inner):
-                self.inner = inner
+    def test_oracle_with_expectations_only_rejects_mc(self, f16):
+        # (mu, s) (2, 20, 3) would broadcast into a branch mean over 2 states
+        assert _rejection(*f16, "mc", "analytic") == (
+            "mc rollout returned rows (20, 5) and successor data (2, 20, 3), "
+            "expected (20, 5) and (3, 20, 3)")
 
-            @property
-            def state(self):
-                return self.inner.state
-
-            def apply(self, u, v):
-                return self.inner.apply(u, v)
-
-            def branch(self, u, v, count):
-                return self.inner.branch(u, v, count)
-
-            def reset(self, x):
-                self.inner.reset(x)
-
-        oracle = BlindOracle(SystemOracle(sys_, NoiseSource(0), X0))
-        with pytest.raises(NotImplementedError, match="exact expectations"):
-            run_q_learning(
-                oracle, cost, _analytic_config(max_iters=1),
-                f16_initial_gains(), X0,
-            )
+    def test_oracle_rows_of_another_shape_rejected(self, f16):
+        assert _rejection(*f16, "analytic", "analytic", rows=19) == (
+            "analytic rollout returned rows (19, 5) and successor data (2, 20, 3), "
+            "expected (20, 5) and (2, 20, 3)")
 
     def test_mc_run_smoke(self, f16):
         sys_, cost = f16
@@ -593,26 +589,44 @@ def _wide_plant(n=3):
 
 
 def _rollout_both(sys_, cost, gains, cont, x0, lead, N, case, branches, mode, seed):
-    """One window from SystemOracle.rollout and one from the base default.
+    """One window from SystemOracle.rollout with the learner's targets, and
+    one from _plain_window.
 
-    Each runs on its own oracle, advanced `lead` unforced steps first.  A
-    path gives (Z, Y, state, step counter, next main-stream draw) bytes, or
-    the (step, message) of the DivergenceError it raised.
+    Each runs on its own noise stream, after a `lead`-step window under zero
+    gains and probes.  A path gives (Z, Y, state) bits, the step counter and
+    the next main-stream draw, or the (step, message) of the DivergenceError
+    it raised.
     """
-    out = []
-    for rollout in (SystemOracle.rollout, TrajectoryOracle.rollout):
-        noise = NoiseSource(seed)
+    n, m1, m2 = sys_.dims
+    still = GainPair.zeros(n, m1, m2)
+    lead_probes = np.zeros((lead, m1)), np.zeros((lead, m2))
+    probes = ProbingSchedule(case).window(lead, N, m1, m2)
+
+    def fast(noise):
         oracle = SystemOracle(sys_, noise, x0)
-        for _ in range(lead):
-            oracle.apply(np.zeros(sys_.m1), np.zeros(sys_.m2))
-        probes = ProbingSchedule(case).window(lead, N, sys_.m1, sys_.m2)
+        if lead:
+            oracle.rollout(still, lead_probes, branches, "analytic")
+        Z, _, Y = _window(oracle, gains, probes, cost, cont, branches, mode)
+        return Z, Y, oracle._x, oracle._k
+
+    def plain(noise):
+        x = x0
+        if lead:
+            x, _, _ = _plain_window(sys_, noise, x0, 0, still, lead_probes, cost, cont,
+                                    branches, "analytic")
+        x, Z, Y = _plain_window(sys_, noise, x, lead, gains, probes, cost, cont,
+                                branches, mode)
+        return Z, Y, x, lead + N
+
+    out = []
+    for path in (fast, plain):
+        noise = NoiseSource(seed)
         try:
-            Z, Y = rollout(oracle, gains, probes, cost, cont, branches, mode)
+            Z, Y, x, k = path(noise)
         except DivergenceError as exc:
             out.append((exc.step, str(exc)))
         else:
-            out.append((Z.shape, Z.tobytes(), Y.shape, Y.tobytes(),
-                        oracle.state.tobytes(), oracle._k, noise.draw(1).tobytes()))
+            out.append((_bits(Z, Y, x), k, noise.draw(1).tobytes()))
     return out
 
 
@@ -625,9 +639,10 @@ class TestRollout:
     @pytest.mark.parametrize("plant", ["f16", "population", "wide", "wide4", "wide5"])
     def test_window_equals_per_tuple_default(self, f16, random_population, plant,
                                              mode, case, member, seed, lead, N):
-        # the stacked window and the tuple-by-tuple default give the same
-        # rows, targets, next state, step counter and next noise draw; from
-        # n = 4 on, a gemm (X @ Q) no longer matches the per-row gemv bits
+        # the oracle's stacked window with the learner's targets and the
+        # plain reference, every product per member and per term, give the
+        # same rows, targets, next state, step counter and next noise draw;
+        # from n = 4 on, a gemm (X @ Q) no longer matches the per-row gemv bits
         sys_, cost = {"f16": f16, "population": random_population[member],
                       "wide": _wide_plant(3), "wide4": _wide_plant(4),
                       "wide5": _wide_plant(5)}[plant]
@@ -637,11 +652,11 @@ class TestRollout:
                          0.3 * rng.standard_normal((m1, n)))
         M1, M2 = rng.standard_normal((2, n, n))
         cont = ValuePair(M1 + M1.T, M2 + M2.T)
-        fast, default = _rollout_both(
+        fast, plain = _rollout_both(
             sys_, cost, gains, cont, rng.standard_normal(n), lead, N, case,
             1 + seed % 40, mode, seed,
         )
-        assert fast == default
+        assert fast == plain
 
     def test_divergence_step_and_message_agree(self):
         # x grows about twofold per step, so the state guard trips inside the
@@ -650,11 +665,11 @@ class TestRollout:
         sys_ = SdltiSystem([[2.0]], [[0.5]], [[0.0]], [[0.0]], [[0.0]])
         steps = {}
         for mode in ("analytic", "mc"):
-            fast, default = _rollout_both(
+            fast, plain = _rollout_both(
                 sys_, CostSpec(1.0, [[1.0]]), GainPair.zeros(1),
                 ValuePair.zeros(1), np.ones(1), 20, 40, "case1", 100, mode, 9,
             )
-            assert fast == default
+            assert fast == plain
             steps[mode] = fast[0]
             assert fast[1] == f"state exceeded divergence guard at step {fast[0]}"
         assert 20 < steps["mc"] < steps["analytic"] < 60

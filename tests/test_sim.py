@@ -171,17 +171,17 @@ class TestStepAndCosts:
                     float(cost.gamma**2 * (v @ v) - r2), r2)
 
     def test_expected_next_quadratic_examples(self, scalar_sys):
-        # SystemOracle.expected_quadratic gives E(x+' P x+) for both members
-        # of the value pair from one (mu, s)
+        # SystemOracle.rollout gives each row's (mu, s), x+ = mu + omega s, so
+        # E(x+' P x+) = mu'P mu + s'P s for both members of the value pair
         ident = SdltiSystem(
             np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)),
             np.zeros((2, 1)), np.zeros((2, 1)),
         )
-        oracle = SystemOracle(ident, NoiseSource(0), [3.0, 4.0])
-        pair = ValuePair(np.eye(2), np.zeros((2, 2)))
-        assert oracle.expected_quadratic(pair, [0.0], [0.0]) == (25.0, 0.0)
-        oracle = SystemOracle(scalar_sys, NoiseSource(0), [1.0])
-        c1, c2 = oracle.expected_quadratic(ValuePair([[1.0]], [[2.0]]), [0.0], [0.0])
+        mu, s = _moments(ident, [3.0, 4.0], [0.0], [0.0])
+        assert mu.tolist() == [3.0, 4.0] and s.tolist() == [0.0, 0.0]
+        assert _expected_quadratics(mu, s, ValuePair(np.eye(2), np.zeros((2, 2)))) == [25.0, 0.0]
+        mu, s = _moments(scalar_sys, [1.0], [0.0], [0.0])
+        c1, c2 = _expected_quadratics(mu, s, ValuePair([[1.0]], [[2.0]]))
         assert c1 == pytest.approx(0.65, abs=1e-15)
         assert c2 == pytest.approx(1.3, abs=1e-15)
 
@@ -194,19 +194,33 @@ class TestStepAndCosts:
         x = rng.standard_normal(sys_.n)
         u = rng.standard_normal(sys_.m1)
         v = rng.standard_normal(sys_.m2)
-        exact = SystemOracle(sys_, NoiseSource(0), x).expected_quadratic(vals, u, v)
-        mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
-        s = sys_.A2 @ x + sys_.C2 @ v
+        mu, s = _moments(sys_, x, u, v)
+        # each is the drift and the noise direction bit for bit
+        assert mu.tobytes() == (sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v).tobytes()
+        assert s.tobytes() == (sys_.A2 @ x + sys_.C2 @ v).tobytes()
+        exact = _expected_quadratics(mu, s, vals)
         N = 40_000
         omegas = NoiseSource(3).branch_window(0, 1, N)[0]
         succ = mu[None, :] + omegas[:, None] * s[None, :]
-        assert len(exact) == 2
         for P, c in zip((vals.P1, vals.P2), exact):
-            # each member is mu'P mu + s'P s bit for bit
-            assert c == float(mu @ P @ mu + s @ P @ s)
             sample = np.einsum("ij,jk,ik->i", succ, P, succ).mean()
             std = np.sqrt(4 * (mu @ P @ s) ** 2 + 2 * (s @ P @ s) ** 2)
             assert abs(sample - c) < 5.0 * std / np.sqrt(N) + 1e-12
+
+
+def _moments(sys_, x, u, v):
+    """(mu, s) of the one-row analytic window at x with executed inputs
+    (u, v): zero gains, the probe row (u, v)."""
+    oracle = SystemOracle(sys_, NoiseSource(0), x)
+    probes = (np.atleast_1d(np.asarray(u, dtype=float))[None],
+              np.atleast_1d(np.asarray(v, dtype=float))[None])
+    Z, MS = oracle.rollout(GainPair.zeros(*sys_.dims), probes, 1, "analytic")
+    assert MS.shape == (2, 1, sys_.n)
+    return MS[:, 0]
+
+
+def _expected_quadratics(mu, s, vals):
+    return [float(mu @ P @ mu + s @ P @ s) for P in (vals.P1, vals.P2)]
 
 
 class TestSimulate:
