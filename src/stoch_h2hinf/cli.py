@@ -1,17 +1,19 @@
 """Command-line front end: solve / vi / qlearn / simulate / bench-f16.
 
-Configuration comes from defaults, then a flat key=value config file, then
-CLI flags, in increasing precedence.  Every run writes a manifest echoing
-the effective configuration so it can be reproduced exactly; CSV artifacts
-are deterministic given the seed.  Exit codes: 0 success, 1 configuration
-error, 2 non-convergence or failed run, 3 attenuation infeasibility.
+Each command reads only the settings _COMMANDS lists for it, from its own
+defaults, then a flat key=value config file, then CLI flags, in increasing
+precedence.  A flag it does not read is a configuration error; a config-file
+key it does not read is listed as unused.  Every run writes a manifest of the
+values it used, so it can be reproduced exactly; CSV artifacts are
+deterministic given the seed.  Exit codes: 0 success, 1 configuration error,
+2 non-convergence or failed run, 3 attenuation infeasibility.
 """
 
 import argparse
+import functools
 import os
 import time
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -43,33 +45,39 @@ from .sim import NoiseSource, simulate_to_csv
 
 SEED_ENV = "STOCH_H2HINF_SEED"
 
-_COMMANDS = ("solve", "vi", "qlearn", "simulate", "bench-f16")
-
 
 @dataclass
 class ExperimentConfig:
-    """Effective run settings; tol and max_iters default per command
-    (solve and simulate: 1e-9 / 5000; vi, qlearn and bench-f16: 1e-3 / 500)."""
+    """Run settings, in the order of the flags and the manifest lines.
+
+    A command reads only the fields _COMMANDS lists for it; main sets its own
+    tol / max_iters defaults (the ones here are solve's)."""
 
     command: str = "solve"
     system: str = "f16"
+    case: int = 1
+    seed: int = 0
+    tol: float = 1e-9
+    max_iters: int = 5000
+    tuples: int = 20
+    branches: int = 100
+    mode: str = "mc"
+    steps: int = 100
+    gamma: float = 1.0
+    out: str = "."
+    reference: bool = True
     a1: str = ""
     a2: str = ""
     b1: str = ""
     c1: str = ""
     c2: str = ""
     q: str = ""
-    gamma: float = 1.0
-    case: int = 1
-    seed: int = 0
-    tol: Optional[float] = None
-    max_iters: Optional[int] = None
-    tuples: int = 20
-    branches: int = 100
-    mode: str = "mc"
-    steps: int = 100
-    out: str = "."
-    reference: bool = True
+
+
+_HELP = {"system": "f16 or custom", "case": "probing case 1, 2 or 3",
+         "mode": "analytic or mc", "out": "output directory",
+         "reference": "omit reference-error columns from the CSV",
+         **{mat: f"{mat.upper()} matrix file" for mat in ("a1", "a2", "b1", "c1", "c2", "q")}}
 
 
 def _parse_bool(text):
@@ -79,17 +87,10 @@ def _parse_bool(text):
     return word in ("1", "true", "yes", "on")
 
 
-_FIELD_TYPES = {
-    "case": int,
-    "seed": int,
-    "max_iters": int,
-    "tuples": int,
-    "branches": int,
-    "steps": int,
-    "gamma": float,
-    "tol": float,
-    "reference": _parse_bool,
-}
+def _convert(key, text):
+    """A setting's text as its field's type; ValueError when it does not parse."""
+    kind = ExperimentConfig.__dataclass_fields__[key].type
+    return _parse_bool(text) if kind is bool else kind(text)
 
 
 def parse_config_file(path):
@@ -120,7 +121,7 @@ def parse_config_file(path):
             problems.append(f"{path}:{lineno}: the command is set on the command line only")
         else:
             try:
-                values[key] = _FIELD_TYPES.get(key, str)(val)
+                values[key] = _convert(key, val)
             except ValueError:
                 values[key] = val
                 problems.append(f"{path}:{lineno}: bad value for {key}: {val!r}")
@@ -170,16 +171,18 @@ def build_system(cfg):
         cost = CostSpec(cfg.gamma, Q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = validate_system(sys_, cost)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    violations = validate_system(sys_, cost)
+    if violations:
+        raise ConfigError("; ".join(violations))
     return sys_, cost
 
 
-def _write_manifest(cfg, outdir, wall, reason):
-    lines = [f"version = {__version__}"]
-    for key, val in asdict(cfg).items():
-        lines.append(f"{key} = {val}")
+def _write_manifest(cfg, outdir, wall, reason, unused=()):
+    reads = _COMMANDS[cfg.command][1]
+    lines = [f"version = {__version__}", f"command = {cfg.command}"]
+    lines += [f"{key} = {val}" for key, val in asdict(cfg).items() if key in reads]
+    if unused:
+        lines.append("unused = " + ", ".join(unused))
     lines.append(f"wall_time_s = {wall:.3f}")
     lines.append(f"exit_reason = {reason}")
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
@@ -192,16 +195,10 @@ def _write_gains_values(outdir, gains, vals):
     write_matrix_txt(vals.P2, os.path.join(outdir, "p2.txt"))
 
 
-def _solve_settings(cfg):
-    """(tol, max_iters) of a fixed-point solve: the flags, else 1e-9 / 5000."""
-    return (cfg.tol if cfg.tol is not None else 1e-9,
-            cfg.max_iters if cfg.max_iters is not None else 5000)
-
-
 def _algo_config(cfg):
     return AlgoConfig(
-        tol=cfg.tol if cfg.tol is not None else 1e-3,
-        max_iters=cfg.max_iters if cfg.max_iters is not None else 500,
+        tol=cfg.tol,
+        max_iters=cfg.max_iters,
         tuples_per_iter=cfg.tuples,
         branches=cfg.branches,
         noise_case=f"case{cfg.case}",
@@ -225,9 +222,18 @@ def _check_trajectory_settings(cfg):
         raise ConfigError("steps must be >= 1")
 
 
+def _learn_setup(cfg):
+    """(system, cost, algo) of a learning run, checked before any work is done."""
+    _check_trajectory_settings(cfg)
+    sys_, cost = build_system(cfg)
+    algo = _algo_config(cfg)
+    algo.validate_for(sys_.p)
+    return sys_, cost, algo
+
+
 def _cmd_solve(cfg, outdir):
     sys_, cost = build_system(cfg)
-    report = solve_coupled_gare(sys_, cost, *_solve_settings(cfg))
+    report = solve_coupled_gare(sys_, cost, cfg.tol, cfg.max_iters)
     report.to_csv(os.path.join(outdir, "solve.csv"))
     _write_gains_values(outdir, report.gains, report.values)
     print(
@@ -248,9 +254,7 @@ def _cmd_vi(cfg, outdir):
 
 
 def _cmd_qlearn(cfg, outdir):
-    _check_trajectory_settings(cfg)
-    sys_, cost = build_system(cfg)
-    algo = _algo_config(cfg)
+    sys_, cost, algo = _learn_setup(cfg)
     x0 = _x0_for(sys_, cfg)
     if cfg.system == "f16":
         gains0 = f16_initial_gains()
@@ -275,7 +279,7 @@ def _cmd_qlearn(cfg, outdir):
 def _cmd_simulate(cfg, outdir):
     _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
-    solved = solve_coupled_gare(sys_, cost, *_solve_settings(cfg))
+    solved = solve_coupled_gare(sys_, cost, cfg.tol, cfg.max_iters)
     simulate_to_csv(sys_, cost, solved.gains, _x0_for(sys_, cfg), cfg.steps,
                     NoiseSource(cfg.seed), os.path.join(outdir, "trajectory.csv"))
     _write_gains_values(outdir, solved.gains, solved.values)
@@ -285,6 +289,8 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_bench(cfg, outdir):
+    # the cases differ only in their probing, so one check covers all three
+    _learn_setup(cfg)
     codes = []
     summary = os.path.join(outdir, "bench_summary.txt")
     open(summary, "w").close()
@@ -299,28 +305,39 @@ def _cmd_bench(cfg, outdir):
     return max(codes), f"three probing cases finished with exit codes {codes}"
 
 
-def _run_in(cfg, outdir, error=None):
+_SYSTEM = frozenset({"system", "gamma", "out", "a1", "a2", "b1", "c1", "c2", "q"})
+_LEARN = _SYSTEM | {"seed", "tol", "max_iters", "tuples", "branches", "mode", "steps",
+                    "reference"}
+
+# command -> (its handler, the settings it reads, its (tol, max_iters) defaults)
+_COMMANDS = {
+    "solve": (_cmd_solve, _SYSTEM | {"tol", "max_iters"}, (1e-9, 5000)),
+    "vi": (_cmd_vi, _SYSTEM | {"tol", "max_iters", "reference"}, (1e-3, 500)),
+    "qlearn": (_cmd_qlearn, _LEARN | {"case"}, (1e-3, 500)),
+    "simulate": (_cmd_simulate, _SYSTEM | {"seed", "tol", "max_iters", "steps"},
+                 (1e-9, 5000)),
+    # the three probing cases are the command's own
+    "bench-f16": (_cmd_bench, _LEARN, (1e-3, 500)),
+}
+
+
+def _run_in(cfg, outdir, error=None, unused=()):
     """Dispatch a command into outdir; returns (code, reason).
 
     error is a ConfigError met while reading the settings: the run then
-    writes only the manifest, with that error as its exit reason.
+    writes only the manifest, with that error as its exit reason.  unused
+    names the config-file keys the command does not read.
     """
     start = time.perf_counter()
-    handler = {
-        "solve": _cmd_solve,
-        "vi": _cmd_vi,
-        "qlearn": _cmd_qlearn,
-        "simulate": _cmd_simulate,
-        "bench-f16": _cmd_bench,
-    }[cfg.command]
+    handler, reads, _ = _COMMANDS[cfg.command]
     try:
         if error is not None:
             raise error
-        if cfg.seed < 0:
+        if "seed" in reads and cfg.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-        if f"case{cfg.case}" not in NOISE_CASES:
+        if "case" in reads and f"case{cfg.case}" not in NOISE_CASES:
             raise ConfigError(f"case must be 1, 2 or 3, got {cfg.case}")
-        if cfg.mode not in EXPECTATION_MODES:
+        if "mode" in reads and cfg.mode not in EXPECTATION_MODES:
             raise ConfigError(f"mode must be analytic or mc, got {cfg.mode!r}")
         code, reason = handler(cfg, outdir)
     except ConfigError as exc:
@@ -332,84 +349,79 @@ def _run_in(cfg, outdir, error=None):
     except (ConvergenceError, ExcitationError, DivergenceError, GainExtractionError) as exc:
         code, reason = 2, f"run failed: {exc}"
         print(reason)
-    _write_manifest(cfg, outdir, time.perf_counter() - start, reason)
+    _write_manifest(cfg, outdir, time.perf_counter() - start, reason, unused)
     return code, reason
 
 
-def run_experiment(cfg, error=None):
+def run_experiment(cfg, error=None, unused=()):
     """Execute one experiment; returns the process exit code.
 
     With a ConfigError as error, only the manifest is written (exit 1).
+    unused names config-file keys the command does not read, for the manifest.
     """
-    if cfg.command not in _COMMANDS:
-        print(f"unknown command {cfg.command!r}")
-        return 1
     try:
         outdir = cfg.out or "."
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         print(f"config error: cannot create output directory {cfg.out!r}: {exc}")
         return 1
-    code, _ = _run_in(cfg, outdir, error)
+    code, _ = _run_in(cfg, outdir, error, unused)
     return code
 
 
+@functools.cache  # built once: main may run many times in one process
 def _build_parser():
-    # every command takes the same flags, built once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--system", default=None, help="f16 or custom")
-    # values stay strings here and are converted like the config file's,
-    # so a bad one is a configuration error (exit 1 with a manifest)
-    common.add_argument("--case", default=None, help="probing case 1, 2 or 3")
-    common.add_argument("--seed", default=None)
-    common.add_argument("--tol", default=None)
-    common.add_argument("--max-iters", default=None)
-    common.add_argument("--tuples", default=None)
-    common.add_argument("--branches", default=None)
-    common.add_argument("--mode", default=None, help="analytic or mc")
-    common.add_argument("--steps", default=None)
-    common.add_argument("--gamma", default=None)
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--no-reference", action="store_true",
-                        help="omit reference-error columns from the CSV")
-    for mat in ("a1", "a2", "b1", "c1", "c2", "q"):
-        common.add_argument(f"--{mat}", default=None, help=f"{mat.upper()} matrix file")
     parser = argparse.ArgumentParser(
         prog="stoch-h2hinf",
         description="Mixed H2/Hinf control with multiplicative noise: "
                     "model-based solver and model-free Q-learning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
+    for name, (_, reads, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", help="flat key=value config file")
+        # values stay strings here and are converted like the config file's,
+        # so a bad one is a configuration error (exit 1 with a manifest)
+        for key in ExperimentConfig.__dataclass_fields__:
+            if key == "reference" and key in reads:
+                cmd.add_argument("--no-reference", dest=key, action="store_const",
+                                 const="off", help=_HELP[key])
+            elif key in reads:
+                cmd.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key))
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    values = {"command": args.command}
-    error = None
+    parser = _build_parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread and not unread[0].startswith("-"):
+        parser.error("unrecognized arguments: " + " ".join(unread))
+    _, reads, (tol, max_iters) = _COMMANDS[args.command]
+    values = {"command": args.command, "tol": tol, "max_iters": max_iters}
+    error, unused = None, ()
     if args.config:
         try:
-            values.update(parse_config_file(args.config))
+            given = parse_config_file(args.config)
         except ConfigError as exc:
-            values.update(getattr(exc, "values", {}))
-            error = exc
+            given, error = getattr(exc, "values", {}), exc
+        values.update((key, val) for key, val in given.items() if key in reads)
+        unused = tuple(key for key in given if key not in reads)
+    if unread:
+        # a flag of another command, or of none
+        flag = unread[0].split("=", 1)[0]
+        error = error or ConfigError(f"{args.command} does not read {flag}")
     # the flags in the order they are declared, so the first bad one is named
     for key, val in vars(args).items():
-        if key in ("command", "config", "no_reference") or val is None:
+        if key in ("command", "config") or val is None:
             continue
         try:
-            values[key] = _FIELD_TYPES.get(key, str)(val)
+            values[key] = _convert(key, val)
         except ValueError:
             values[key] = val
             flag = "--" + key.replace("_", "-")
             error = error or ConfigError(f"bad value for {flag}: {val!r}")
-    if args.no_reference:
-        values["reference"] = False
     env_seed = os.environ.get(SEED_ENV)
-    if "seed" not in values and env_seed is not None and error is None:
+    if "seed" in reads and "seed" not in values and env_seed is not None and error is None:
         try:
             values["seed"] = int(env_seed)
         except ValueError:
@@ -419,7 +431,7 @@ def main(argv=None):
     # stays in values as the text given, and a settings error still gets a
     # manifest, in the output directory known so far: --out, else the config
     # file's out, else "."
-    return run_experiment(ExperimentConfig(**values), error)
+    return run_experiment(ExperimentConfig(**values), error, unused)
 
 
 if __name__ == "__main__":

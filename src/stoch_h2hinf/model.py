@@ -144,15 +144,13 @@ class SdltiSystem:
 class CostSpec:
     """Attenuation level gamma and state cost Q; control weight is identity.
 
-    Q must be symmetric.  Positive semidefiniteness and the strict-definiteness
-    observability certificate are recorded as flags rather than enforced, so
-    that validate_system can report them.
+    Q must be symmetric.  Positive semidefiniteness is recorded as a flag
+    rather than enforced, so that validate_system can report it.
     """
 
     gamma: float
     Q: np.ndarray
     q_psd: bool = field(init=False)
-    observability_certified: bool = field(init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
@@ -164,7 +162,6 @@ class CostSpec:
         lo = float(np.linalg.eigvalsh(self.Q).min()) if Q.size else 0.0
         scale = max(1.0, float(np.abs(self.Q).max())) if Q.size else 1.0
         object.__setattr__(self, "q_psd", lo >= -1e-10 * scale)
-        object.__setattr__(self, "observability_certified", lo > 1e-10 * scale)
 
 
 @dataclass(frozen=True)
@@ -323,18 +320,9 @@ class AlgoConfig:
             )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-    observability_certified: bool
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def validate_system(sys, cost):
-    """Report-style checks of the (system, cost) pair; never raises."""
+    """The violations of the (system, cost) pair, as a tuple of messages;
+    never raises, and an empty tuple means the pair is valid."""
     violations = []
     if cost.Q.shape != (sys.n, sys.n):
         violations.append(
@@ -342,5 +330,4 @@ def validate_system(sys, cost):
         )
     if not cost.q_psd:
         violations.append("Q not PSD")
-    certified = cost.observability_certified and not violations
-    return ValidationReport(tuple(violations), certified)
+    return tuple(violations)

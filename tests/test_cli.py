@@ -74,6 +74,29 @@ class TestBenchmarkConstants:
         assert total == pytest.approx(138.702883213, abs=1e-9)
 
 
+# the flags of each command, in the order its help and its manifest list them
+_MATRIX_FLAGS = ["--a1", "--a2", "--b1", "--c1", "--c2", "--q"]
+FLAGS = {
+    "solve": ["--system", "--tol", "--max-iters", "--gamma", "--out", *_MATRIX_FLAGS],
+    "vi": ["--system", "--tol", "--max-iters", "--gamma", "--out", "--no-reference",
+           *_MATRIX_FLAGS],
+    "qlearn": ["--system", "--case", "--seed", "--tol", "--max-iters", "--tuples",
+               "--branches", "--mode", "--steps", "--gamma", "--out", "--no-reference",
+               *_MATRIX_FLAGS],
+    "simulate": ["--system", "--seed", "--tol", "--max-iters", "--steps", "--gamma",
+                 "--out", *_MATRIX_FLAGS],
+    "bench-f16": ["--system", "--seed", "--tol", "--max-iters", "--tuples", "--branches",
+                  "--mode", "--steps", "--gamma", "--out", "--no-reference",
+                  *_MATRIX_FLAGS],
+}
+UNREAD = [(command, flag) for command in FLAGS for flag in FLAGS["qlearn"]
+          if flag not in FLAGS[command]]
+
+
+def _manifest_key(flag):
+    return flag.removeprefix("--no-").removeprefix("--").replace("-", "_")
+
+
 def _read_matrix(path):
     return np.loadtxt(path, ndmin=2)
 
@@ -102,7 +125,8 @@ class TestSolveCommand:
         assert np.linalg.eigvalsh(p1).max() <= 1e-9
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "exit_reason = converged" in manifest
-        assert "seed = 0" in manifest
+        # the solve's own defaults, as numbers
+        assert {"tol = 1e-09", "max_iters = 5000"} <= set(manifest.splitlines())
 
     def test_nonconvergence_exit_2(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path), "--max-iters", "3"]) == 2
@@ -417,7 +441,7 @@ class TestConfigHandling:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out = {out}\n")
         monkeypatch.setenv("STOCH_H2HINF_SEED", "abc")
-        assert main(["solve", "--config", str(cfg)]) == 1
+        assert main(["simulate", "--config", str(cfg)]) == 1
         _assert_config_manifest_only(out, "STOCH_H2HINF_SEED='abc' is not an integer")
 
     def test_reference_words(self, tmp_path):
@@ -448,10 +472,19 @@ class TestConfigHandling:
     def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STOCH_H2HINF_SEED", "nine")
         out = tmp_path / "out"
-        assert main(["solve", "--out", str(out)]) == 1
+        assert main(["simulate", "--out", str(out)]) == 1
         assert "not an integer" in capsys.readouterr().out
         _assert_config_manifest_only(out, "not an integer")
         assert "seed = nine" in (out / "manifest.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["solve", "vi"])
+    def test_env_seed_ignored_without_seed(self, tmp_path, monkeypatch, command):
+        # solve and vi draw no noise, so they read no seed, not even a bad one
+        monkeypatch.setenv("STOCH_H2HINF_SEED", "nine")
+        out = tmp_path / "out"
+        assert main([command, "--tol", "1e-3", "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert not any(line.startswith("seed = ") for line in lines)
 
     def test_rejected_flag_value_echoed(self, tmp_path):
         assert main(["simulate", "--steps", "abc", "--out", str(tmp_path)]) == 1
@@ -480,11 +513,9 @@ class TestConfigHandling:
         assert lines[-1] == f"exit_reason = config error: {cfg}:2: bad value for steps: 'abc'"
         _assert_config_manifest_only(out, f"{cfg}:2: ")
 
-    @pytest.mark.parametrize("command", ["solve", "vi", "qlearn", "simulate", "bench-f16"])
+    @pytest.mark.parametrize("command", list(FLAGS))
     def test_command_help_lists_every_flag(self, capsys, command):
-        flags = ["--config", "--system", "--case", "--seed", "--tol", "--max-iters",
-                 "--tuples", "--branches", "--mode", "--steps", "--gamma", "--out",
-                 "--no-reference", "--a1", "--a2", "--b1", "--c1", "--c2", "--q"]
+        flags = ["--config", *FLAGS[command]]
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
@@ -511,12 +542,14 @@ class TestConfigHandling:
         (["solve", "--tol", "-1"], "tol"),
         (["solve", "--max-iters", "0"], "max_iters"),
         (["qlearn", "--mode", "analytic", "--steps", "0"], "steps"),
-        (["solve", "--case", "4"], "case"),
+        (["qlearn", "--case", "4"], "case"),
         (["qlearn", "--mode", "exact"], "mode"),
         (["simulate", "--steps", "abc"], "steps"),
-        (["vi", "--seed", "x"], "seed"),
+        (["simulate", "--seed", "x"], "seed"),
         (["solve", "--system", "custom", "--a1", os.devnull],
          "matrix file for A1 is empty"),
+        # checked once for all three cases, before any is run
+        (["bench-f16", "--steps", "0"], "steps"),
     ])
     def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -526,6 +559,45 @@ class TestConfigHandling:
         assert "exit_reason = config error: " in manifest
         # rejected before any work: nothing but the manifest is written
         assert os.listdir(tmp_path) == ["manifest.txt"]
+
+    @pytest.mark.parametrize("command, argv, flag", [
+        *[(command, [flag, "1"], flag) for command, flag in UNREAD],
+        *[(command, ["--bogus", "1"], "--bogus") for command in FLAGS],
+        ("simulate", ["--tuples=7"], "--tuples"),
+    ])
+    def test_unread_flag_exit_1_with_manifest(self, tmp_path, capsys, command, argv, flag):
+        assert main([command, *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == f"config error: {command} does not read {flag}\n"
+        _assert_config_manifest_only(tmp_path, f"{command} does not read {flag}")
+
+    def test_flag_without_value_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--tol"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, unused", [
+        ("solve", "case, mode, steps"),
+        ("vi", "case, mode, steps"),
+        ("qlearn", None),
+        ("simulate", "case, mode"),
+        ("bench-f16", "case"),
+    ])
+    def test_manifest_keys_are_read_settings(self, tmp_path, command, unused):
+        # one config file shared by every command: a key the command does
+        # not read is listed as unused, not applied and not an error
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("case = 2\nmode = analytic\nsteps = 5\nmax_iters = 2\n")
+        out = tmp_path / "out"
+        main([command, "--config", str(cfg), "--out", str(out)])
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert all(" = " in line for line in lines)
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert keys == ["version", "command", *map(_manifest_key, FLAGS[command]),
+                        *(["unused"] if unused else []), "wall_time_s", "exit_reason"]
+        if unused:
+            assert f"unused = {unused}" in lines
+        tol = "1e-09" if command in ("solve", "simulate") else "0.001"
+        assert {f"tol = {tol}", "max_iters = 2"} <= set(lines)
 
     @pytest.mark.parametrize("argv, env, message", [
         (["qlearn", "--mode", "analytic", "--seed", "-1"], {}, "seed"),

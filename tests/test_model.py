@@ -56,26 +56,22 @@ def test_cost_validation():
 
 
 def test_cost_observability_flags():
-    assert CostSpec(1.0, np.eye(2)).observability_certified
-    semi = CostSpec(1.0, np.diag([1.0, 0.0]))
-    assert semi.q_psd and not semi.observability_certified
+    assert CostSpec(1.0, np.eye(2)).q_psd
+    assert CostSpec(1.0, np.diag([1.0, 0.0])).q_psd
     indef = CostSpec(1.0, np.diag([1.0, -0.5]))
     assert not indef.q_psd
 
 
 def test_validate_system_f16(f16):
-    report = validate_system(*f16)
-    assert report.ok
-    assert report.observability_certified
+    assert validate_system(*f16) == ()
 
 
 def test_validate_system_violations(f16):
     sys_, _ = f16
-    report = validate_system(sys_, CostSpec(1.0, np.diag([1.0, 1.0, -1.0])))
-    assert "Q not PSD" in report.violations
-    assert not report.observability_certified
-    report = validate_system(sys_, CostSpec(1.0, np.eye(2)))
-    assert any("dimension mismatch" in v for v in report.violations)
+    violations = validate_system(sys_, CostSpec(1.0, np.diag([1.0, 1.0, -1.0])))
+    assert violations == ("Q not PSD",)
+    violations = validate_system(sys_, CostSpec(1.0, np.eye(2)))
+    assert any("dimension mismatch" in v for v in violations)
 
 
 def test_value_pair_symmetry():
