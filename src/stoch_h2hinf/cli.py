@@ -378,7 +378,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, reads, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name)
+        # no prefix matching: a prefix is a flag the command does not read,
+        # not one of its own flags picked by whatever else it declares
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key=value config file")
         # values stay strings here and are converted like the config file's,
         # so a bad one is a configuration error (exit 1 with a manifest)

@@ -564,6 +564,9 @@ class TestConfigHandling:
         *[(command, [flag, "1"], flag) for command, flag in UNREAD],
         *[(command, ["--bogus", "1"], "--bogus") for command in FLAGS],
         ("simulate", ["--tuples=7"], "--tuples"),
+        # a prefix is not expanded to the one flag of this command it fits
+        ("simulate", ["--t", "1e-6", "--steps", "5"], "--t"),
+        ("solve", ["--s", "x"], "--s"),
     ])
     def test_unread_flag_exit_1_with_manifest(self, tmp_path, capsys, command, argv, flag):
         assert main([command, *argv, "--out", str(tmp_path)]) == 1

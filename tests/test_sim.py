@@ -654,6 +654,191 @@ class TestKernel:
         _assert_same_path(got, _reference_path(*args))
         assert taken == [] and got[0][600, 0] == 1.0 and got[0][601, 0] > 1.0
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5),
+           T=st.one_of(st.integers(1, 30), st.integers(_BLOCK - 2, _BLOCK + 2),
+                       st.integers(2 * _BLOCK - 2, 2 * _BLOCK + 2)),
+           rho=st.sampled_from([0.5, 0.9, 1.06, 1.1, 1e3, 1e200]), seed=st.integers(0, 2**16),
+           zero=st.sampled_from([None, 0.0, -0.0]))
+    def test_single_input_loop_equals_per_step_reference(self, n, T, rho, seed, zero):
+        # the blocked-loop property above at m1 = m2 = 1, where every path
+        # runs on Python floats; a zero column entry is where numpy's
+        # product is +0.0 rather than the plain product
+        rng = np.random.default_rng(seed)
+        A1 = rho * np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        B1, C1, C2 = (rng.standard_normal((n, 1)) for _ in range(3))
+        if zero is not None:
+            for col in (B1, C1, C2):
+                col[rng.integers(n), 0] = zero
+        A2 = 0.1 * rng.standard_normal((n, n))
+        K1, K2 = 0.01 * rng.standard_normal((1, n)), 0.01 * rng.standard_normal((1, n))
+        args = (A1, B1, C1, A2, C2, K1, K2, rng.standard_normal(n),
+                rng.standard_normal(T), rng.standard_normal((T, 1)),
+                rng.standard_normal((T, 1)))
+        with np.errstate(all="ignore"):
+            expect = _reference_path(*args)
+        with warnings.catch_warnings(), _loop_spy() as loops:
+            warnings.simplefilter("error")
+            got = closed_loop_path(*args)
+        _assert_same_path(got, expect)
+        assert set(loops) == {"single_input"}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5), blocks=st.integers(1, 5), offset=st.integers(-1, 1),
+           plant=st.sampled_from([(0.02, 1.0), (0.1, 1.0), (0.3, 1.0), (0.9, 1e-300)]),
+           seed=st.integers(0, 2**16))
+    def test_single_input_settling_equals_per_step_reference(self, n, blocks, offset,
+                                                             plant, seed):
+        # the settling property above at m1 = m2 = 1: the underflow into
+        # subnormals and signed zeros runs on Python floats
+        T = blocks * _BLOCK + offset
+        args = _settling_args(n, 1, 1, T, *plant, seed)
+        with _settle_spy(T) as taken, _loop_spy() as loops:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert got[3] == -1
+        assert all(0 < b < T for b in taken)
+        assert set(loops) == {"single_input"}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("flip", [400, None])
+    def test_signed_zero_state_single_input(self, flip, sign):
+        # the plant of the test above on two copies of its state.  At
+        # n >= 2 a gemv row or a column product of exact zeros is +0.0, so
+        # mu and s are +0.0 where the n = 1 loop keeps -0.0: no state after
+        # x0 holds -0.0, whatever the signs of w, and the path settles at
+        # the first block end
+        T = 3 * _BLOCK
+        omegas = -sign * np.abs(np.random.default_rng(5).standard_normal(T))
+        if flip is not None:
+            omegas[flip] = sign
+        ones, col = np.eye(2), np.ones((2, 1))
+        args = (0.5 * ones, -col, -col, ones, sign * col, np.full((1, 2), 0.1),
+                np.full((1, 2), 0.1), np.array([-0.0, -0.0]), omegas,
+                np.zeros((T, 1)), np.zeros((T, 1)))
+        with _settle_spy(T) as taken, _loop_spy() as loops:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert loops == ["single_input"] and taken == [_BLOCK]
+        assert np.signbit(got[0][0]).all() and not np.signbit(got[0][1:]).any()
+
+    def test_underflowed_column_product_keeps_its_sign(self):
+        # x = 5e-324 (1, ..., 1) at n = 5, where a gemv row of products
+        # that underflow below zero is -0.0 (at n <= 4 it is +0.0).  u and
+        # v are -5e-24, so every column product 5e-324 u underflows too:
+        # numpy's fma keeps its -0.0, where b u + 0.0 would give +0.0, and
+        # the next state is -0.0 in every entry
+        n, T, tiny = 5, 4, 5e-324
+        A, col = np.full((n, n), -0.1), np.full((n, 1), tiny)
+        K = np.zeros((1, n))
+        K[0, 0] = -1e300
+        args = (A, col, col, A, col, K, K, np.full(n, tiny), np.ones(T),
+                np.zeros((T, 1)), np.zeros((T, 1)))
+        with _loop_spy() as loops:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert loops == ["single_input"]
+        assert np.signbit(got[0][1]).all() and (got[1][0] < 0).all()
+
+    @pytest.mark.parametrize("dims, order, loop", [
+        ((3, 1, 1), "C", "single_input"),
+        ((3, 2, 1), "C", "general"),
+        ((3, 1, 2), "C", "general"),
+        ((1, 1, 1), "C", "general"),
+        # a Fortran-ordered A1 runs another gemv kernel, with other bits
+        ((3, 1, 1), "F", "general"),
+    ])
+    def test_loop_taken(self, f16, f16_solution, dims, order, loop):
+        # which loop a path runs, so no bit test above can pass without
+        # running the loop it is meant to check; (3, 1, 1) is F-16's
+        n, m1, m2 = dims
+        T = 2 * _BLOCK + 5
+        if dims == (3, 1, 1):
+            sys_, gains = f16[0], f16_solution.gains
+            rng = np.random.default_rng(11)
+            args = [sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, gains.K1, gains.K2,
+                    X0, rng.standard_normal(T), 0.1 * rng.standard_normal((T, m1)),
+                    0.1 * rng.standard_normal((T, m2))]
+        else:
+            args = _settling_args(n, m1, m2, T, 0.3, 1.0, 11)
+        args[0] = np.asarray(args[0], order=order)
+        with _loop_spy() as loops:
+            got = closed_loop_path(*args)
+        _assert_same_path(got, _reference_path(*args))
+        assert loops == [loop] * 3
+
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+             np.inf, -np.inf, np.nan)
+
+
+def _special_draw(rng, shape):
+    """Normal draws with about 40% of the entries replaced by signed zeros,
+    subnormals, huge values, infinities and NaN."""
+    a = rng.standard_normal(shape)
+    hit = rng.random(shape) < 0.4
+    a[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return a
+
+
+class TestProductRules:
+    """The numpy products whose bits the single-input kernel loop
+    reproduces, pinned here: a numpy or BLAS upgrade that changes one fails
+    in this class rather than as a changed artifact."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_rows_are_each_gemv(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2000):
+            A1, A2, x = (_special_draw(rng, shape) for shape in ((n, n), (n, n), n))
+            with np.errstate(all="ignore"):
+                got = np.concatenate((A1, A2)).dot(x)
+                expect = np.concatenate((A1.dot(x), A2.dot(x)))
+            if np.isnan(np.concatenate((A1, A2, x[None]))).any():
+                # where a NaN meets a NaN made of infinities, the two calls
+                # may keep different NaN payloads; the kernel's matrices are
+                # finite and each row it keeps is a step from a finite state
+                got = np.where(np.isnan(got), np.nan, got)
+                expect = np.where(np.isnan(expect), np.nan, expect)
+            assert got.tobytes() == expect.tobytes(), \
+                "rule: each row of [A1; A2] . x has the bits of A1 . x or A2 . x"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_column_product_is_axpy_into_zeros(self, n):
+        rng = np.random.default_rng(10 + n)
+        rule = "rule: (n, 1) . (1,) is +0.0 for u = 0, else fma(b, u, +0.0), b u but +0.0 for b = 0"
+        for _ in range(2000):
+            B, (u,) = _special_draw(rng, (n, 1)), _special_draw(rng, 1).tolist()
+            with np.errstate(all="ignore"):
+                got = B.dot(np.array([u]))
+            expect = [0.0 if u == 0 else b * u + (-0.0 if b else 0.0) for b in B[:, 0].tolist()]
+            assert got.tobytes() == np.array(expect).tobytes(), rule
+            # so do the kernel's rows, (0.0, 0.0) standing in for u = 0
+            rows = _kernels._column(B) if u else [(0.0, 0.0)] * n
+            table = [p * u + z for p, z in rows]
+            assert np.array(table).tobytes() == got.tobytes(), rule
+        # an fma, not b u + 0.0: a product that underflows keeps its sign
+        assert np.signbit(np.full((n, 1), 5e-324).dot([-0.1])).all(), rule
+
+    def test_one_entry_product_is_plain(self):
+        # why n = 1 runs the general loop: no axpy, no +0.0
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            b, u = _special_draw(rng, 2).tolist()
+            with np.errstate(all="ignore"):
+                got = np.array([[b]]).dot(np.array([u]))
+            assert got.tobytes() == np.array([b * u]).tobytes(), "rule: (1, 1) . (1,) is b u"
+        assert np.signbit(np.array([[-1.0]]).dot([0.0])).all(), "rule: (1, 1) . (1,) is b u"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gain_row_dot_is_the_matrix_dot(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(2000):
+            K, x = _special_draw(rng, (1, n)), _special_draw(rng, n)
+            with np.errstate(all="ignore"):
+                got, expect = np.array([K[0].dot(x)]), K.dot(x)
+            assert got.tobytes() == expect.tobytes(), "rule: K[0] . x has the bits of K . x"
+
 
 def _assert_same_path(got, expect):
     assert got[3] == expect[3]
@@ -686,6 +871,23 @@ def _settle_spy(T):
 
     with mock.patch.object(_kernels, "_settled_step", spy):
         yield taken
+
+
+@contextlib.contextmanager
+def _loop_spy():
+    """Names the loop, single_input or general, that runs each block of steps."""
+    ran = []
+    real = {"single_input": _kernels._single_input_steps, "general": _kernels._steps}
+
+    def wrap(name):
+        def steps(*args):
+            ran.append(name)
+            return real[name](*args)
+        return steps
+
+    with mock.patch.object(_kernels, "_single_input_steps", wrap("single_input")), \
+            mock.patch.object(_kernels, "_steps", wrap("general")):
+        yield ran
 
 
 @contextlib.contextmanager
