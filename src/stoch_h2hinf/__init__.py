@@ -41,6 +41,7 @@ from .gare import (
     ms_stable,
     random_feasible_system,
     solve_coupled_gare,
+    solve_coupled_gare_pi,
     vi_value_update,
 )
 from .sim import (

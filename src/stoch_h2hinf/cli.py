@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .f16 import X0, f16_initial_gains, f16_reference, f16_system
-from .gare import solve_coupled_gare
+from .gare import solve_coupled_gare, solve_coupled_gare_pi
 from .model import (
     AlgoConfig,
     AttenuationInfeasibleError,
@@ -279,11 +279,19 @@ def _cmd_qlearn(cfg, outdir):
 def _cmd_simulate(cfg, outdir):
     _check_trajectory_settings(cfg)
     sys_, cost = build_system(cfg)
-    solved = solve_coupled_gare(sys_, cost, cfg.tol, cfg.max_iters)
+    try:
+        solved = solve_coupled_gare_pi(sys_, cost, cfg.tol, cfg.max_iters)
+        how = f"policy iteration in {solved.iterations} iterations"
+    except (ConvergenceError, AttenuationInfeasibleError, GainExtractionError) as exc:
+        # value iteration needs no stabilizing start; its failures are the
+        # ones solve reports for the same settings
+        solved = solve_coupled_gare(sys_, cost, cfg.tol, cfg.max_iters)
+        how = (f"value iteration in {solved.iterations} iterations "
+               f"(policy iteration failed: {exc})")
     simulate_to_csv(sys_, cost, solved.gains, _x0_for(sys_, cfg), cfg.steps,
                     NoiseSource(cfg.seed), os.path.join(outdir, "trajectory.csv"))
     _write_gains_values(outdir, solved.gains, solved.values)
-    reason = f"simulated {cfg.steps} steps under the solved gains"
+    reason = f"simulated {cfg.steps} steps under the gains solved by {how}"
     print(reason)
     return 0, reason
 

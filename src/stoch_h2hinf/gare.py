@@ -38,6 +38,17 @@ whole, so a singular Delta is named by walking the block in sweep order,
 and a pending block is computed before any error from the loop propagates:
 a solve fails with the error and at the sweep it did when each sweep
 computed its own residuals.
+
+Policy iteration (solve_coupled_gare_pi; Kleinman 1968, Hewer 1971) meets
+the same fixed point in a handful of iterations (8 on F-16 at tol 1e-9,
+where the recursion sweeps 652 times).  Each iteration fixes (K1, K2),
+solves both generalized Lyapunov equations for their values in one n^2 x n^2
+solve (_policy_values) and extracts the next gains with the recursion's
+Delta check.  It needs mean-square stabilizing gains to evaluate, zero gains
+first, and raises when they are not; the recursion needs no such start.
+simulate solves by policy iteration and falls back on the recursion;
+solve, vi, the learner's mirror and random_feasible_system use the
+recursion.
 """
 
 import math
@@ -243,6 +254,13 @@ class SolveReport:
             fh.write(("%d,%.12g,%.12g,%.12g,%.12g\n" * len(self.history)) % tuple(cells))
 
 
+def _check_budget(tol, max_iters):
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be a positive integer")
+
+
 def _value_iteration(sys, cost, tol, max_iters):
     """The coupled value recursion from (0, 0), one item per sweep.
 
@@ -253,10 +271,7 @@ def _value_iteration(sys, cost, tol, max_iters):
     finite range (that sweep is not yielded).  The Delta blocks and left
     factors at the updated values are the next sweep's gain system.
     """
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be a positive integer")
+    _check_budget(tol, max_iters)
     consts = _delta_constants(sys, cost)
     PP = np.zeros((2, sys.n, sys.n))
     P1, P2 = PP
@@ -349,6 +364,90 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
         return report
     err.report = report
     raise err
+
+
+def _second_moment_map(Ad, An):
+    """Ad'(x)Ad' + An'(x)An' (n^2 x n^2): the map X -> Ad'X Ad + An'X An
+    acting on X flattened row by row."""
+    n2 = Ad.size
+    T = Ad.T[:, None, :, None] * Ad.T[None, :, None, :]
+    T += An.T[:, None, :, None] * An.T[None, :, None, :]
+    return T.reshape(n2, n2)
+
+
+def _policy_values(cost, policy, T):
+    """The values (P1, P2), stacked (2, n, n), of the fixed gains in policy
+    (_policy_terms); T is their _second_moment_map.
+
+    Both generalized Lyapunov equations P = Ad'P Ad + An'P An + W, with
+    W1 = -Q - K2'K2 + g^2 K1'K1 and W2 = Q + K2'K2, are one n^2 x n^2 solve
+    (I - T) vec P = vec W with two right-hand sides.  The values are the
+    gains' costs only when T's spectral radius is below 1.
+    """
+    K1, K2tK2 = policy[:2]
+    W2 = cost.Q + K2tK2
+    W1 = cost.gamma**2 * (K1.T @ K1) - W2
+    vecP = np.linalg.solve(np.eye(len(T)) - T, np.stack((W1.ravel(), W2.ravel()), axis=1))
+    # C-ordered, so P1 and P2 feed the gain system as a ValuePair's copies do
+    return symmetrize(np.ascontiguousarray(vecP.T).reshape(2, *W1.shape))
+
+
+def solve_coupled_gare_pi(sys, cost, tol=1e-9, max_iters=5000):
+    """Solve the coupled equations by policy iteration from zero gains.
+
+    Each iteration fixes (K1, K2), solves for their values (P1, P2) (one
+    Lyapunov solve, _policy_values) and extracts the next gains from them
+    with the Delta check of the value recursion.  It stops on the value
+    recursion's rule: both Frobenius value changes below tol (the first
+    iteration's change is from (0, 0)).  The report has the shape of
+    solve_coupled_gare's, one history row per iteration, its residuals at
+    the iteration's values and extracted gains; the report's gains are the
+    last ones extracted.
+
+    Raises ConvergenceError when the gains to be evaluated, the zero start
+    included, are not mean-square stabilizing, when an iterate leaves the
+    finite range, or when max_iters runs out (no report attached);
+    AttenuationInfeasibleError and GainExtractionError as gains_from_values
+    does.
+    """
+    _check_budget(tol, max_iters)
+    consts = _delta_constants(sys, cost)
+    blk = np.empty((sys.m2 + sys.m1,) * 2)
+    K1, K2 = np.zeros((sys.m2, sys.n)), np.zeros((sys.m1, sys.n))
+    P1 = P2 = np.zeros((sys.n, sys.n))
+    dps, iterates = [], []
+    for it in range(1, max_iters + 1):
+        gains_from = "the start gains" if it == 1 else f"the gains of iteration {it - 1}"
+        policy = _policy_terms(sys, K1, K2)
+        Ad, An = policy[3:5]
+        # a huge gain overflows T, which the finiteness check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = _second_moment_map(Ad, An)
+            if not np.isfinite(T).all():
+                raise ConvergenceError(f"no fixed point: {gains_from} left the finite range")
+            rho = ms_radius(Ad, An)
+            if not rho < 1.0:
+                raise ConvergenceError(f"{gains_from} are not mean-square stabilizing "
+                                       f"(ms radius {rho:.4g})")
+            P1n, P2n = _policy_values(cost, policy, T)
+            d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
+            if not math.isfinite(d1 + d2):
+                raise ConvergenceError(f"no fixed point: the values of {gains_from} "
+                                       f"left the finite range")
+        P1, P2 = P1n, P2n
+        K1, K2 = _extract_gains(sys, cost, _delta_blocks(sys, P1, P2, consts), blk)
+        dps.append((d1, d2))
+        iterates.append((K1, K2, P1, P2))
+        if d1 < tol and d2 < tol:
+            gains = GainPair(K1, K2)
+            rows = _residual_rows(sys, cost, consts, iterates)
+            return SolveReport(ValuePair(P1, P2), gains,
+                               tuple(dP + r for dP, r in zip(dps, rows)),
+                               ms_stable(*closed_loop_pair(sys, gains)))
+    raise ConvergenceError(
+        f"no fixed point within {max_iters} policy iterations (tol={tol:g}); "
+        f"last dP=({d1:.3e}, {d2:.3e})"
+    )
 
 
 def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):

@@ -18,11 +18,15 @@ except ImportError:  # Python < 3.11
 import stoch_h2hinf
 from stoch_h2hinf import (
     AlgoConfig,
+    NoiseSource,
     f16_initial_gains,
     f16_reference,
     f16_system,
     run_value_iteration,
+    simulate_to_csv,
+    solve_coupled_gare,
 )
+from stoch_h2hinf import gare
 from stoch_h2hinf.cli import (
     ConfigError,
     ExperimentConfig,
@@ -357,6 +361,52 @@ class TestLearningCommands:
         reason = (tmp_path / "manifest.txt").read_text().splitlines()[-1]
         assert reason.startswith("exit_reason = run failed: no fixed point within 1 iterations")
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_simulate_budget_counts_policy_iterations(self, tmp_path, capsys):
+        # --max-iters bounds the solver simulate runs: policy iteration meets
+        # F-16's fixed point in 8 iterations, so a budget of 8 runs where
+        # value iteration's 652 sweeps would not fit; at 7 policy iteration
+        # runs out, and so does value iteration, with solve's message
+        assert main(["simulate", "--max-iters", "8", "--steps", "5",
+                     "--out", str(tmp_path / "8")]) == 0
+        assert capsys.readouterr().out == ("simulated 5 steps under the gains solved by "
+                                           "policy iteration in 8 iterations\n")
+        assert main(["solve", "--max-iters", "7", "--out", str(tmp_path / "solve")]) == 2
+        message = capsys.readouterr().out
+        assert message.startswith("run failed: no fixed point within 7 iterations")
+        assert main(["simulate", "--max-iters", "7", "--out", str(tmp_path / "7")]) == 2
+        assert capsys.readouterr().out == message
+        assert os.listdir(tmp_path / "7") == ["manifest.txt"]
+
+    def test_simulate_policy_iteration_failure_falls_back(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # policy iteration made to fail mid-run (its third policy read as
+        # not mean-square stabilizing): simulate then writes what value
+        # iteration at the same --tol/--max-iters gives, and says why
+        real, calls = gare.ms_radius, []
+
+        def failing_third(Abar1, Abar2):
+            calls.append(None)
+            return 1.5 if len(calls) == 3 else real(Abar1, Abar2)
+
+        monkeypatch.setattr(gare, "ms_radius", failing_third)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--steps", "300", "--seed", "5", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.undo()
+        sys_, cost = f16_system()
+        vi = solve_coupled_gare(sys_, cost, 1e-9, 5000)
+        assert printed == (f"simulated 300 steps under the gains solved by value iteration "
+                           f"in {vi.iterations} iterations (policy iteration failed: the "
+                           f"gains of iteration 2 are not mean-square stabilizing "
+                           f"(ms radius 1.5))\n")
+        reason = (out / "manifest.txt").read_text().splitlines()[-1]
+        assert reason == "exit_reason = " + printed[:-1]
+        assert main(["solve", "--out", str(tmp_path / "solve")]) == 0
+        for name in ("gains.txt", "p1.txt", "p2.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "solve" / name).read_bytes()
+        simulate_to_csv(sys_, cost, vi.gains, X0, 300, NoiseSource(5), tmp_path / "vi.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "vi.csv").read_bytes()
 
     def test_backend_variable_ignored(self, tmp_path, monkeypatch):
         # STOCH_H2HINF_BACKEND once chose a second kernel; any value now

@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoch_h2hinf import (
     AlgoConfig,
     AttenuationInfeasibleError,
+    ConfigError,
     ConvergenceError,
     CostSpec,
     GainPair,
@@ -25,9 +28,11 @@ from stoch_h2hinf import (
     random_feasible_system,
     run_value_iteration,
     solve_coupled_gare,
+    solve_coupled_gare_pi,
     vi_value_update,
 )
 from stoch_h2hinf import gare
+from stoch_h2hinf.cli import main
 
 
 def test_quadratic_map_scalar(scalar_sys, scalar_cost):
@@ -566,3 +571,123 @@ def test_solver_builds_value_and_gain_pairs_once(f16, monkeypatch):
         counts[report.iterations] = sorted(built)
     assert 865 in counts and len(counts) == 2
     assert all(c == ["GainPair", "ValuePair"] for c in counts.values())
+
+
+def _assert_same_solution(a, b, atol):
+    for x, y in ((a.values.P1, b.values.P1), (a.values.P2, b.values.P2),
+                 (a.gains.K1, b.gains.K1), (a.gains.K2, b.gains.K2)):
+        np.testing.assert_allclose(x, y, rtol=0, atol=atol)
+
+
+def test_second_moment_map_is_the_kronecker_sum(f16, f16_solution):
+    gains = f16_solution.gains
+    _, _, _, Ad, An, _ = gare._policy_terms(f16[0], gains.K1, gains.K2)
+    np.testing.assert_array_equal(gare._second_moment_map(Ad, An),
+                                  np.kron(Ad.T, Ad.T) + np.kron(An.T, An.T))
+
+
+def test_policy_values_solve_both_lyapunov_equations(f16, f16_solution):
+    # at gains halfway to the solution's, each value solves its own
+    # generalized Lyapunov equation P = Ad'P Ad + An'P An + W
+    sys_, cost = f16
+    K1, K2 = 0.5 * f16_solution.gains.K1, 0.5 * f16_solution.gains.K2
+    policy = gare._policy_terms(sys_, K1, K2)
+    _, K2tK2, _, Ad, An, _ = policy
+    P1, P2 = gare._policy_values(cost, policy, gare._second_moment_map(Ad, An))
+    W2 = cost.Q + K2tK2
+    W1 = cost.gamma**2 * (K1.T @ K1) - W2
+    for P, W in ((P1, W1), (P2, W2)):
+        np.testing.assert_array_equal(P, P.T)
+        R = P - Ad.T @ P @ Ad - An.T @ P @ An - W
+        assert np.abs(R).max() < 1e-12 * np.abs(P).max()
+
+
+def test_policy_iteration_f16(f16, f16_solution):
+    # 8 Lyapunov solves where value iteration sweeps 652 times at tol 1e-9;
+    # at tol 1e-12 both meet the same fixed point
+    sys_, cost = f16
+    report = solve_coupled_gare_pi(sys_, cost)
+    assert report.iterations == 8 and report.stable
+    assert max(report.residual_norms) < 1e-13
+    _assert_same_solution(solve_coupled_gare_pi(sys_, cost, tol=1e-12), f16_solution, 1e-10)
+
+
+def test_policy_iteration_matches_value_iteration_population(random_population):
+    for sys_, cost in random_population:
+        report = solve_coupled_gare_pi(sys_, cost, tol=1e-12)
+        assert report.iterations <= 20
+        _assert_same_solution(report,
+                              solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=10000), 1e-10)
+
+
+def test_policy_iteration_report_rows(f16):
+    # one row per iteration; the residual columns are gare_residuals at the
+    # iteration's values and the gains extracted from them, bit for bit
+    sys_, cost = f16
+    report = solve_coupled_gare_pi(sys_, cost)
+    last = gare_residuals(sys_, cost, report.values, report.gains)
+    assert report.residual_norms == tuple(float(np.linalg.norm(R)) for R in last)
+    extracted = gains_from_values(sys_, cost, report.values)
+    np.testing.assert_array_equal(report.gains.K1, extracted.K1)
+    np.testing.assert_array_equal(report.gains.K2, extracted.K2)
+    assert all(len(row) == 4 for row in report.history)
+
+
+def test_policy_iteration_rejects_unstable_start(unstable_population):
+    # zero gains leave each of these plants mean-square unstable, so policy
+    # iteration has no first policy to evaluate
+    for sys_, cost in unstable_population:
+        rho = ms_radius(sys_.A1, sys_.A2)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_coupled_gare_pi(sys_, cost)
+        assert str(exc.value) == (f"the start gains are not mean-square stabilizing "
+                                  f"(ms radius {rho:.4g})")
+
+
+def test_policy_iteration_budget_and_settings(f16):
+    sys_, cost = f16
+    with pytest.raises(ConvergenceError, match="no fixed point within 3 policy iterations"):
+        solve_coupled_gare_pi(sys_, cost, max_iters=3)
+    for tol, max_iters in ((0.0, 10), (1e-9, 0)):
+        with pytest.raises(ConfigError) as pi_exc:
+            solve_coupled_gare_pi(sys_, cost, tol, max_iters)
+        with pytest.raises(ConfigError) as vi_exc:
+            solve_coupled_gare(sys_, cost, tol, max_iters)
+        assert str(pi_exc.value) == str(vi_exc.value)
+
+
+def test_simulate_unstable_plant_writes_value_iteration_solution(tmp_path, capsys,
+                                                                 unstable_population):
+    # policy iteration cannot start on an open-loop unstable plant, so
+    # simulate solves it by value iteration: gains and values are solve's
+    sys_, cost = unstable_population[0]
+    args = ["--system", "custom", "--gamma", "5"]
+    for name in ("a1", "a2", "b1", "c1", "c2"):
+        np.savetxt(tmp_path / f"{name}.txt", getattr(sys_, name.upper()), fmt="%.17g")
+        args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", *args, "--steps", "50", "--out", str(tmp_path / "sim")]) == 0
+    rho = ms_radius(sys_.A1, sys_.A2)
+    vi = solve_coupled_gare(sys_, cost)
+    assert capsys.readouterr().out == (
+        f"simulated 50 steps under the gains solved by value iteration in "
+        f"{vi.iterations} iterations (policy iteration failed: the start gains are "
+        f"not mean-square stabilizing (ms radius {rho:.4g}))\n")
+    for name in ("gains.txt", "p1.txt", "p2.txt"):
+        assert ((tmp_path / "sim" / name).read_bytes()
+                == (tmp_path / "solve" / name).read_bytes())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m1=st.integers(1, 2),
+       m2=st.integers(1, 2), gamma=st.sampled_from([1.0, 2.0, 5.0]))
+def test_policy_iteration_fixed_point_property(seed, n, m1, m2, gamma):
+    # at its stop the coupled equations hold to rounding and the gains are
+    # mean-square stabilizing
+    sys_, cost = random_feasible_system(np.random.default_rng(seed), n=n, m1=m1, m2=m2,
+                                        gamma=gamma)
+    report = solve_coupled_gare_pi(sys_, cost)
+    R1, R2 = gare_residuals(sys_, cost, report.values, report.gains)
+    assert max(np.linalg.norm(R1), np.linalg.norm(R2)) < 1e-9
+    assert ms_stable(*closed_loop_pair(sys_, report.gains))

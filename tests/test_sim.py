@@ -29,6 +29,7 @@ from stoch_h2hinf import (
     simulate_closed_loop,
     simulate_to_csv,
     solve_coupled_gare,
+    solve_coupled_gare_pi,
     stage_costs,
     step,
 )
@@ -431,7 +432,7 @@ class TestTrajectoryCsv:
         # simulate on a custom plant that underflows to 0 within a few
         # blocks: the kernel fills the settled tail, and trajectory.csv is
         # the plain writer's output of the per-step reference path under
-        # the solved gains
+        # the gains simulate solves, by policy iteration at its default tol
         mats = {"a1": [[0.2, 0.05], [0.0, 0.1]], "a2": 0.05 * np.eye(2),
                 "b1": [[1.0], [0.5]], "c1": [[0.1], [0.2]], "c2": [[0.01], [0.02]]}
         args = ["simulate", "--system", "custom", "--steps", "2000", "--seed", "7",
@@ -445,7 +446,7 @@ class TestTrajectoryCsv:
         sys_ = SdltiSystem(*(np.array(mats[k], dtype=float)
                              for k in ("a1", "a2", "b1", "c1", "c2")))
         cost = CostSpec(1.0, np.eye(2))
-        g = solve_coupled_gare(sys_, cost, 1e-9, 5000).gains
+        g = solve_coupled_gare_pi(sys_, cost, 1e-9, 5000).gains
         traj, bad = _reference_trajectory(sys_, cost, g, np.ones(2), NoiseSource(7).draw(2000))
         assert bad == -1
         _plain_csv(traj, tmp_path / "plain.csv")
@@ -1020,13 +1021,14 @@ class TestStream:
         assert list(tmp_path.iterdir()) == []
 
     def test_cli_simulate_divergence_in_a_later_chunk(self, tmp_path, monkeypatch, f16,
-                                                      f16_solution, capsys):
+                                                      capsys):
         # an omega of 1e300 at step 5000 of seed 4's stream throws the F-16
         # path past the guard in the second chunk; simulate exits 2 naming the
-        # step a one-pass kernel run trips at, and writes only its manifest
-        sys_, _ = f16
+        # step a one-pass kernel run trips at under the gains it solves, and
+        # writes only its manifest
+        sys_, cost = f16
         _spiked_noise(monkeypatch, 4, 5000)
-        g = f16_solution.gains
+        g = solve_coupled_gare_pi(sys_, cost).gains
         steps = 3 * _CHUNK
         bad = _kernels.closed_loop_path(sys_.A1, sys_.B1, sys_.C1, sys_.A2, sys_.C2, g.K1,
                                         g.K2, X0, NoiseSource(4).draw(steps),
