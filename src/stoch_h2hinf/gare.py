@@ -329,10 +329,13 @@ def _residual_rows(sys, cost, consts, sweeps):
 def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     """Iterate the coupled value recursion from (0, 0) to its fixed point.
 
-    Stops when both Frobenius iterate differences fall below tol; raises
-    ConvergenceError(report attached) if max_iters is exhausted first, or
-    if an iterate leaves the finite range (the report then ends at the last
-    finite one).  The report's residual columns come from one stacked pass
+    Stops when both Frobenius iterate differences fall below tol.  That
+    bounds the last sweep's step, not the distance to the fixed point: on
+    F-16 at tol 1e-9 (652 sweeps) P1 and P2 end 5.7e-9 and 1.6e-8 (largest
+    entry) from a tol 1e-12 policy-iteration solve, the gains 9.8e-11.
+    Raises ConvergenceError(report attached) if max_iters is exhausted
+    first, or if an iterate leaves the finite range (the report then ends
+    at the last finite one).  The report's residual columns come from one stacked pass
     per block of sweeps, with the bits of one residual per sweep.
     """
     consts = _delta_constants(sys, cost)

@@ -12,9 +12,25 @@ SeedSequence per key, NoiseSource hashes a block of keys at once with
 SeedSequence's pool hash (numpy/random/bit_generator.pyx) and applies
 PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905) to each, then
 samples every key from one reused generator.
+
+simulate_to_csv steps the closed loop one chunk of _CHUNK steps at a time.
+A run of more than one chunk, in a process that may use a second CPU, forks
+one writer child that formats the rows while this process steps the next
+chunk: the child runs _write_csv, the one row writer, over the chunks
+pickled down a pipe, so the file has the bytes an in-process write gives,
+and the kernel stays here.  A one-chunk run, or one pinned to one CPU,
+writes in-process.  The child is safe after fork: it calls no BLAS,
+takes no lock another thread may hold, runs without the cyclic garbage
+collector, keeps SIGINT blocked and leaves by os._exit, so it flushes no
+inherited buffer and runs no atexit handler.  Python 3.12 and later warn
+when a process with more than one thread forks (a multi-threaded BLAS
+counts).
 """
 
+import gc
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,19 +345,116 @@ def simulate_closed_loop(sys, cost, gains, x0, steps, noise):
     return Trajectory(states, *rest)
 
 
+def _writer_beside():
+    """Whether a forked writer child can run beside this process: fork
+    exists and the process may run on a second CPU.  On one CPU the child
+    only takes turns with the kernel, and the pipe makes the run slower."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _send(pipe, obj):
+    """Pickle obj down the raw pipe, looping over partial writes."""
+    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[pipe.write(view):]
+
+
+def _writer_child(fh, data_r, err_w, parent_ends):
+    """The writer child's whole life; never returns.
+
+    It closes the parent's pipe ends, runs _write_csv into fh over the
+    chunks read from data_r up to a None, and leaves by os._exit: status 0,
+    or 1 with the exception pickled down err_w.
+    """
+    code = 1
+    try:
+        gc.disable()  # no copied garbage is collected, so no finalizer of it runs
+        for fd in parent_ends:
+            os.close(fd)
+        with open(data_r, "rb") as src:
+            _write_csv(fh, iter(lambda: pickle.load(src), None))
+        fh.close()
+        code = 0
+    except BaseException as exc:
+        try:
+            error = pickle.dumps(exc)
+            pickle.loads(error)
+        except Exception:
+            error = pickle.dumps(ChildProcessError(f"{type(exc).__name__}: {exc}"))
+        os.write(err_w, error)
+    finally:
+        os._exit(code)
+
+
+def _write_csv_forked(fh, chunks):
+    """_write_csv(fh, chunks), with the rows formatted by a forked child
+    while this process computes the next chunk.
+
+    The child is reaped on every path: after its last row, or killed when
+    the chunk stream raises.  An exception in the child is raised here.
+    """
+    data_r, data_w = os.pipe()
+    err_r, err_w = os.pipe()
+    # SIGINT stays blocked in the child, and reaches this process only
+    # inside the try below, which kills and reaps the child
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        pid = os.fork()
+    except OSError:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in (data_r, data_w, err_r, err_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _writer_child(fh, data_r, err_w, (data_w, err_r))
+    os.close(data_r)
+    os.close(err_w)
+    with open(data_w, "wb", buffering=0) as pipe, open(err_r, "rb") as err:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            try:
+                for chunk in chunks:
+                    _send(pipe, chunk)
+                _send(pipe, None)
+            except BrokenPipeError:
+                pass  # the child has failed: its error follows
+            error = err.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            pipe.close()  # a child left running reads EOF, and stops
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error:
+        raise pickle.loads(error)
+    if status:
+        raise ChildProcessError(f"trajectory writer exited with status {status}")
+
+
 def simulate_to_csv(sys, cost, gains, x0, steps, noise, path):
     """Write simulate_closed_loop's trajectory.csv to path, byte for byte,
     holding one chunk of _CHUNK steps at a time, so memory does not grow
     with steps.
 
-    The file is written under a temporary name beside path and moved into
-    place once complete: a run that raises, on a DivergenceError say, leaves
-    path as it was and no temporary file.
+    A run of more than one chunk, in a process that may use a second CPU,
+    formats its rows in a forked writer child while this process steps the
+    next chunk; any other run writes them itself.  The file is written
+    under a temporary name beside path and moved into place once complete:
+    a run that raises, on a DivergenceError say, leaves path as it was and
+    no temporary file.
     """
     tmp = f"{path}.tmp"
+    chunks = _closed_loop_chunks(sys, cost, gains, x0, steps, noise)
     try:
         with open(tmp, "w") as fh:
-            _write_csv(fh, _closed_loop_chunks(sys, cost, gains, x0, steps, noise))
+            if steps > _CHUNK and _writer_beside():
+                _write_csv_forked(fh, chunks)
+            else:
+                _write_csv(fh, chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -9,11 +9,14 @@ public name is reached by a load of the bare name, by an attribute read on a
 package module (`sim.step`, `stoch_h2hinf.step`) or by a README code token
 that does not follow a `.`; an attribute of any other object, such as
 `report.termination`, is another name.  The package's star import is checked
-too.
+too, and so are the modules a fresh `import stoch_h2hinf` loads.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -154,3 +157,16 @@ def test_star_import_binds_no_module():
     for name in stoch_h2hinf.__all__:
         assert getattr(stoch_h2hinf, name) is namespace[name]
     assert {"SdltiSystem", "run_q_learning", "f16_system"} <= set(namespace)
+
+
+def test_import_loads_no_process_pool():
+    # the benchmark's setup_s times the import: the trajectory writer forks
+    # with os.fork and a pipe, and the package loads no process machinery
+    heavy = ("multiprocessing", "concurrent.futures", "subprocess")
+    code = ("import sys, stoch_h2hinf\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+    paths = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")

@@ -1,8 +1,12 @@
 """Noise streams, single transitions, trajectory plumbing, attenuation."""
 
 import contextlib
+import errno
 import math
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -916,6 +920,37 @@ def _kernel_steps():
         yield counted
 
 
+@contextlib.contextmanager
+def _writer_children(second_cpu=True):
+    """Maps the pid of every child forked inside to its exit code when
+    reaped (minus the signal number when killed); on leaving, checks that
+    each has been reaped: waitpid finds no such child.  With second_cpu,
+    simulate_to_csv sees a second CPU, whatever the machine has."""
+    children, fork, waitpid = {}, os.fork, os.waitpid
+
+    def spy_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
+
+    def spy_waitpid(pid, options):
+        out = waitpid(pid, options)
+        if pid in children:
+            children[pid] = os.waitstatus_to_exitcode(out[1])
+        return out
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(os, "fork", spy_fork))
+        stack.enter_context(mock.patch.object(os, "waitpid", spy_waitpid))
+        if second_cpu:
+            stack.enter_context(mock.patch.object(sim_module, "_writer_beside", lambda: True))
+        yield children
+    for pid in children:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def _slow_plant(n, m1, m2, seed):
     """A plant with A1 near 0.99 I, small gains and small multiplicative
     noise: its path decays by about 1e-54 over 12k steps, far from the guard
@@ -975,8 +1010,12 @@ class TestStream:
     @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 1, 3), (2, 3, 1)])
     @pytest.mark.parametrize("steps", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
     def test_chunked_path_equals_one_pass(self, tmp_path, dims, steps):
+        # a run of more than one chunk forks one writer child, reaped by return
         sys_, cost, gains, x0 = _slow_plant(*dims, seed=sum(dims))
-        streamed = self._assert_streams_reference(tmp_path, sys_, cost, gains, x0, steps, 5)
+        with _writer_children() as forked:
+            streamed = self._assert_streams_reference(tmp_path, sys_, cost, gains, x0,
+                                                      steps, 5)
+        assert list(forked.values()) == [0] * (steps > _CHUNK)
         assert streamed == [_CHUNK] * (steps // _CHUNK) + [steps % _CHUNK] * (steps % _CHUNK > 0)
 
     @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 1, 3), (2, 3, 1)])
@@ -1002,14 +1041,15 @@ class TestStream:
 
     def test_divergence_in_a_later_chunk(self, tmp_path):
         # x grows by 1.003 a step and trips the guard in the third chunk: the
-        # error names the absolute step, and no file is left behind
+        # error names the absolute step, the writer child is reaped, and no
+        # file is left behind
         sys_ = SdltiSystem([[1.003]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
         cost, gains = CostSpec(1.0, [[1.0]]), GainPair.zeros(1)
         steps = 4 * _CHUNK
         _, bad = _reference_trajectory(sys_, cost, gains, [1.0], NoiseSource(0).draw(steps))
         assert 2 * _CHUNK < bad < 3 * _CHUNK
         path = tmp_path / "trajectory.csv"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _writer_children() as forked:
             warnings.simplefilter("error")
             for run in (lambda: simulate_to_csv(sys_, cost, gains, [1.0], steps,
                                                 NoiseSource(0), path),
@@ -1018,6 +1058,7 @@ class TestStream:
                 with pytest.raises(DivergenceError) as exc:
                     run()
                 assert exc.value.step == bad
+        assert list(forked.values()) == [-signal.SIGKILL]
         assert list(tmp_path.iterdir()) == []
 
     def test_cli_simulate_divergence_in_a_later_chunk(self, tmp_path, monkeypatch, f16,
@@ -1035,10 +1076,11 @@ class TestStream:
                                         np.zeros((steps, 1)), np.zeros((steps, 1)))[3]
         assert bad == 5001
         out = tmp_path / "out"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _writer_children() as forked:
             warnings.simplefilter("error")
             assert main(["simulate", "--steps", str(steps), "--seed", "4",
                          "--out", str(out)]) == 2
+        assert list(forked.values()) == [-signal.SIGKILL]
         message = f"run failed: state exceeded divergence guard at step {bad}"
         assert capsys.readouterr().out == message + "\n"
         assert sorted(os.listdir(out)) == ["manifest.txt"]
@@ -1069,23 +1111,161 @@ class TestStream:
         assert sorted(os.listdir(out)) == ["convergence.csv", "gains.txt", "manifest.txt",
                                            "p1.txt", "p2.txt"]
 
+    class _TwoArgError(Exception):
+        # pickles, but unpickling calls it with its one message argument
+        def __init__(self, what, why):
+            super().__init__(f"{what}: {why}")
+
+    @pytest.mark.parametrize("raised, expect", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         (OSError, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")),
+        (_TwoArgError("disk", "gone"), (ChildProcessError, "_TwoArgError: disk: gone")),
+    ])
+    def test_writer_failure_reaches_the_caller(self, tmp_path, monkeypatch, raised, expect):
+        # the child's exception is raised in the caller, or, when it does not
+        # unpickle, a ChildProcessError with its text; the child is reaped
+        # and neither the file nor its temporary is left
+        def failing(fh, chunks):
+            next(chunks)
+            fh.write("k,x1\n")
+            raise raised
+
+        monkeypatch.setattr(sim_module, "_write_csv", failing)
+        sys_, cost, gains, x0 = _slow_plant(3, 1, 1, seed=5)
+        with _writer_children() as forked, pytest.raises(expect[0]) as exc:
+            simulate_to_csv(sys_, cost, gains, x0, 3 * _CHUNK, NoiseSource(0),
+                            tmp_path / "trajectory.csv")
+        assert type(exc.value) is expect[0] and str(exc.value) == expect[1]
+        assert list(forked.values()) == [1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_killed_reaches_the_caller(self, tmp_path, monkeypatch):
+        # a child that dies without a word is named by its exit status
+        def killed(fh, chunks):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(sim_module, "_write_csv", killed)
+        sys_, cost, gains, x0 = _slow_plant(3, 1, 1, seed=5)
+        with _writer_children() as forked, pytest.raises(ChildProcessError,
+                                                         match="status -9"):
+            simulate_to_csv(sys_, cost, gains, x0, 3 * _CHUNK, NoiseSource(0),
+                            tmp_path / "trajectory.csv")
+        assert list(forked.values()) == [-signal.SIGKILL]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fork_failure_reaches_the_caller(self, tmp_path, monkeypatch):
+        # a fork that fails (no process slot, say) raises to the caller and
+        # leaves SIGINT unblocked, no descriptor open and no file behind
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(sim_module, "_writer_beside", lambda: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        sys_, cost, gains, x0 = _slow_plant(3, 1, 1, seed=5)
+        fds = os.listdir("/dev/fd")
+        with pytest.raises(BlockingIOError):
+            simulate_to_csv(sys_, cost, gains, x0, 3 * _CHUNK, NoiseSource(0),
+                            tmp_path / "trajectory.csv")
+        assert len(os.listdir("/dev/fd")) == len(fds)
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_in_the_chunk_stream(self, tmp_path, monkeypatch):
+        # a KeyboardInterrupt while the second chunk is stepped: the child is
+        # killed and reaped, the interrupt reaches the caller, no file is left
+        real = sim_module._closed_loop_chunks
+
+        def interrupted(*args):
+            for k, chunk in real(*args):
+                if k:
+                    raise KeyboardInterrupt
+                yield k, chunk
+
+        monkeypatch.setattr(sim_module, "_closed_loop_chunks", interrupted)
+        sys_, cost, gains, x0 = _slow_plant(3, 1, 1, seed=5)
+        with _writer_children() as forked, pytest.raises(KeyboardInterrupt):
+            simulate_to_csv(sys_, cost, gains, x0, 3 * _CHUNK, NoiseSource(0),
+                            tmp_path / "trajectory.csv")
+        assert list(forked.values()) == [-signal.SIGKILL]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_child_leaves_by_os_exit(self, tmp_path):
+        # a process whose block-buffered stdout holds text and which has an
+        # atexit handler: the text and the handler's line appear once, so
+        # the child flushed no inherited buffer and ran no exit handler
+        script = (
+            "import atexit, os, sys\n"
+            "from stoch_h2hinf import CostSpec, GainPair, NoiseSource, SdltiSystem, "
+            "simulate_to_csv\n"
+            "from stoch_h2hinf import sim\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "sim._writer_beside = lambda: True\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('unflushed')\n"
+            "sys_ = SdltiSystem([[0.9]], [[0.1]], [[1.0]], [[1.0]], [[0.1]])\n"
+            "simulate_to_csv(sys_, CostSpec(1.0, [[1.0]]), GainPair.zeros(1), [1.0],\n"
+            "                2 * sim._CHUNK + 1, NoiseSource(0), sys.argv[1])\n"
+            "print('forks', len(forks))\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(sim_module.__file__))]
+        paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        path = tmp_path / "trajectory.csv"
+        run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "unflushed\nforks 1\natexit\n"
+        assert len(path.read_text().splitlines()) == 2 * _CHUNK + 3
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, {2, 5, 7}])
+    def test_writer_forks_only_beside_a_second_cpu(self, tmp_path, monkeypatch, cpus):
+        # pinned to one CPU, where the child would only take turns with the
+        # kernel, a multi-chunk run writes in-process; the bytes are the same
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        sys_, cost, gains, x0 = _slow_plant(3, 1, 1, seed=5)
+        steps = 2 * _CHUNK + 1
+        with _writer_children(second_cpu=False) as forked:
+            simulate_to_csv(sys_, cost, gains, x0, steps, NoiseSource(0),
+                            tmp_path / "trajectory.csv")
+        assert list(forked.values()) == [0] * (len(cpus) > 1)
+        traj = simulate_closed_loop(sys_, cost, gains, x0, steps, NoiseSource(0))
+        traj.to_csv(tmp_path / "one.csv")
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == (tmp_path / "one.csv").read_bytes())
+
     def test_memory_does_not_grow_with_steps(self, tmp_path):
-        # the stream holds one chunk at a time: writing 200k steps peaks
-        # within 1 MiB of writing 20k.  The plant settles within a few
+        # the stream holds one chunk at a time: 200k steps peak within 1 MiB
+        # of 20k, both in this process, which steps the chunks and pipes
+        # them to the writer child, and in _write_csv run here over the same
+        # chunks, which the child runs.  The plant settles within a few
         # blocks, which keeps the kernel's share of the traced run small
         args = _settling_args(3, 1, 1, 1, 0.3, 1.0, 1)
         sys_ = SdltiSystem(*(args[i] for i in (0, 3, 1, 2, 4)))
         cost, gains = CostSpec(1.0, np.eye(3)), GainPair(args[5], args[6])
-        peaks = []
-        for steps in (20_000, 200_000):
-            tracemalloc.start()
-            try:
+
+        def streamed(steps):
+            with _writer_children():
                 simulate_to_csv(sys_, cost, gains, args[7], steps, NoiseSource(0),
                                 tmp_path / f"{steps}.csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 2**20
+
+        def formatted(steps):
+            with open(tmp_path / f"{steps}.here.csv", "w") as fh:
+                sim_module._write_csv(fh, sim_module._closed_loop_chunks(
+                    sys_, cost, gains, args[7], steps, NoiseSource(0)))
+
+        for run in (streamed, formatted):
+            peaks = []
+            for steps in (20_000, 200_000):
+                tracemalloc.start()
+                try:
+                    run(steps)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 2**20, run.__name__
+        assert ((tmp_path / "200000.csv").read_bytes()
+                == (tmp_path / "200000.here.csv").read_bytes())
 
 
 class TestAttenuation:
