@@ -12,6 +12,7 @@ deterministic given the seed.  Exit codes: 0 success, 1 configuration error,
 import argparse
 import functools
 import os
+import sys
 import time
 from dataclasses import dataclass, asdict
 
@@ -179,7 +180,9 @@ def build_system(cfg):
 
 def _write_manifest(cfg, outdir, wall, reason, unused=()):
     reads = _COMMANDS[cfg.command][1]
-    lines = [f"version = {__version__}", f"command = {cfg.command}"]
+    # artifacts carry the last bits of numpy's BLAS calls: name numpy and Python
+    version = f"{__version__} (numpy {np.__version__}, python {sys.version.split()[0]})"
+    lines = [f"version = {version}", f"command = {cfg.command}"]
     lines += [f"{key} = {val}" for key, val in asdict(cfg).items() if key in reads]
     if unused:
         lines.append("unused = " + ", ".join(unused))

@@ -5,12 +5,14 @@ v = K1 x + e_v, collects N tuples, and solves a least-squares problem for
 the next (H1, H2): the row for a tuple is vech(zz') with z = [x; u; v], the
 target is the stage cost plus the averaged continuation value of the
 UNPROBED policy at the successor state.  One oracle call per iteration,
-TrajectoryOracle.rollout, returns the window's N rows z and their successor
-data, (mu, s) in analytic mode or sampled successors in mc mode; the learner
-checks their shapes and forms the targets itself (_targets), from the stage
-costs of z's x, u and v columns and the continuation values of its own value
-pair.  The regression rows of all N tuples come from one stacked product of
-z's upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
+TrajectoryOracle.rollout, returns the window's N rows z and their (N, n, B)
+successor samples, B branch draws in mc mode and the exact Rademacher pair
+mu +- s in analytic mode.  The learner checks their shapes and forms the
+targets itself (_targets): stage costs from z's x, u and v columns, and the
+continuations <P, S S'> / B of its own value pair from one stacked matmul of
+each row's second moment S S' and one (N, n^2)·(n^2, 2) product.  The
+regression rows of all N tuples come from one stacked product of z's
+upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
 symmetric by construction), and one SVD of the (N, p(p+1)/2) regression
 matrix gives the excitation check and both solutions, rebuilt as one
 (2, p, p) stack (H1, H2).  Gains come out of H by a block solve, the value
@@ -69,6 +71,8 @@ from ._kernels import GUARD, closed_loop_path
 from .sim import stage_costs
 
 _PROBE_BLOCK = 64  # learner windows whose probes come from one schedule call
+# analytic mode's w: over x+ = mu +- s the mean of x+x+' is mu mu' + s s' = E[x+x+']
+_PAIR = np.array([[1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,11 @@ class TrajectoryOracle(ABC):
 
         probes is the window's (EU (N, m1), EV (N, m2)) pair, one row per
         step.  Returns the (N, p) rows z = [x; u; v] of each step, in order,
-        and their successor data: in analytic mode the (2, N, n) stack
-        (mu, s) of each row, whose successor is x+ = mu + w s for a zero-mean,
-        unit-variance scalar w; in mc mode the (n, N, branches) sampled
-        successors x+ of each row, coordinates first.
+        and their (N, n, B) successor samples, rows first: B successors
+        x+ = mu + w s of each row, for a zero-mean, unit-variance scalar w.
+        The learner averages x+'P x+ over them, so in mc mode they are the
+        B = branches draws, and in analytic mode the exact pair w = +1, -1
+        (B = 2), whose average is mu'P mu + s'P s.
         """
 
 
@@ -172,20 +177,21 @@ class SystemOracle(TrajectoryOracle):
         MS[0] += _rows_times(sys_.B1, U)
         MS += _rows_times(self._CC, V)
         MU, S = MS
+        # successors x+ = mu + w s, rows first: (rows, n, B)
+        W = self._noise.branch_window(k, rows, branches) if mode == "mc" else _PAIR
+        succ = MU[:, :, None] + W[:, None, :] * S[:, :, None]
         if mode == "mc":
-            W = self._noise.branch_window(k, rows, branches)
-            # successor coordinates first: (n, rows, branches)
-            succ = MU.T[:, :, None] + W * S.T[:, :, None]
             # rows before a state-guard trip still count, so a branch guard
-            # tripping on an earlier row raises first, as it does step by step
-            ok = (np.abs(succ) <= GUARD).all(axis=(0, 2))
+            # tripping on an earlier row raises first, as it does step by
+            # step; analytic mode guards the realized path only
+            ok = (np.abs(succ) <= GUARD).all(axis=(1, 2))
             if not ok.all():
                 raise DivergenceError(k + int(np.argmin(ok)))
         if bad >= 0:
             self._x, self._k = xs[bad - 1].copy(), k + bad
             raise DivergenceError(k + bad)
         self._x, self._k = xs[N].copy(), k + N
-        return np.hstack([xs[:-1], us, vs]), MS if mode == "analytic" else succ
+        return np.hstack([xs[:-1], us, vs]), succ
 
 
 def _rows_times(A, X):
@@ -200,58 +206,46 @@ def _dot_rows(X, Y):
 
 
 def _quad_rows(X, P):
-    """x'P x for each row x of X, with the products of x.dot(P).dot(x);
-    X and P broadcast over their leading axes."""
-    return _dot_rows(np.matmul(X[..., None, :], P)[..., 0, :], X)
+    """x'P x for each row x of X, with the products of x.dot(P).dot(x)."""
+    return _dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
 
 
-def _branch_mean(succ, PP):
-    """Mean of x'P x over the last axis of succ for each P of the stack PP.
+def _continuations(succ, cont):
+    """(N, 2) mean of x+'P x+ over each row's successor samples S (n, B), for
+    P1 and P2 of the value pair cont: <P, S S'> / B.
 
-    succ is (n, ..., branches), successor coordinates first, and PP is
-    (2, n, n); the result is (2, ...).  The terms (x_j P_jk) x_k are summed
-    from zero in one fixed j-major order, which is the order
-    einsum("ij,jk,ik->i") takes on the F-16 runs' shapes, so their targets
-    keep their bits.  einsum picks its order by array shape (a 2-state plant
-    with one or two branches sums in another), so one einsum over a window
-    would not match a single tuple's.  Both members accumulate in one
-    stack, elementwise, with each member's bits.
-    """
-    n = succ.shape[0]
-    acc = np.zeros((len(PP),) + succ.shape[1:])
-    coef = PP.reshape(PP.shape + (1,) * (succ.ndim - 1))
-    for j in range(n):
-        for k in range(n):
-            acc += (succ[j] * coef[:, j, k]) * succ[k]
-    return acc.mean(axis=-1)
+    The moments S S' are one stacked matmul, which runs per row the BLAS
+    call of a 2-D S @ S.T, and both members are one (N, n^2)·(n^2, 2)
+    product."""
+    N, n, B = succ.shape
+    M = np.matmul(succ, succ.transpose(0, 2, 1))
+    C = M.reshape(N, n * n) @ np.array((cont.P1, cont.P2)).reshape(2, n * n).T
+    C /= B
+    return C
 
 
-def _targets(Z, succ, cost, cont, slices, mode):
+def _targets(Z, succ, cost, cont, slices):
     """The window's (N, 2) Bellman targets: the stage cost of each row
-    z = [x; u; v] plus E[x+'P x+] for the value pair cont = (P1, P2), exact
-    from (mu, s) or the branch mean.  Each product runs, row by row, the BLAS
-    call of a per-tuple .dot; X @ Q (a gemm) or einsum row sums would move
-    the last bits."""
+    z = [x; u; v] plus its continuation E[x+'P x+] for the value pair cont.
+    The stage costs run, row by row, the BLAS call of a per-tuple .dot;
+    X @ Q (a gemm) or einsum row sums would move their last bits."""
     sx, su, sv = slices
-    PP = np.array((cont.P1, cont.P2))
-    if mode == "analytic":
-        # mu'P mu + s'P s for P1 then P2: items [P, (mu or s), row]
-        quad = _quad_rows(succ, PP[:, None, None])
-        c1, c2 = quad[:, 0] + quad[:, 1]
-    else:
-        c1, c2 = _branch_mean(succ, PP)
+    Y = _continuations(succ, cont)
     X, U, V = Z[:, sx], Z[:, su], Z[:, sv]
     r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
-    r1 = cost.gamma**2 * _dot_rows(V, V) - r2
-    return np.column_stack([r1 + c1, r2 + c2])
+    Y[:, 0] += cost.gamma**2 * _dot_rows(V, V) - r2
+    Y[:, 1] += r2
+    return Y
 
 
-def least_squares_h(X, Y1, Y2, dims):
+def least_squares_h(X, Y, dims):
     """Solve both regressions with one SVD of X; returns (q, svmin).
 
-    q is the QPair (H1, H2) and svmin X's smallest singular value.  Raises ValueError when X has
-    fewer rows than unknowns, and ExcitationError when X is numerically rank
-    deficient, which is what absent or constant probing produces.
+    Y is the (N, 2) target block, one column per member of the pair.  q is
+    the QPair (H1, H2) and svmin X's smallest singular value.  Raises
+    ValueError when X has fewer rows than unknowns, and ExcitationError when
+    X is numerically rank deficient, which is what absent or constant
+    probing produces.
     """
     n, m1, m2 = dims
     rows, unknowns = X.shape
@@ -262,7 +256,7 @@ def least_squares_h(X, Y1, Y2, dims):
         raise ExcitationError(
             f"insufficient excitation: singular values span {sv[0]:.3e}..{sv[-1]:.3e}"
         )
-    W = Vt.T @ ((U.T @ np.column_stack([Y1, Y2])) / sv[:, None])
+    W = Vt.T @ ((U.T @ Y) / sv[:, None])
     # both H in one (2, p, p) rebuild, symmetric by construction
     q = _trusted(QPair, mat_from_vecs(W.T), n, m1, m2)
     return q, float(sv[-1])
@@ -390,9 +384,6 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
     sx, su, sv = block_slices(n, m1, m2)
 
     N, mode = config.tuples_per_iter, config.expectation_mode
-    # the oracle is outside input: a window of another shape would broadcast
-    # into wrong targets, e.g. mc successors (n, N, n) under analytic mode
-    want = (2, N, n) if mode == "analytic" else (n, N, config.branches)
     for i in range(config.max_iters):
         t = (i % _PROBE_BLOCK) * N
         if t == 0:
@@ -402,16 +393,19 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
                                      m1, m2)
         probes = EU[t:t + N], EV[t:t + N]
         Z, succ = oracle.rollout(gains, probes, config.branches, mode)
-        if np.shape(Z) != (N, p) or np.shape(succ) != want:
+        # the oracle is outside input: a window of another shape is named
+        # here, not left to fail or broadcast inside the targets
+        shape = np.shape(succ)
+        if np.shape(Z) != (N, p) or len(shape) != 3 or shape[:2] != (N, n) or not shape[2]:
             raise ValueError(
-                f"{mode} rollout returned rows {np.shape(Z)} and successor data "
-                f"{np.shape(succ)}, expected {(N, p)} and {want}"
+                f"{mode} rollout returned rows {np.shape(Z)} and successors {shape}, "
+                f"expected {(N, p)} and ({N}, {n}, B) with B >= 1"
             )
-        Y = _targets(Z, succ, cost, vals, (sx, su, sv), mode)
+        Y = _targets(Z, succ, cost, vals, (sx, su, sv))
         k += N
         X = _outer_vech(Z)
         try:
-            q_next, svmin = least_squares_h(X, Y[:, 0], Y[:, 1], (n, m1, m2))
+            q_next, svmin = least_squares_h(X, Y, (n, m1, m2))
         except ExcitationError as exc:
             # a rank loss late in a run follows a destabilized loop: say
             # where, how far the window's state had grown and how small the

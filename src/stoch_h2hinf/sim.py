@@ -167,7 +167,7 @@ class NoiseSource:
             state, inc = self._block_seeds(tag, block)[i]
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
-            out[t] = self._derived.standard_normal(count)
+            self._derived.standard_normal(out=out[t])
         return out
 
     def branch_window(self, step, rows, count):

@@ -255,11 +255,11 @@ def test_criterion_6_unbiased_regression(f16):
         for _ in range(60):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            Z, MS = oracle.rollout(gains, schedule.window(k, 20), 1, "analytic")
+            Z, succ = oracle.rollout(gains, schedule.window(k, 20), 1, "analytic")
             k += 20
-            Y = _targets(Z, MS, cost, cont, block_slices(3, 1, 1), "analytic")
+            Y = _targets(Z, succ, cost, cont, block_slices(3, 1, 1))
             rows = [vech(np.outer(z, z)) for z in Z]
-            q, _ = least_squares_h(np.array(rows), Y[:, 0], Y[:, 1], (3, 1, 1))
+            q, _ = least_squares_h(np.array(rows), Y, (3, 1, 1))
             worst = max(
                 worst,
                 np.abs(q.H1 - expected.H1).max(),

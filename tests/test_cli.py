@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -251,7 +252,7 @@ class TestLearningCommands:
         assert main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
                      "--max-iters", "60", "--seed", "5", "--out", str(out)]) == 2
         message = ("run failed: insufficient excitation: singular values span "
-                   "1.431e+15..1.495e-03 at iteration 60, window |x| 2.371e+01 -> 7.678e+06, "
+                   "1.431e+15..1.496e-03 at iteration 60, window |x| 2.371e+01 -> 7.678e+06, "
                    "X column norms 9.832e+14..2.320e+10, probe-to-state ratio 2.585e-07")
         assert capsys.readouterr().out == message + "\n"
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
@@ -269,6 +270,33 @@ class TestLearningCommands:
         assert capsys.readouterr().out == message + "\n"
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + message
+
+    def test_mc_pool_outcomes(self, tmp_path, capsys):
+        # the benchmark's learn_mc pool, seeds 0-19: which seeds abort, with
+        # which error and at which step or iteration, so that a change of
+        # summation order cannot move its fail_frac unseen
+        outcomes = {}
+        for seed in range(20):
+            out = tmp_path / str(seed)
+            code = main(["qlearn", "--mode", "mc", "--branches", "100", "--tuples", "20",
+                         "--max-iters", "60", "--seed", str(seed), "--out", str(out)])
+            reason = (out / "manifest.txt").read_text().splitlines()[-1]
+            diverged = re.search(r"divergence guard at step (\d+)$", reason)
+            lost = re.search(r"insufficient excitation: .* at iteration (\d+),", reason)
+            if diverged:
+                outcomes[seed] = (code, "DivergenceError", int(diverged.group(1)))
+            elif lost:
+                outcomes[seed] = (code, "ExcitationError", int(lost.group(1)))
+            else:
+                assert reason == "exit_reason = max_iters 60 reached without stop"
+                outcomes[seed] = (code, None, 60)
+        capsys.readouterr()
+        aborts = {0: ("DivergenceError", 948), 14: ("DivergenceError", 1096),
+                  15: ("DivergenceError", 739), 2: ("ExcitationError", 58),
+                  5: ("ExcitationError", 60), 7: ("ExcitationError", 58),
+                  8: ("ExcitationError", 55), 13: ("ExcitationError", 32)}
+        assert outcomes == {seed: (2, *aborts[seed]) if seed in aborts else (0, None, 60)
+                            for seed in range(20)}
 
     def test_qlearn_artifact_contract(self, tmp_path):
         out = str(tmp_path)
@@ -647,6 +675,9 @@ class TestConfigHandling:
         keys = [line.split(" = ", 1)[0] for line in lines]
         assert keys == ["version", "command", *map(_manifest_key, FLAGS[command]),
                         *(["unused"] if unused else []), "wall_time_s", "exit_reason"]
+        # the version line names the numpy and the Python that made the artifacts
+        assert lines[0] == (f"version = {stoch_h2hinf.__version__} "
+                            f"(numpy {np.__version__}, python {platform.python_version()})")
         if unused:
             assert f"unused = {unused}" in lines
         tol = "1e-09" if command in ("solve", "simulate") else "0.001"

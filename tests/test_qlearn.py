@@ -115,16 +115,16 @@ def _window(oracle, gains, probes, cost, cont, branches, mode):
     """One rollout window and the learner's targets for it: (Z, succ, Y)."""
     Z, succ = oracle.rollout(gains, probes, branches, mode)
     slices = qfunction.block_slices(gains.K1.shape[1], len(gains.K2), len(gains.K1))
-    return Z, succ, qlearn_module._targets(Z, succ, cost, cont, slices, mode)
+    return Z, succ, qlearn_module._targets(Z, succ, cost, cont, slices)
 
 
 def _one_tuple(sys_, seed, x, e, gains, cost, cont, branches, mode):
     """The window of one tuple at state x with probe e = (e_u, e_v):
-    (z, succ[..., 0, :], (d1, d2))."""
+    (z, succ[0], (d1, d2))."""
     oracle = SystemOracle(sys_, NoiseSource(seed), x)
     probes = tuple(np.atleast_1d(np.asarray(p, dtype=float))[None] for p in e)
     Z, succ, Y = _window(oracle, gains, probes, cost, cont, branches, mode)
-    return Z[0], succ[:, 0], tuple(Y[0].tolist())
+    return Z[0], succ[0], tuple(Y[0].tolist())
 
 
 class TestBellmanTargets:
@@ -184,24 +184,6 @@ class TestBellmanTargets:
             assert d1 == pytest.approx(ref1, rel=1e-12)
             assert d2 == pytest.approx(ref2, rel=1e-12)
 
-    @pytest.mark.parametrize("branches", [10, 30, 100])
-    def test_mc_branch_mean_keeps_einsum_bits_on_f16(self, f16, branches):
-        # the seeded F-16 Monte-Carlo artifacts were made with this einsum;
-        # the fixed-order branch mean must reproduce it bit for bit
-        sys_, cost = f16
-        rng = np.random.default_rng(branches)
-        for _ in range(20):
-            x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 4)
-            e = rng.standard_normal((2, 1))
-            M1, M2 = rng.standard_normal((2, 3, 3))
-            cont = ValuePair(M1 + M1.T, M2 + M2.T)
-            z, succ, (d1, d2) = _one_tuple(sys_, int(rng.integers(1000)), x, e,
-                                           GainPair.zeros(3), cost, cont, branches, "mc")
-            succ = succ.T
-            r1, r2 = stage_costs(cost, x, z[3:4], z[4:])
-            assert d1 == r1 + float(np.einsum("ij,jk,ik->i", succ, cont.P1, succ).mean())
-            assert d2 == r2 + float(np.einsum("ij,jk,ik->i", succ, cont.P2, succ).mean())
-
     def test_mc_approaches_analytic(self, f16, f16_solution):
         sys_, cost = f16
         gains = f16_solution.gains
@@ -222,10 +204,77 @@ class TestBellmanTargets:
                            "exact")
 
 
+def _sampled_window(sys_, seed, N, branches, mode):
+    """A rollout window at a random state under random gains and case-3
+    probes, with a sign-definite value pair: (Z, succ, cont)."""
+    rng = np.random.default_rng(seed)
+    n, m1, m2 = sys_.dims
+    gains = GainPair(0.3 * rng.standard_normal((m2, n)), 0.3 * rng.standard_normal((m1, n)))
+    oracle = SystemOracle(sys_, NoiseSource(seed), rng.standard_normal(n))
+    Z, succ = oracle.rollout(gains, ProbingSchedule("case3").window(seed, N, m1, m2),
+                             branches, mode)
+    G1, G2 = rng.standard_normal((2, n, n))
+    cont = ValuePair(-(G1 @ G1.T + np.eye(n)), G2 @ G2.T + np.eye(n))
+    return Z, succ, cont
+
+
+class TestMomentContraction:
+    """The continuation <P, S S'> / B from each row's successor samples."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(member=st.integers(-1, 19), branches=st.sampled_from([1, 2, 30, 100]),
+           seed=st.integers(0, 2**16), N=st.integers(1, 25))
+    def test_equals_plain_branch_mean(self, f16, random_population, member, branches,
+                                      seed, N):
+        # the mean of x+'P x+ over a row's branches, one branch at a time
+        sys_, _ = f16 if member < 0 else random_population[member]
+        _, succ, cont = _sampled_window(sys_, seed, N, branches, "mc")
+        assert succ.shape == (N, sys_.n, branches)
+        got = qlearn_module._continuations(succ, cont)
+        for row, S in zip(got, succ):
+            for c, P in zip(row, (cont.P1, cont.P2)):
+                assert c == pytest.approx(np.mean([x @ P @ x for x in S.T]), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(member=st.integers(-1, 19), seed=st.integers(0, 2**16), N=st.integers(1, 25))
+    def test_pair_equals_exact_expectation(self, f16, random_population, member, seed, N):
+        # analytic mode's successors are mu + s and mu - s, bit for bit, and
+        # their mean of x+'P x+ is mu'P mu + s'P s
+        sys_, _ = f16 if member < 0 else random_population[member]
+        n, m1, _ = sys_.dims
+        Z, succ, cont = _sampled_window(sys_, seed, N, 1, "analytic")
+        assert succ.shape == (N, n, 2)
+        got = qlearn_module._continuations(succ, cont)
+        for z, pair, row in zip(Z, succ, got):
+            x, u, v = z[:n], z[n:n + m1], z[n + m1:]
+            mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
+            s = sys_.A2 @ x + sys_.C2 @ v
+            assert pair.T.tobytes() == np.array([mu + s, mu - s]).tobytes()
+            for c, P in zip(row, (cont.P1, cont.P2)):
+                assert c == pytest.approx(mu @ P @ mu + s @ P @ s, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(plant=st.sampled_from(["f16", "population", "wide", "wide5"]),
+           member=st.integers(0, 19), branches=st.sampled_from([1, 2, 30, 100]),
+           mode=st.sampled_from(["analytic", "mc"]), seed=st.integers(0, 2**16),
+           N=st.integers(1, 25))
+    def test_stacked_moments_keep_per_row_bits(self, f16, random_population, plant,
+                                               member, branches, mode, seed, N):
+        # the one stacked matmul gives each row's moment with the bits of a
+        # 2-D S @ S.T, so the continuations equal the per-row reference's
+        sys_ = {"f16": f16, "population": random_population[member],
+                "wide": _wide_plant(3), "wide5": _wide_plant(5)}[plant][0]
+        _, succ, cont = _sampled_window(sys_, seed, N, branches, mode)
+        moments = np.matmul(succ, succ.transpose(0, 2, 1))
+        assert moments.tobytes() == np.array([S @ S.T for S in succ]).tobytes()
+        got = qlearn_module._continuations(succ, cont)
+        assert got.tobytes() == _plain_continuations(succ, cont).tobytes()
+
+
 def _collect(oracle, cost, cont, gains, probes, branches, mode):
-    """One window's per-tuple rows vech(zz') and its targets."""
+    """One window's per-tuple rows vech(zz') and its (N, 2) targets."""
     Z, _, Y = _window(oracle, gains, probes, cost, cont, branches, mode)
-    return np.array([vech(np.outer(z, z)) for z in Z]), Y[:, 0], Y[:, 1]
+    return np.array([vech(np.outer(z, z)) for z in Z]), Y
 
 
 def _collect_mc(sys_, cost, case, tuples=20):
@@ -241,29 +290,29 @@ def _collect_mc(sys_, cost, case, tuples=20):
 class TestRegression:
     def test_full_rank_with_case1(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, "case1")
+        X, Y = _collect_mc(sys_, cost, "case1")
         assert X.shape == (20, 15)
-        q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
+        q, svmin = least_squares_h(X, Y, (3, 1, 1))
         assert svmin > 0
         assert svmin == pytest.approx(np.linalg.svd(X, compute_uv=False)[-1], rel=1e-12)
         assert q.dims == (3, 1, 1)
 
     def test_inactive_probe_rank_deficient(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, None)
+        X, Y = _collect_mc(sys_, cost, None)
         with pytest.raises(ExcitationError, match="insufficient excitation"):
-            least_squares_h(X, Y1, Y2, (3, 1, 1))
+            least_squares_h(X, Y, (3, 1, 1))
 
     def test_duplicate_rows_rejected(self):
         X = np.tile(np.arange(1.0, 16.0), (20, 1))
         with pytest.raises(ExcitationError, match="insufficient excitation"):
-            least_squares_h(X, np.ones(20), np.full(20, 2.0), (3, 1, 1))
+            least_squares_h(X, np.tile([1.0, 2.0], (20, 1)), (3, 1, 1))
 
     def test_too_few_rows_rejected(self, f16):
         sys_, cost = f16
-        X, Y1, Y2 = _collect_mc(sys_, cost, "case1", tuples=14)
+        X, Y = _collect_mc(sys_, cost, "case1", tuples=14)
         with pytest.raises(ValueError, match="15"):
-            least_squares_h(X, Y1, Y2, (3, 1, 1))
+            least_squares_h(X, Y, (3, 1, 1))
 
     def test_least_squares_recovers_synthetic(self):
         rng = np.random.default_rng(23)
@@ -271,7 +320,7 @@ class TestRegression:
         M2 = rng.standard_normal((5, 5))
         H1t, H2t = M1 + M1.T, M2 + M2.T
         X = rng.standard_normal((40, 15))
-        q, svmin = least_squares_h(X, X @ vecs(H1t), X @ vecs(H2t), (3, 1, 1))
+        q, svmin = least_squares_h(X, X @ np.column_stack([vecs(H1t), vecs(H2t)]), (3, 1, 1))
         np.testing.assert_allclose(q.H1, H1t, atol=1e-10)
         np.testing.assert_allclose(q.H2, H2t, atol=1e-10)
         assert svmin == pytest.approx(np.linalg.svd(X, compute_uv=False)[-1], rel=1e-12)
@@ -279,7 +328,7 @@ class TestRegression:
     def test_least_squares_zero_targets(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 15))
-        q, _ = least_squares_h(X, np.zeros(30), np.zeros(30), (3, 1, 1))
+        q, _ = least_squares_h(X, np.zeros((30, 2)), (3, 1, 1))
         assert not q.H1.any() and not q.H2.any()
 
 
@@ -314,22 +363,23 @@ def _analytic_config(**kw):
 
 class _Reshaped(TrajectoryOracle):
     """SystemOracle windows in a fixed mode, whatever mode the learner asks
-    for, cut to their first `rows` rows z."""
+    for, with their rows z cut to the first `rows` and their successor
+    samples passed through `succ`."""
 
-    def __init__(self, inner, mode, rows=None):
-        self.inner, self.mode, self.rows = inner, mode, rows
+    def __init__(self, inner, mode, rows=None, succ=lambda S: S):
+        self.inner, self.mode, self.rows, self.succ = inner, mode, rows, succ
 
     def rollout(self, gains, probes, branches, mode):
         Z, succ = self.inner.rollout(gains, probes, branches, self.mode)
-        return Z[:self.rows], succ
+        return Z[:self.rows], self.succ(succ)
 
     def reset(self, x):
         self.inner.reset(x)
 
 
-def _rejection(sys_, cost, mode, oracle_mode, rows=None):
+def _rejection(sys_, cost, mode, oracle_mode, rows=None, succ=lambda S: S):
     """The ValueError message of a learner in `mode` fed _Reshaped windows."""
-    oracle = _Reshaped(SystemOracle(sys_, NoiseSource(0), X0), oracle_mode, rows)
+    oracle = _Reshaped(SystemOracle(sys_, NoiseSource(0), X0), oracle_mode, rows, succ)
     cfg = _analytic_config(max_iters=1, branches=3, expectation_mode=mode)
     with pytest.raises(ValueError) as exc:
         run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0)
@@ -367,9 +417,9 @@ class TestRunQLearning:
         oracle = SystemOracle(sys_, NoiseSource(4), X0)
         gains, cont = f16_initial_gains(), ValuePair.zeros(3)
         for i, it in enumerate(rep.history):
-            X, Y1, Y2 = _collect(oracle, cost, cont, gains,
-                                 ProbingSchedule(case).window(20 * i, 20), branches, mode)
-            q, svmin = least_squares_h(X, Y1, Y2, (3, 1, 1))
+            X, Y = _collect(oracle, cost, cont, gains,
+                            ProbingSchedule(case).window(20 * i, 20), branches, mode)
+            q, svmin = least_squares_h(X, Y, (3, 1, 1))
             gains = gains_from_q(q)
             cont = values_from_q(q, gains)
             assert it.svmin == svmin
@@ -411,11 +461,11 @@ class TestRunQLearning:
         for i in range(40):
             cont = values_from_q(q, gains)
             expected = h_from_values(sys_, cost, cont)
-            X, Y1, Y2 = _collect(
+            X, Y = _collect(
                 oracle, cost, cont, gains, schedule.window(k, 20), 1, "analytic"
             )
             k += 20
-            q, _ = least_squares_h(X, Y1, Y2, (3, 1, 1))
+            q, _ = least_squares_h(X, Y, (3, 1, 1))
             assert np.abs(q.H1 - expected.H1).max() < 1e-8
             assert np.abs(q.H2 - expected.H2).max() < 1e-8
             gains = gains_from_q(q)
@@ -521,9 +571,9 @@ class TestRunQLearning:
             )
 
     def test_one_expectation_query_per_tuple(self, f16, monkeypatch):
-        # one rollout per iteration returns one (mu, s) per tuple, from one
-        # trajectory-kernel pass, and the learner runs no closing trajectory
-        # that would make another pass
+        # one rollout per iteration returns one exact pair mu +- s per tuple,
+        # from one trajectory-kernel pass, and the learner runs no closing
+        # trajectory that would make another pass
         sys_, cost = f16
         kernel, windows = [], []
 
@@ -542,26 +592,42 @@ class TestRunQLearning:
                              _analytic_config(max_iters=3), f16_initial_gains(), X0)
         assert rep.iterations == 3
         assert len(kernel) == 3
-        assert [(Z.shape, succ.shape) for Z, succ in windows] == [((20, 5), (2, 20, 3))] * 3
+        assert [(Z.shape, succ.shape) for Z, succ in windows] == [((20, 5), (20, 3, 2))] * 3
 
-    def test_oracle_without_expectations_rejects_analytic(self, f16):
-        # an oracle that only samples successors cannot serve analytic mode:
-        # with 3 branches on the 3-state F-16 its (3, 20, 3) successors
-        # would broadcast silently into wrong analytic targets
-        assert _rejection(*f16, "analytic", "mc") == (
-            "analytic rollout returned rows (20, 5) and successor data (3, 20, 3), "
-            "expected (20, 5) and (2, 20, 3)")
+    def test_oracle_coordinates_first_rejected(self, f16):
+        # successors coordinates first, (n, N, B), are named by the
+        # learner, not left to fail inside the contraction
+        assert _rejection(*f16, "mc", "mc", succ=lambda S: S.transpose(1, 0, 2)) == (
+            "mc rollout returned rows (20, 5) and successors (3, 20, 3), "
+            "expected (20, 5) and (20, 3, B) with B >= 1")
 
-    def test_oracle_with_expectations_only_rejects_mc(self, f16):
-        # (mu, s) (2, 20, 3) would broadcast into a branch mean over 2 states
-        assert _rejection(*f16, "mc", "analytic") == (
-            "mc rollout returned rows (20, 5) and successor data (2, 20, 3), "
-            "expected (20, 5) and (3, 20, 3)")
+    def test_oracle_mean_and_direction_rejected(self, f16):
+        # a (2, N, n) stack of two vectors per row, such as (mu, s), is not
+        # a set of successor samples
+        assert _rejection(*f16, "analytic", "analytic",
+                          succ=lambda S: S.transpose(2, 0, 1)) == (
+            "analytic rollout returned rows (20, 5) and successors (2, 20, 3), "
+            "expected (20, 5) and (20, 3, B) with B >= 1")
 
     def test_oracle_rows_of_another_shape_rejected(self, f16):
         assert _rejection(*f16, "analytic", "analytic", rows=19) == (
-            "analytic rollout returned rows (19, 5) and successor data (2, 20, 3), "
-            "expected (20, 5) and (2, 20, 3)")
+            "analytic rollout returned rows (19, 5) and successors (20, 3, 2), "
+            "expected (20, 5) and (20, 3, B) with B >= 1")
+        assert _rejection(*f16, "mc", "mc", succ=lambda S: S[:, :, :0]) == (
+            "mc rollout returned rows (20, 5) and successors (20, 3, 0), "
+            "expected (20, 5) and (20, 3, B) with B >= 1")
+
+    def test_one_target_path_for_both_modes(self, f16):
+        # the learner reads successor samples, whatever mode made them: in
+        # mc mode, fed the exact pair, it learns analytic mode's iterates
+        sys_, cost = f16
+        runs = []
+        for mode in ("analytic", "mc"):
+            oracle = _Reshaped(SystemOracle(sys_, NoiseSource(0), X0), "analytic")
+            cfg = _analytic_config(max_iters=5, branches=100, expectation_mode=mode)
+            runs.append(run_q_learning(oracle, cost, cfg, f16_initial_gains(), X0))
+        _assert_same_run(runs[1], [tuple(it) for it in runs[0].history],
+                         runs[0].termination, runs[0].q)
 
     def test_mc_run_smoke(self, f16):
         sys_, cost = f16
@@ -814,13 +880,12 @@ def _plain_quad_rows(X, P):
     return _plain_dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
 
 
-def _plain_branch_mean(succ, P):
-    n = succ.shape[0]
-    acc = np.zeros(succ.shape[1:])
-    for j in range(n):
-        for k in range(n):
-            acc += (succ[j] * P[j, k]) * succ[k]
-    return acc.mean(axis=-1)
+def _plain_continuations(succ, cont):
+    """<P, S S'> / B of each row's samples S for P1 and P2, with each row's
+    moment a 2-D S @ S.T and one (N, n^2)·(n^2, 2) product."""
+    N, n, B = succ.shape
+    M = np.array([S @ S.T for S in succ]).reshape(N, n * n)
+    return M @ np.array([cont.P1.ravel(), cont.P2.ravel()]).T / B
 
 
 def _plain_mat(s, p):
@@ -843,17 +908,16 @@ def _plain_window(sys_, noise, x, k, gains, probes, cost, cont, branches, mode):
           + _plain_rows_times(sys_.C1, V))
     S = _plain_rows_times(sys_.A2, X) + _plain_rows_times(sys_.C2, V)
     if mode == "mc":
-        succ = MU.T[:, :, None] + noise.branch_window(k, rows, branches) * S.T[:, :, None]
-        ok = (np.abs(succ) <= qlearn_module.GUARD).all(axis=(0, 2))
+        W = noise.branch_window(k, rows, branches)
+        succ = np.stack([MU + W[:, [b]] * S for b in range(branches)], axis=-1)
+        ok = (np.abs(succ) <= qlearn_module.GUARD).all(axis=(1, 2))
         if not ok.all():
             raise DivergenceError(k + int(np.argmin(ok)))
+    else:
+        succ = np.stack([MU + S, MU - S], axis=-1)
     if bad >= 0:
         raise DivergenceError(k + bad)
-    if mode == "analytic":
-        c1 = _plain_quad_rows(MU, cont.P1) + _plain_quad_rows(S, cont.P1)
-        c2 = _plain_quad_rows(MU, cont.P2) + _plain_quad_rows(S, cont.P2)
-    else:
-        c1, c2 = _plain_branch_mean(succ, cont.P1), _plain_branch_mean(succ, cont.P2)
+    c1, c2 = _plain_continuations(succ, cont).T
     r2 = _plain_quad_rows(X, cost.Q) + _plain_dot_rows(U, U)
     r1 = cost.gamma**2 * _plain_dot_rows(V, V) - r2
     return xs[N], np.hstack([xs[:-1], us, vs]), np.column_stack([r1 + c1, r2 + c2])
@@ -863,9 +927,9 @@ def _plain_learn(sys_, cost, config, gains, x0, seed):
     """The learning loop on numpy alone, one member and one product at a time.
 
     Every iteration builds validated QPair, ValuePair and GainPair objects,
-    rebuilds H1 and H2 one column at a time, runs each T'HT sandwich and
-    each branch mean per member, and asks ProbingSchedule.window for each
-    window on its own.  The trajectory kernel, the noise streams and the
+    rebuilds H1 and H2 one column at a time, runs each T'HT sandwich per
+    member and each successor moment per row, and asks
+    ProbingSchedule.window for each window on its own.  The trajectory kernel, the noise streams and the
     probe formula are the package's; tests/test_sim.py and
     TestProbingSchedule pin them.  Returns (error, history, termination, q):
     error is None, or the (type, message) of the error the run ends with,
@@ -1117,7 +1181,7 @@ class TestNonFiniteEstimates:
             QPair(*H, 3, 1, 1)
         with pytest.raises(ValueError, match=f"^{member} has non-finite entries$") as exc:
             with np.errstate(invalid="ignore"):
-                least_squares_h(X, Y[:, 0], Y[:, 1], (3, 1, 1))
+                least_squares_h(X, Y, (3, 1, 1))
         assert str(exc.value) == str(expected.value)
 
     @pytest.mark.parametrize("member", [0, 1])
@@ -1137,4 +1201,4 @@ class TestNonFiniteEstimates:
     def test_inconsistent_dims_rejected_as_before(self):
         X = np.random.default_rng(3).standard_normal((30, 15))
         with pytest.raises(ValueError, match="inconsistent with partition"):
-            least_squares_h(X, np.ones(30), np.ones(30), (2, 1, 1))
+            least_squares_h(X, np.ones((30, 2)), (2, 1, 1))

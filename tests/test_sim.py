@@ -176,17 +176,19 @@ class TestStepAndCosts:
                     float(cost.gamma**2 * (v @ v) - r2), r2)
 
     def test_expected_next_quadratic_examples(self, scalar_sys):
-        # SystemOracle.rollout gives each row's (mu, s), x+ = mu + omega s, so
-        # E(x+' P x+) = mu'P mu + s'P s for both members of the value pair
+        # SystemOracle.rollout gives each row's pair x+ = mu + s, mu - s in
+        # analytic mode, so E(x+' P x+) = mu'P mu + s'P s is the pair's mean
+        # for both members of the value pair
         ident = SdltiSystem(
             np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)),
             np.zeros((2, 1)), np.zeros((2, 1)),
         )
-        mu, s = _moments(ident, [3.0, 4.0], [0.0], [0.0])
-        assert mu.tolist() == [3.0, 4.0] and s.tolist() == [0.0, 0.0]
-        assert _expected_quadratics(mu, s, ValuePair(np.eye(2), np.zeros((2, 2)))) == [25.0, 0.0]
-        mu, s = _moments(scalar_sys, [1.0], [0.0], [0.0])
-        c1, c2 = _expected_quadratics(mu, s, ValuePair([[1.0]], [[2.0]]))
+        pair = _pair(ident, [3.0, 4.0], [0.0], [0.0])
+        assert pair.tolist() == [[3.0, 4.0], [3.0, 4.0]]
+        assert _expected_quadratics(pair, ValuePair(np.eye(2), np.zeros((2, 2)))) == [25.0, 0.0]
+        pair = _pair(scalar_sys, [1.0], [0.0], [0.0])
+        assert pair.tolist() == [[0.8 + 0.1], [0.8 - 0.1]]
+        c1, c2 = _expected_quadratics(pair, ValuePair([[1.0]], [[2.0]]))
         assert c1 == pytest.approx(0.65, abs=1e-15)
         assert c2 == pytest.approx(1.3, abs=1e-15)
 
@@ -199,11 +201,12 @@ class TestStepAndCosts:
         x = rng.standard_normal(sys_.n)
         u = rng.standard_normal(sys_.m1)
         v = rng.standard_normal(sys_.m2)
-        mu, s = _moments(sys_, x, u, v)
-        # each is the drift and the noise direction bit for bit
-        assert mu.tobytes() == (sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v).tobytes()
-        assert s.tobytes() == (sys_.A2 @ x + sys_.C2 @ v).tobytes()
-        exact = _expected_quadratics(mu, s, vals)
+        pair = _pair(sys_, x, u, v)
+        # the drift plus and minus the noise direction, bit for bit
+        mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
+        s = sys_.A2 @ x + sys_.C2 @ v
+        assert pair.tobytes() == np.array([mu + s, mu - s]).tobytes()
+        exact = _expected_quadratics(pair, vals)
         N = 40_000
         omegas = NoiseSource(3).branch_window(0, 1, N)[0]
         succ = mu[None, :] + omegas[:, None] * s[None, :]
@@ -213,19 +216,20 @@ class TestStepAndCosts:
             assert abs(sample - c) < 5.0 * std / np.sqrt(N) + 1e-12
 
 
-def _moments(sys_, x, u, v):
-    """(mu, s) of the one-row analytic window at x with executed inputs
-    (u, v): zero gains, the probe row (u, v)."""
+def _pair(sys_, x, u, v):
+    """The successor pair (mu + s, mu - s) of the one-row analytic window at
+    x with executed inputs (u, v): zero gains, the probe row (u, v)."""
     oracle = SystemOracle(sys_, NoiseSource(0), x)
     probes = (np.atleast_1d(np.asarray(u, dtype=float))[None],
               np.atleast_1d(np.asarray(v, dtype=float))[None])
-    Z, MS = oracle.rollout(GainPair.zeros(*sys_.dims), probes, 1, "analytic")
-    assert MS.shape == (2, 1, sys_.n)
-    return MS[:, 0]
+    Z, succ = oracle.rollout(GainPair.zeros(*sys_.dims), probes, 1, "analytic")
+    assert succ.shape == (1, sys_.n, 2)
+    return succ[0].T
 
 
-def _expected_quadratics(mu, s, vals):
-    return [float(mu @ P @ mu + s @ P @ s) for P in (vals.P1, vals.P2)]
+def _expected_quadratics(pair, vals):
+    """The mean of x'P x over the pair's two successors, for P1 and P2."""
+    return [float(np.mean([x @ P @ x for x in pair])) for P in (vals.P1, vals.P2)]
 
 
 class TestSimulate:
