@@ -270,6 +270,25 @@ class TestMomentContraction:
         got = qlearn_module._continuations(succ, cont)
         assert got.tobytes() == _plain_continuations(succ, cont).tobytes()
 
+    @pytest.mark.parametrize("branches", [10, 30, 100])
+    def test_f16_targets_keep_per_row_bits(self, f16, branches):
+        # the F-16 Monte-Carlo targets are the stage cost plus the per-row
+        # reference continuation, bit for bit, at states over six decades
+        sys_, cost = f16
+        rng = np.random.default_rng(branches)
+        for _ in range(20):
+            x = rng.standard_normal(3) * 10.0 ** rng.integers(-2, 4)
+            e = rng.standard_normal((2, 1))
+            M1, M2 = rng.standard_normal((2, 3, 3))
+            cont = ValuePair(M1 + M1.T, M2 + M2.T)
+            z, succ, (d1, d2) = _one_tuple(sys_, int(rng.integers(1000)), x, e,
+                                           GainPair.zeros(3), cost, cont, branches, "mc")
+            assert succ.shape == (3, branches)
+            c1, c2 = _plain_continuations(succ[None], cont)[0]
+            r1, r2 = stage_costs(cost, x, z[3:4], z[4:])
+            assert d1 == r1 + c1
+            assert d2 == r2 + c2
+
 
 def _collect(oracle, cost, cont, gains, probes, branches, mode):
     """One window's per-tuple rows vech(zz') and its (N, 2) targets."""
