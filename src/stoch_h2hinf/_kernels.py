@@ -19,9 +19,10 @@ A path that decays without additive noise can underflow into an exact fixed
 point: with every later probe +0.0 and every later omega finite, a state x
 whose step gives s = A2 x + C2 v = 0 in every entry and mu + s = mu - s = x,
 bit for bit, repeats itself for the rest of the path, since w s is s or -s
-(signed zeros included) for every finite w.  At a block end whose state
-equals the one before, the loop runs that one exact test and, when it
-passes, fills the rest of the path with that step's rows.
+(signed zeros included) for every finite w.  At a block start whose state
+equals the one before (the caller's prev for x0), the loop runs that one
+exact test and, when it passes, fills the rest of the path with that
+step's rows; a path run in pieces is so tested where one pass is.
 
 When both players have one column (B1, C1 of shape (n, 1), n >= 2, such as
 F-16's) and A1, A2 and the gains are C-ordered, each step makes three BLAS
@@ -131,7 +132,9 @@ def _single_input_steps(ops, xs, us, vs, omegas, eu, ev, a, b):
     vs[a:b, 0] = vl
 
 
-def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
+def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev, prev=None):
+    """(xs, us, vs, bad) of the len(omegas) steps from x0; prev is the
+    state before x0 when the path continues an earlier call's."""
     T = omegas.shape[0]
     xs = np.zeros((T + 1, A1.shape[0]))
     us = np.zeros((T, B1.shape[1]))
@@ -144,6 +147,14 @@ def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
         ops, steps = _single_input_ops(*ops), _single_input_steps
     with np.errstate(all="ignore"):
         for a in range(0, T, _BLOCK):
+            before = xs[a - 1] if a else prev
+            if before is not None and (xs[a] == before).all():
+                settled = _settled_step(A1, B1, C1, A2, C2, K1, K2, xs[a],
+                                        omegas[a:], eu[a:], ev[a:])
+                if settled is not None:
+                    xs[a + 1:] = xs[a]
+                    us[a:], vs[a:] = settled
+                    break
             b = min(a + _BLOCK, T)
             steps(ops, xs, us, vs, omegas, eu, ev, a, b)
             # NaN compares false, so it trips the guard like an infinity does
@@ -154,11 +165,4 @@ def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev):
                 us[bad:] = 0.0
                 vs[bad:] = 0.0
                 break
-            if b < T and (xs[b] == xs[b - 1]).all():
-                settled = _settled_step(A1, B1, C1, A2, C2, K1, K2, xs[b],
-                                        omegas[b:], eu[b:], ev[b:])
-                if settled is not None:
-                    xs[b + 1:] = xs[b]
-                    us[b:], vs[b:] = settled
-                    break
     return xs, us, vs, bad

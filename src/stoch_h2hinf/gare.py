@@ -40,15 +40,14 @@ a solve fails with the error and at the sweep it did when each sweep
 computed its own residuals.
 
 Policy iteration (solve_coupled_gare_pi; Kleinman 1968, Hewer 1971) meets
-the same fixed point in a handful of iterations (8 on F-16 at tol 1e-9,
-where the recursion sweeps 652 times).  Each iteration fixes (K1, K2),
-solves both generalized Lyapunov equations for their values in one n^2 x n^2
-solve (_policy_values) and extracts the next gains with the recursion's
-Delta check.  It needs mean-square stabilizing gains to evaluate, zero gains
-first, and raises when they are not; the recursion needs no such start.
-simulate solves by policy iteration and falls back on the recursion;
-solve, vi, the learner's mirror and random_feasible_system use the
-recursion.
+the same fixed point in a handful of sweeps (8 on F-16 at tol 1e-9, where
+the recursion sweeps 652 times).  It is the same loop with another step,
+_policy_step: the extracted gains' exact values, both generalized Lyapunov
+equations in one n^2 x n^2 solve, from zero gains (the extraction at
+(0, 0)).  The step raises when the gains are not mean-square stabilizing;
+the recursion needs no such start.  simulate solves by policy iteration
+and falls back on the recursion; solve, vi, the learner's mirror and
+random_feasible_system use the recursion.
 """
 
 import math
@@ -254,24 +253,22 @@ class SolveReport:
             fh.write(("%d,%.12g,%.12g,%.12g,%.12g\n" * len(self.history)) % tuple(cells))
 
 
-def _check_budget(tol, max_iters):
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be a positive integer")
-
-
-def _value_iteration(sys, cost, tol, max_iters):
-    """The coupled value recursion from (0, 0), one item per sweep.
+def _value_iteration(sys, cost, tol, max_iters, step=_value_update):
+    """The coupled-Riccati loop from (0, 0), one item per sweep; step maps
+    (values, policy terms) to the next values (_value_update or _policy_step).
 
     Yields (K1, K2, P1, P2, (dP1, dP2), stop): the gains extracted at the
     previous values, the updated values, the Frobenius norms of the value
     changes, and whether both fell below tol, which ends the iteration.
-    Raises ConvergenceError when max_iters runs out or an iterate leaves the
-    finite range (that sweep is not yielded).  The Delta blocks and left
-    factors at the updated values are the next sweep's gain system.
+    Raises ConvergenceError when max_iters runs out, an iterate leaves the
+    finite range (that sweep is not yielded) or step raises one (the sweep
+    appended).  The Delta blocks and left factors at the updated values are
+    the next sweep's gain system.
     """
-    _check_budget(tol, max_iters)
+    if not 0 < tol < math.inf:
+        raise ConfigError("tol must be a positive finite number")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be a positive integer")
     consts = _delta_constants(sys, cost)
     PP = np.zeros((2, sys.n, sys.n))
     P1, P2 = PP
@@ -279,10 +276,13 @@ def _value_iteration(sys, cost, tol, max_iters):
     blk = np.empty((sys.m2 + sys.m1,) * 2)
     for sweep in range(1, max_iters + 1):
         # overflow and inf - inf only occur once the iteration diverges, which
-        # the finiteness check below reports
+        # the step's checks or the finiteness check below report
         with np.errstate(over="ignore", invalid="ignore"):
             K1, K2 = _extract_gains(sys, cost, blocks, blk)
-            PPn = _value_update(cost, PP, _policy_terms(sys, K1, K2))
+            try:
+                PPn = step(cost, PP, _policy_terms(sys, K1, K2))
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"{exc} at sweep {sweep}") from None
             P1n, P2n = PPn
             d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
             # dP overflows well before the entries do: only then are they read
@@ -395,62 +395,41 @@ def _policy_values(cost, policy, T):
     return symmetrize(np.ascontiguousarray(vecP.T).reshape(2, *W1.shape))
 
 
+def _policy_step(cost, PP, policy):
+    """The exact values of the gains in policy (PP is not read); raises
+    ConvergenceError when the gains are not mean-square stabilizing, as
+    their values are then not their costs."""
+    Ad, An = policy[3:5]
+    T = _second_moment_map(Ad, An)
+    if not np.isfinite(T).all():
+        raise ConvergenceError("no fixed point: the gains left the finite range")
+    rho = ms_radius(Ad, An)
+    if not rho < 1.0:
+        raise ConvergenceError(f"the gains are not mean-square stabilizing "
+                               f"(ms radius {rho:.4g})")
+    return _policy_values(cost, policy, T)
+
+
 def solve_coupled_gare_pi(sys, cost, tol=1e-9, max_iters=5000):
-    """Solve the coupled equations by policy iteration from zero gains.
+    """Solve the coupled equations by policy iteration from zero gains:
+    _value_iteration with _policy_step, which evaluates each sweep's gains.
 
-    Each iteration fixes (K1, K2), solves for their values (P1, P2) (one
-    Lyapunov solve, _policy_values) and extracts the next gains from them
-    with the Delta check of the value recursion.  It stops on the value
-    recursion's rule: both Frobenius value changes below tol (the first
-    iteration's change is from (0, 0)).  The report has the shape of
-    solve_coupled_gare's, one history row per iteration, its residuals at
-    the iteration's values and extracted gains; the report's gains are the
-    last ones extracted.
-
-    Raises ConvergenceError when the gains to be evaluated, the zero start
-    included, are not mean-square stabilizing, when an iterate leaves the
-    finite range, or when max_iters runs out (no report attached);
-    AttenuationInfeasibleError and GainExtractionError as gains_from_values
-    does.
+    The report has the shape of solve_coupled_gare's, one history row per
+    sweep, its residuals at the sweep's values and the gains extracted from
+    them; the report's gains are those extracted from the last values.
+    Raises as _value_iteration does (no report attached), unstabilizing
+    gains included, the zero start at sweep 1; AttenuationInfeasibleError
+    and GainExtractionError as gains_from_values does.
     """
-    _check_budget(tol, max_iters)
-    consts = _delta_constants(sys, cost)
-    blk = np.empty((sys.m2 + sys.m1,) * 2)
-    K1, K2 = np.zeros((sys.m2, sys.n)), np.zeros((sys.m1, sys.n))
-    P1 = P2 = np.zeros((sys.n, sys.n))
-    dps, iterates = [], []
-    for it in range(1, max_iters + 1):
-        gains_from = "the start gains" if it == 1 else f"the gains of iteration {it - 1}"
-        policy = _policy_terms(sys, K1, K2)
-        Ad, An = policy[3:5]
-        # a huge gain overflows T, which the finiteness check reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            T = _second_moment_map(Ad, An)
-            if not np.isfinite(T).all():
-                raise ConvergenceError(f"no fixed point: {gains_from} left the finite range")
-            rho = ms_radius(Ad, An)
-            if not rho < 1.0:
-                raise ConvergenceError(f"{gains_from} are not mean-square stabilizing "
-                                       f"(ms radius {rho:.4g})")
-            P1n, P2n = _policy_values(cost, policy, T)
-            d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
-            if not math.isfinite(d1 + d2):
-                raise ConvergenceError(f"no fixed point: the values of {gains_from} "
-                                       f"left the finite range")
-        P1, P2 = P1n, P2n
-        K1, K2 = _extract_gains(sys, cost, _delta_blocks(sys, P1, P2, consts), blk)
-        dps.append((d1, d2))
-        iterates.append((K1, K2, P1, P2))
-        if d1 < tol and d2 < tol:
-            gains = GainPair(K1, K2)
-            rows = _residual_rows(sys, cost, consts, iterates)
-            return SolveReport(ValuePair(P1, P2), gains,
-                               tuple(dP + r for dP, r in zip(dps, rows)),
-                               ms_stable(*closed_loop_pair(sys, gains)))
-    raise ConvergenceError(
-        f"no fixed point within {max_iters} policy iterations (tol={tol:g}); "
-        f"last dP=({d1:.3e}, {d2:.3e})"
-    )
+    sweeps = list(_value_iteration(sys, cost, tol, max_iters, _policy_step))
+    values = ValuePair(*sweeps[-1][2:4])
+    gains = gains_from_values(sys, cost, values)
+    # the gains extracted from sweep s's values are those sweep s + 1 evaluates
+    extracted = [s[:2] for s in sweeps[1:]] + [(gains.K1, gains.K2)]
+    rows = _residual_rows(sys, cost, _delta_constants(sys, cost),
+                          [(*K, *s[2:4]) for K, s in zip(extracted, sweeps)])
+    return SolveReport(values, gains, tuple(s[4] + r for s, r in zip(sweeps, rows)),
+                       ms_stable(*closed_loop_pair(sys, gains)))
 
 
 def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):

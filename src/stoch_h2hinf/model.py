@@ -297,8 +297,8 @@ class AlgoConfig:
     expectation_mode: str = "mc"
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be a positive finite number")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be a positive integer")
         if self.tuples_per_iter < 1:

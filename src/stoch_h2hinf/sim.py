@@ -13,7 +13,9 @@ SeedSequence's pool hash (numpy/random/bit_generator.pyx) and applies
 PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905) to each, then
 samples every key from one reused generator.
 
-simulate_to_csv steps the closed loop one chunk of _CHUNK steps at a time.
+simulate_to_csv steps the closed loop one chunk of _CHUNK steps at a time,
+one kernel call each, given the state before the chunk's first so that a
+settled chunk is a call that computes no step.
 A run of more than one chunk, in a process that may use a second CPU, forks
 one writer child that formats the rows while this process steps the next
 chunk: the child runs _write_csv, the one row writer, over the chunks
@@ -300,11 +302,8 @@ def _closed_loop_chunks(sys, cost, gains, x0, steps, noise):
     chunks of _CHUNK steps, each starting at the last one's final state.
 
     Each chunk draws its omegas, takes one kernel pass and forms its stage
-    costs, with the bits of the whole path run at once.  A chunk boundary is
-    a kernel block end, where the one-pass kernel would test for a settled
-    path: when the last two states are equal and _settled_step passes on the
-    chunk ahead, the chunk is filled with that step's rows and the kernel
-    is not called, so the kernel computes the same steps as in one pass.
+    costs, with the bits and the computed steps of the whole path run at
+    once: the kernel is given the state before the chunk's first.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -315,16 +314,9 @@ def _closed_loop_chunks(sys, cost, gains, x0, steps, noise):
     for k in range(0, steps, _CHUNK):
         T = min(_CHUNK, steps - k)
         omegas = noise.draw(T)
-        settled = None
-        if prev is not None and (x == prev).all():
-            settled = _kernels._settled_step(*mats, x, omegas, eu[:T], ev[:T])
-        if settled is not None:
-            xs = np.tile(x, (T + 1, 1))
-            us, vs = (np.tile(a, (T, 1)) for a in settled)
-        else:
-            xs, us, vs, bad = _kernels.closed_loop_path(*mats, x, omegas, eu[:T], ev[:T])
-            if bad >= 0:
-                raise DivergenceError(k + bad)
+        xs, us, vs, bad = _kernels.closed_loop_path(*mats, x, omegas, eu[:T], ev[:T], prev)
+        if bad >= 0:
+            raise DivergenceError(k + bad)
         prev, x = xs[-2], xs[-1]
         xQx = np.einsum("ij,jk,ik->i", xs[:-1], cost.Q, xs[:-1])
         r2 = xQx + np.einsum("ij,ij->i", us, us)

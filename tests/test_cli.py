@@ -426,8 +426,8 @@ class TestLearningCommands:
         vi = solve_coupled_gare(sys_, cost, 1e-9, 5000)
         assert printed == (f"simulated 300 steps under the gains solved by value iteration "
                            f"in {vi.iterations} iterations (policy iteration failed: the "
-                           f"gains of iteration 2 are not mean-square stabilizing "
-                           f"(ms radius 1.5))\n")
+                           f"gains are not mean-square stabilizing (ms radius 1.5) at "
+                           f"sweep 3)\n")
         reason = (out / "manifest.txt").read_text().splitlines()[-1]
         assert reason == "exit_reason = " + printed[:-1]
         assert main(["solve", "--out", str(tmp_path / "solve")]) == 0
@@ -628,6 +628,11 @@ class TestConfigHandling:
          "matrix file for A1 is empty"),
         # checked once for all three cases, before any is run
         (["bench-f16", "--steps", "0"], "steps"),
+        # an infinite tol would stop every loop at its first sweep
+        (["solve", "--tol", "inf"], "tol must be a positive finite number"),
+        (["vi", "--tol", "inf"], "tol must be a positive finite number"),
+        (["qlearn", "--mode", "analytic", "--tol", "inf"], "tol must be a positive finite"),
+        (["simulate", "--tol", "inf"], "tol must be a positive finite number"),
     ])
     def test_bad_number_exit_1_with_manifest(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1

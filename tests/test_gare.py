@@ -633,6 +633,62 @@ def test_policy_iteration_report_rows(f16):
     assert all(len(row) == 4 for row in report.history)
 
 
+def _plain_pi(sys_, cost, tol, max_iters, history):
+    """Policy iteration written out as a loop of its own, on the public
+    helpers and _policy_values: from zero gains, each iteration checks that
+    its gains are mean-square stabilizing, solves for their values,
+    extracts the next gains from them and stops on the recursion's rule.
+    Same contract as _public_solve: history gets (dP1, dP2, res1, res2) per
+    iteration, the residuals at its values and the gains extracted from
+    them.  solve_coupled_gare_pi runs policy iteration as a step of the
+    value recursion's loop and must match it bit for bit.
+    """
+    vals = ValuePair.zeros(sys_.n)
+    gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
+    for _ in range(max_iters):
+        policy = gare._policy_terms(sys_, gains.K1, gains.K2)
+        Ad, An = policy[3:5]
+        if not ms_radius(Ad, An) < 1.0:
+            raise ConvergenceError("the gains are not mean-square stabilizing")
+        nxt = ValuePair(*gare._policy_values(cost, policy, gare._second_moment_map(Ad, An)))
+        gains = gains_from_values(sys_, cost, nxt)
+        d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
+        d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
+        R1, R2 = gare_residuals(sys_, cost, nxt, gains)
+        history.append((d1, d2, float(np.linalg.norm(R1)), float(np.linalg.norm(R2))))
+        vals = nxt
+        if d1 < tol and d2 < tol:
+            return vals, gains, True
+    return vals, gains, False
+
+
+def _assert_pi_bit_identical(sys_, cost, tol):
+    history = []
+    vals, gains, converged = _plain_pi(sys_, cost, tol, 100, history)
+    assert converged
+    report = solve_coupled_gare_pi(sys_, cost, tol=tol)
+    _assert_same_report(report, vals, gains, history)
+    assert report.iterations == len(history)
+
+
+def test_policy_iteration_bit_identical_f16(f16):
+    for tol in (1e-9, 1e-12):
+        _assert_pi_bit_identical(*f16, tol)
+
+
+def test_policy_iteration_bit_identical_population(random_population):
+    for sys_, cost in random_population:
+        for tol in (1e-9, 1e-12):
+            _assert_pi_bit_identical(sys_, cost, tol)
+
+
+@pytest.mark.parametrize("n,m1,m2", [(3, 2, 2), (3, 1, 2), (3, 2, 1), (4, 3, 1)])
+def test_policy_iteration_bit_identical_two_inputs_each(n, m1, m2):
+    sys_, cost = random_feasible_system(np.random.default_rng(3), n=n, m1=m1, m2=m2)
+    for tol in (1e-9, 1e-12):
+        _assert_pi_bit_identical(sys_, cost, tol)
+
+
 def test_policy_iteration_rejects_unstable_start(unstable_population):
     # zero gains leave each of these plants mean-square unstable, so policy
     # iteration has no first policy to evaluate
@@ -640,15 +696,15 @@ def test_policy_iteration_rejects_unstable_start(unstable_population):
         rho = ms_radius(sys_.A1, sys_.A2)
         with pytest.raises(ConvergenceError) as exc:
             solve_coupled_gare_pi(sys_, cost)
-        assert str(exc.value) == (f"the start gains are not mean-square stabilizing "
-                                  f"(ms radius {rho:.4g})")
+        assert str(exc.value) == (f"the gains are not mean-square stabilizing "
+                                  f"(ms radius {rho:.4g}) at sweep 1")
 
 
 def test_policy_iteration_budget_and_settings(f16):
     sys_, cost = f16
-    with pytest.raises(ConvergenceError, match="no fixed point within 3 policy iterations"):
+    with pytest.raises(ConvergenceError, match=r"^no fixed point within 3 iterations"):
         solve_coupled_gare_pi(sys_, cost, max_iters=3)
-    for tol, max_iters in ((0.0, 10), (1e-9, 0)):
+    for tol, max_iters in ((0.0, 10), (math.inf, 10), (math.nan, 10), (1e-9, 0)):
         with pytest.raises(ConfigError) as pi_exc:
             solve_coupled_gare_pi(sys_, cost, tol, max_iters)
         with pytest.raises(ConfigError) as vi_exc:
@@ -672,8 +728,8 @@ def test_simulate_unstable_plant_writes_value_iteration_solution(tmp_path, capsy
     vi = solve_coupled_gare(sys_, cost)
     assert capsys.readouterr().out == (
         f"simulated 50 steps under the gains solved by value iteration in "
-        f"{vi.iterations} iterations (policy iteration failed: the start gains are "
-        f"not mean-square stabilizing (ms radius {rho:.4g}))\n")
+        f"{vi.iterations} iterations (policy iteration failed: the gains are "
+        f"not mean-square stabilizing (ms radius {rho:.4g}) at sweep 1)\n")
     for name in ("gains.txt", "p1.txt", "p2.txt"):
         assert ((tmp_path / "sim" / name).read_bytes()
                 == (tmp_path / "solve" / name).read_bytes())

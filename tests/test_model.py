@@ -96,8 +96,9 @@ def test_qpair_partition():
 
 
 def test_algo_config_validation():
-    with pytest.raises(ValueError):
-        AlgoConfig(tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            AlgoConfig(tol=tol)
     with pytest.raises(ValueError):
         AlgoConfig(max_iters=0)
     for case in ("case9", "custom"):

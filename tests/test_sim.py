@@ -1027,8 +1027,9 @@ class TestStream:
     def test_settled_chunks_are_filled(self, tmp_path, monkeypatch, dims, where):
         # a plant that settles at block end b in one pass: with chunks of b
         # steps it settles exactly at the first chunk boundary, with chunks
-        # of b + _BLOCK inside the first chunk; either way the later chunks
-        # are filled without a kernel call, and the bytes are the reference's
+        # of b + _BLOCK inside the first chunk; either way each later chunk
+        # is a kernel call that computes no step, and the bytes are the
+        # reference's
         args = _settling_args(*dims, 8 * _BLOCK, 0.1, 1.0, sum(dims))
         sys_ = SdltiSystem(*(args[i] for i in (0, 3, 1, 2, 4)))
         gains, x0 = GainPair(args[5], args[6]), args[7]
@@ -1041,7 +1042,7 @@ class TestStream:
         cost = CostSpec(1.0, np.eye(dims[0]))
         streamed = self._assert_streams_reference(tmp_path, sys_, cost, gains, x0,
                                                   3 * chunk + 17, 3)
-        assert streamed == [b]
+        assert streamed == [b, 0, 0, 0]
 
     def test_divergence_in_a_later_chunk(self, tmp_path):
         # x grows by 1.003 a step and trips the guard in the third chunk: the
