@@ -40,7 +40,23 @@ w (A2 x + C2 v), are single IEEE operations that Python floats reproduce.
 For n = 1 numpy's (1, 1) . (1,) product is the plain product, -0.0 kept,
 and multi-column products are FMA gemvs, so both run the general loop.
 tests/test_sim.py pins each of these numpy rules.
+
+That step is generated once per plant, at its first path, and cached by
+the bytes of B1, C1 and C2, so a -0.0 entry never shares a +0.0 entry's
+loop.  The loop writes the n entries out as straight-line code, in four
+branches on u and v being nonzero.  A column product whose factor is zero
+is written 0.0, one whose coefficient is zero c*f + 0.0 (+0.0 for a finite
+f, NaN otherwise, as the fma gives), and any other c*f.  With c and f
+nonzero the fma has no exact zero to turn into +0.0, so it is c*f + -0.0,
+and that added -0.0 is dropped: x + -0.0 is x bit for bit for every x,
+signed zeros and NaN payloads included.  The coefficients are bound to the
+loop as keyword defaults, so it reads them as fast locals.  They are never
+formatted into its source, which is built from this module's template and
+names alone: no value takes a repr round trip, and nothing from the caller
+is compiled.
 """
+
+import functools
 
 import numpy as np
 
@@ -91,45 +107,85 @@ def _steps(ops, xs, us, vs, omegas, eu, ev, a, b):
         x = x_next
 
 
-def _column(c):
-    """(c_i, z_i) per entry of an (n, 1) column, n >= 2, such that
-    c_i f + z_i has the bits of numpy's c.dot([f]) for every f != 0.  That
-    product is an axpy into zeros, fma(c_i, f, +0.0), which is c_i f except
-    that an exact zero (c_i = 0) is +0.0, while an underflow keeps its
-    sign; adding -0.0 changes no value and adding +0.0 changes only -0.0.
-    For f = 0 the axpy is skipped and every entry is +0.0, as 0.0 f + 0.0 is."""
-    return [(p, -0.0 if p else 0.0) for p in c[:, 0].tolist()]
-
-
-def _single_input_ops(A1, B1, C1, A2, C2, K1, K2):
-    """The single-input loop's operands: [A1; A2], the gain rows, the
-    (c_i, z_i) of B1, C1 and C2, and the (0.0, 0.0) rows that stand in for
-    a column when its factor is zero."""
-    b1, c1, c2 = _column(B1), _column(C1), _column(C2)
-    return (np.concatenate((A1, A2)), K1[0], K2[0], A1.shape[0], b1, c1, c2,
-            [(0.0, 0.0)] * len(b1))
-
-
-def _single_input_steps(ops, xs, us, vs, omegas, eu, ev, a, b):
-    """Steps a..b of the loop for one-column players: three BLAS products
-    per step, the rest on Python floats, the general loop's bits."""
-    AA, k1, k2, n, b1, c1, c2, off = ops
+_SINGLE_INPUT_LOOP = """\
+def loop(AA, k1, k2, xs, us, vs, omegas, eu, ev, a, b, *, {coefs}):
     x = xs[a]
     ul, vl = [], []
     for x_next, w, e_u, e_v in zip(xs[a + 1:b + 1], omegas[a:b].tolist(),
                                    eu[a:b, 0].tolist(), ev[a:b, 0].tolist()):
         u = float(k2.dot(x)) + e_u
         v = float(k1.dot(x)) + e_v
-        ax = AA.dot(x).tolist()  # A1 x, then A2 x
-        # ((A1 x + B1 u) + C1 v) + w (A2 x + C2 v), entry by entry
-        x_next[:] = [((m + (p * u + zp)) + (q * v + zq)) + w * (s + (r * v + zr))
-                     for (p, zp), (q, zq), (r, zr), m, s in zip(
-                         b1 if u else off, c1 if v else off, c2 if v else off, ax, ax[n:])]
+        {ms} = AA.dot(x).tolist()
+        if u:
+            if v:
+                x_next[:] = [{uv}]
+            else:
+                x_next[:] = [{u0}]
+        elif v:
+            x_next[:] = [{v0}]
+        else:
+            x_next[:] = [{zero}]
         ul.append(u)
         vl.append(v)
         x = x_next
     us[a:b, 0] = ul
     vs[a:b, 0] = vl
+"""
+
+
+def _product(name, c, f, live):
+    """Source of numpy's column product entry c f, c bound to name: the axpy
+    into zeros is +0.0 when the factor is zero, else c f, plus +0.0 where c
+    is zero."""
+    if not live:
+        return "0.0"
+    return f"{name}*{f}" if c else f"({name}*{f} + 0.0)"
+
+
+def _single_input_source(b1, c1, c2):
+    """Source of the single-input loop of the columns b1, c1, c2 (lists of
+    floats); coefficient i of each is the keyword b{i}, c{i} or r{i}."""
+    n = len(b1)
+
+    def entries(u, v):
+        return ", ".join(
+            f"((m{i} + {_product(f'b{i}', b1[i], 'u', u)}) + {_product(f'c{i}', c1[i], 'v', v)})"
+            f" + w*(s{i} + {_product(f'r{i}', c2[i], 'v', v)})" for i in range(n))
+
+    return _SINGLE_INPUT_LOOP.format(
+        coefs=", ".join(f"{p}{i}" for p in "bcr" for i in range(n)),
+        ms=", ".join([f"m{i}" for i in range(n)] + [f"s{i}" for i in range(n)]),
+        uv=entries(True, True), u0=entries(True, False),
+        v0=entries(False, True), zero=entries(False, False))
+
+
+@functools.lru_cache(maxsize=32)
+def _single_input_loop(n, *columns):
+    """The step loop of the plant whose float64 (n, 1) columns B1, C1, C2
+    have the bytes in columns, compiled once and bound to its coefficients."""
+    coefs = np.frombuffer(b"".join(columns)).tolist()
+    b1, c1, c2 = coefs[:n], coefs[n:2 * n], coefs[2 * n:]
+    namespace = {}
+    exec(compile(_single_input_source(b1, c1, c2), f"<single-input loop n={n}>", "exec"),
+         namespace)
+    loop = namespace["loop"]
+    loop.__kwdefaults__ = {f"{p}{i}": c for p, col in zip("bcr", (b1, c1, c2))
+                           for i, c in enumerate(col)}
+    return loop
+
+
+def _single_input_ops(A1, B1, C1, A2, C2, K1, K2):
+    """The single-input loop's operands: [A1; A2], the gain rows and the
+    plant's generated loop."""
+    return (np.concatenate((A1, A2)), K1[0], K2[0],
+            _single_input_loop(A1.shape[0], B1.tobytes(), C1.tobytes(), C2.tobytes()))
+
+
+def _single_input_steps(ops, xs, us, vs, omegas, eu, ev, a, b):
+    """Steps a..b of the loop for one-column players: three BLAS products
+    per step, the rest on Python floats, the general loop's bits."""
+    AA, k1, k2, loop = ops
+    loop(AA, k1, k2, xs, us, vs, omegas, eu, ev, a, b)
 
 
 def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev, prev=None):

@@ -209,7 +209,10 @@ def ms_radius(Abar1, Abar2):
     Abar2 = np.asarray(Abar2, dtype=float)
     if Abar1.shape != Abar2.shape or Abar1.shape[0] != Abar1.shape[1]:
         raise ValueError("Abar1 and Abar2 must be square and same-shaped")
-    T = np.kron(Abar1, Abar1) + np.kron(Abar2, Abar2)
+    return _spectral_radius(np.kron(Abar1, Abar1) + np.kron(Abar2, Abar2))
+
+
+def _spectral_radius(T):
     return float(np.abs(np.linalg.eigvals(T)).max())
 
 
@@ -403,7 +406,8 @@ def _policy_step(cost, PP, policy):
     T = _second_moment_map(Ad, An)
     if not np.isfinite(T).all():
         raise ConvergenceError("no fixed point: the gains left the finite range")
-    rho = ms_radius(Ad, An)
+    # T is the transpose of ms_radius's map: the same spectrum, not built twice
+    rho = _spectral_radius(T)
     if not rho < 1.0:
         raise ConvergenceError(f"the gains are not mean-square stabilizing "
                                f"(ms radius {rho:.4g})")

@@ -411,13 +411,13 @@ class TestLearningCommands:
         # policy iteration made to fail mid-run (its third policy read as
         # not mean-square stabilizing): simulate then writes what value
         # iteration at the same --tol/--max-iters gives, and says why
-        real, calls = gare.ms_radius, []
+        real, calls = gare._spectral_radius, []
 
-        def failing_third(Abar1, Abar2):
+        def failing_third(T):
             calls.append(None)
-            return 1.5 if len(calls) == 3 else real(Abar1, Abar2)
+            return 1.5 if len(calls) == 3 else real(T)
 
-        monkeypatch.setattr(gare, "ms_radius", failing_third)
+        monkeypatch.setattr(gare, "_spectral_radius", failing_third)
         out = tmp_path / "sim"
         assert main(["simulate", "--steps", "300", "--seed", "5", "--out", str(out)]) == 0
         printed = capsys.readouterr().out

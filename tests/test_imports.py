@@ -23,6 +23,7 @@ from types import ModuleType
 import pytest
 
 import stoch_h2hinf
+from stoch_h2hinf import _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stoch_h2hinf"
@@ -170,3 +171,15 @@ def test_import_loads_no_process_pool():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
+
+
+def test_source_parses_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python floor; the loops the kernel generates
+    # at run time are source too, one per n and pattern of zero entries
+    floor = (3, 9)
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=floor)
+    for n in range(2, 6):
+        for zeros in ([], [0], list(range(n))):
+            b1, c1, c2 = ([0.0 if i in zeros else 1.5 for i in range(n)] for _ in range(3))
+            ast.parse(_kernels._single_input_source(b1, c1, c2), feature_version=floor)

@@ -749,6 +749,40 @@ class TestKernel:
         assert loops == ["single_input"]
         assert np.signbit(got[0][1]).all() and (got[1][0] < 0).all()
 
+    def test_learner_builds_the_loop_once(self, f16):
+        # every window of one learning run steps the same plant, so its
+        # loop is generated at the first window and reused after
+        sys_, cost = f16
+        _kernels._single_input_loop.cache_clear()
+        config = AlgoConfig(tol=1e-3, max_iters=30, expectation_mode="analytic")
+        with _loop_spy() as loops:
+            report = run_q_learning(SystemOracle(sys_, NoiseSource(0), X0), cost, config,
+                                    f16_initial_gains(), X0)
+        built = _kernels._single_input_loop.cache_info()
+        assert report.iterations == 30 and loops == ["single_input"] * 30
+        assert (built.misses, built.hits) == (1, 29)
+
+    @pytest.mark.parametrize("column, name", [(1, "b1"), (2, "c1"), (4, "r1")])
+    def test_signed_zero_columns_get_their_own_loops(self, column, name):
+        # plants whose B1, C1 or C2 differ only in the sign of a zero entry
+        # are keyed by their bytes, so neither runs the other's loop
+        T = 2 * _BLOCK + 7
+        args = _settling_args(3, 1, 1, T, 0.9, 1.0, 17)
+        rng = np.random.default_rng(column)
+        args[9:] = rng.standard_normal((T, 1)), rng.standard_normal((T, 1))
+        loops = []
+        for zero in (0.0, -0.0):
+            plant = list(args)
+            plant[column] = args[column].copy()
+            plant[column][1, 0] = zero
+            loops.append(_kernels._single_input_ops(*plant[:7])[-1])
+            with _loop_spy() as ran:
+                got = closed_loop_path(*plant)
+            _assert_same_path(got, _reference_path(*plant))
+            assert set(ran) == {"single_input"}
+        assert loops[0] is not loops[1]
+        assert [math.copysign(1.0, loop.__kwdefaults__[name]) for loop in loops] == [1.0, -1.0]
+
     @pytest.mark.parametrize("dims, order, loop", [
         ((3, 1, 1), "C", "single_input"),
         ((3, 2, 1), "C", "general"),
@@ -822,9 +856,10 @@ class TestProductRules:
                 got = B.dot(np.array([u]))
             expect = [0.0 if u == 0 else b * u + (-0.0 if b else 0.0) for b in B[:, 0].tolist()]
             assert got.tobytes() == np.array(expect).tobytes(), rule
-            # so do the kernel's rows, (0.0, 0.0) standing in for u = 0
-            rows = _kernels._column(B) if u else [(0.0, 0.0)] * n
-            table = [p * u + z for p, z in rows]
+            # so do the generated loop's terms, b bound to the term's name,
+            # in the branch on u the loop takes
+            table = [eval(_kernels._product("b", b, "u", bool(u)), {"b": b, "u": u})
+                     for b in B[:, 0].tolist()]
             assert np.array(table).tobytes() == got.tobytes(), rule
         # an fma, not b u + 0.0: a product that underflows keeps its sign
         assert np.signbit(np.full((n, 1), 5e-324).dot([-0.1])).all(), rule
