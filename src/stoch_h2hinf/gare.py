@@ -22,6 +22,12 @@ gives the same bits as the expressions above written one product at a time:
 - The pair A(P1), A(P2) is one stacked product on PP = (P1, P2) of shape
   (2, n, n), symmetrized through swapaxes.  A stacked matmul runs the same
   gemm as the 2-D one on each item, so each item keeps its bits.
+- A product of two matrices is ndarray.dot, which dispatches at about half
+  matmul's cost; matmul stays where an operand is a stack (_mm picks).  On
+  a 2-D pair both run the same gemm, gemv, syrk or dot, so the bits are the
+  same, save one case tests/test_gare.py pins: an outer product (a
+  one-column player's C1K1, B1K2, C2K1 or K'K) whose entry underflows is
+  -0.0 from dot and +0.0 from matmul, and that needs a factor below 1.6e-162.
 - g^2 I and I of the Delta blocks are built once per solve.
 - A 1x1 Delta block is read directly in the positive-definiteness check:
   eigvalsh of a 1x1 matrix returns its entry, inf and NaN included.
@@ -71,17 +77,22 @@ from .model import (
 _PD_TOL = 1e-12
 
 
+def _mm(a, b):
+    """a @ b, through ndarray.dot when neither is a stack."""
+    return a.dot(b) if a.ndim == b.ndim == 2 else a @ b
+
+
 def _closed_loop(sys, K1, K2):
     """Au = A1 + B1K2, Ad = Au + C1K1, An = A2 + C2K1 and Av = A1 + C1K1."""
-    C1K1 = sys.C1 @ K1
-    Au = sys.A1 + sys.B1 @ K2
-    return Au, Au + C1K1, sys.A2 + sys.C2 @ K1, sys.A1 + C1K1
+    C1K1 = _mm(sys.C1, K1)
+    Au = sys.A1 + _mm(sys.B1, K2)
+    return Au, Au + C1K1, sys.A2 + _mm(sys.C2, K1), sys.A1 + C1K1
 
 
 def _policy_terms(sys, K1, K2):
     """What the value update and the residuals share: K1, K2'K2, Au, Ad, An, Av,
     for one gain pair or a stack (..., m, n) of them."""
-    return (K1, np.swapaxes(K2, -1, -2) @ K2) + _closed_loop(sys, K1, K2)
+    return (K1, _mm(np.swapaxes(K2, -1, -2), K2)) + _closed_loop(sys, K1, K2)
 
 
 def _delta_constants(sys, cost):
@@ -94,9 +105,9 @@ def _delta_blocks(sys, P1, P2, consts):
     factors C1'P1, C2'P1, B1'P2, which the stacked gain system reuses; P1 and
     P2 may be stacks (..., n, n)."""
     g2I, I1 = consts
-    C1P1, C2P1, B1P2 = sys.C1.T @ P1, sys.C2.T @ P1, sys.B1.T @ P2
-    D1 = g2I + C2P1 @ sys.C2 + C1P1 @ sys.C1
-    D2 = I1 + B1P2 @ sys.B1
+    C1P1, C2P1, B1P2 = _mm(sys.C1.T, P1), _mm(sys.C2.T, P1), _mm(sys.B1.T, P2)
+    D1 = g2I + _mm(C2P1, sys.C2) + _mm(C1P1, sys.C1)
+    D2 = I1 + _mm(B1P2, sys.B1)
     return D1, D2, C1P1, C2P1, B1P2
 
 
@@ -117,10 +128,10 @@ def _extract_gains(sys, cost, blocks, blk):
             )
     m2 = sys.m2
     blk[:m2, :m2] = D1
-    blk[:m2, m2:] = C1P1 @ sys.B1
-    blk[m2:, :m2] = B1P2 @ sys.C1
+    blk[:m2, m2:] = C1P1.dot(sys.B1)
+    blk[m2:, :m2] = B1P2.dot(sys.C1)
     blk[m2:, m2:] = D2
-    rhs = -np.concatenate((C1P1 @ sys.A1 + C2P1 @ sys.A2, B1P2 @ sys.A1))
+    rhs = -np.concatenate((C1P1.dot(sys.A1) + C2P1.dot(sys.A2), B1P2.dot(sys.A1)))
     try:
         KK = np.linalg.solve(blk, rhs)
     except np.linalg.LinAlgError as exc:
@@ -138,7 +149,7 @@ def _value_update(cost, PP, policy):
     P1n, P2n = PPn
     P1n -= cost.Q
     P1n -= K2tK2
-    P1n += cost.gamma**2 * (K1.T @ K1)
+    P1n += cost.gamma**2 * K1.T.dot(K1)
     P2n += cost.Q
     P2n += K2tK2
     return symmetrize(PPn)
@@ -392,7 +403,7 @@ def _policy_values(cost, policy, T):
     """
     K1, K2tK2 = policy[:2]
     W2 = cost.Q + K2tK2
-    W1 = cost.gamma**2 * (K1.T @ K1) - W2
+    W1 = cost.gamma**2 * K1.T.dot(K1) - W2
     vecP = np.linalg.solve(np.eye(len(T)) - T, np.stack((W1.ravel(), W2.ravel()), axis=1))
     # C-ordered, so P1 and P2 feed the gain system as a ValuePair's copies do
     return symmetrize(np.ascontiguousarray(vecP.T).reshape(2, *W1.shape))

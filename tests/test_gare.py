@@ -573,6 +573,78 @@ def test_solver_builds_value_and_gain_pairs_once(f16, monkeypatch):
     assert all(c == ["GainPair", "ValuePair"] for c in counts.values())
 
 
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+             np.inf, -np.inf, np.nan)
+
+
+def _draw(rng, shape, special):
+    """Normal draws; with special, about 40% of the entries replaced by signed
+    zeros, subnormals, huge values, infinities and NaN."""
+    a = rng.standard_normal(shape)
+    if special:
+        hit = rng.random(shape) < 0.4
+        a[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return a
+
+
+def _sweep_forms(rng, n, m, special):
+    """(form, a, b) for each shape of product of two matrices a sweep makes,
+    a player having m columns; the sweep's instance of each in the comment."""
+    def draw(*shape):
+        return _draw(rng, shape, special)
+
+    K = draw(m, n)
+    return [("row . matrix", draw(m, n), draw(n, n)),            # C1'P1 . A1
+            ("matrix . column", draw(n, n), draw(n, m)),         # Au'P1 . C1, residuals
+            ("row . column", draw(m, n), draw(n, m)),            # C1'P1 . B1
+            ("column . row", draw(n, m), draw(m, n)),            # C1 . K1
+            ("transposed view . matrix", draw(n, m).T, draw(n, n)),  # C1' . P1
+            ("K' . K on one buffer", K.T, K)]                    # K2'K2: syrk
+
+
+class TestProductRules:
+    """The sweep's products of two matrices run on ndarray.dot; their bits
+    against matmul's are pinned here, so a numpy or BLAS upgrade that routes
+    one form to another call fails in this class rather than as a moved
+    solve."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dot_has_matmuls_bits(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        for special in (False, True):
+            for _ in range(1000):
+                for form, a, b in _sweep_forms(rng, n, m, special):
+                    with np.errstate(all="ignore"):
+                        got, expect = a.dot(b), a @ b
+                        if a.shape[1] == 1:
+                            # an outer product: matmul is a b + 0.0, dot an
+                            # fma into +0.0, which keeps an underflow's sign
+                            prod = a * b
+                            assert expect.tobytes() == (prod + 0.0).tobytes(), \
+                                f"rule: matmul's {form} with one column is a b + 0.0"
+                            expect = np.where((prod == 0) & (a != 0) & (b != 0), prod, expect)
+                    assert got.tobytes() == expect.tobytes(), \
+                        f"rule: dot's {form} has matmul's bits"
+
+    def test_outer_products_part_only_on_an_underflow(self):
+        a, b = np.array([[5e-324], [1.0]]), np.array([[-0.1, 1.0]])
+        assert np.signbit(a.dot(b)[0, 0]) and not np.signbit((a @ b)[0, 0])
+        assert (a.dot(b)[1:] == (a @ b)[1:]).all()
+        assert gare._mm(a, b).tobytes() == a.dot(b).tobytes()
+
+    def test_mm_is_matmul_on_stacks(self):
+        rng = np.random.default_rng(7)
+        for S, n, m in ((1, 2, 1), (3, 3, 2), (64, 5, 1)):
+            P, K = _draw(rng, (S, n, n), True), _draw(rng, (S, m, n), True)
+            C = _draw(rng, (n, m), True)
+            # the residual pass's C1'P1, C1K1 and K2'K2 on (S, ., .) stacks
+            for a, b in ((C.T, P), (C, K), (np.swapaxes(K, -1, -2), K)):
+                with np.errstate(all="ignore"):
+                    got, expect = gare._mm(a, b), a @ b
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 def _assert_same_solution(a, b, atol):
     for x, y in ((a.values.P1, b.values.P1), (a.values.P2, b.values.P2),
                  (a.gains.K1, b.gains.K1), (a.gains.K2, b.gains.K2)):

@@ -93,6 +93,38 @@ def unreached_public_names(public, sources, readme):
     return sorted(set(public) - read - named)
 
 
+def matmuls_outside(source, allowed):
+    """Top-level functions of the source, other than those allowed, that
+    apply matmul (`@` or `@=`); `<module>` for one outside any function."""
+    found = set()
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed and any(isinstance(n, ast.MatMult) for n in ast.walk(node)):
+            found.add(name)
+    return sorted(found)
+
+
+# the gare functions that take (S, ., .) stacks; every other product of two
+# matrices in the sweep is ndarray.dot, at about half matmul's dispatch cost
+GARE_STACK_FUNCTIONS = {"_mm", "_value_update", "_residuals"}
+
+
+def test_detects_a_matmul_outside_the_allowed_functions():
+    source = ("@dataclass\nclass A:\n    @property\n    def x(self):\n        return 1\n"
+              "def f(a, b):\n    return a @ b\n"
+              "def g(a):\n    a @= a\n    return a.dot(a)\n"
+              "def h(a):\n    return a.dot(a)\n"
+              "X = np.eye(2) @ np.eye(2)\n")
+    assert matmuls_outside(source, {"f"}) == ["<module>", "g"]
+
+
+def test_gare_sweep_products_are_dot():
+    source = (PACKAGE / "gare.py").read_text()
+    assert matmuls_outside(source, GARE_STACK_FUNCTIONS) == []
+    # each allowed function still takes stacks through matmul
+    assert matmuls_outside(source, set()) == sorted(GARE_STACK_FUNCTIONS)
+
+
 def test_detects_an_unread_private_name():
     sources = [
         "_USED = 1\n_LEFTOVER = ('a', 'b')\ndef _helper():\n    return 2\n",
