@@ -28,32 +28,31 @@ gives the same bits as the expressions above written one product at a time:
   same, save one case tests/test_gare.py pins: an outer product (a
   one-column player's C1K1, B1K2, C2K1 or K'K) whose entry underflows is
   -0.0 from dot and +0.0 from matmul, and that needs a factor below 1.6e-162.
-- g^2 I and I of the Delta blocks are built once per solve.
-- A 1x1 Delta block is read directly in the positive-definiteness check:
-  eigvalsh of a 1x1 matrix returns its entry, inf and NaN included.
-  Larger blocks go through eigvalsh.
+- g^2 I and I of the Delta blocks are built once per solve, and a 1x1
+  Delta block is read directly in the definiteness check.
 
 The recursion never reads the residuals of the coupled equations, so the
-sweep does not compute them.  solve_coupled_gare, whose report has a
-residual column pair, keeps each sweep's gains and values and computes the
-residuals of a block of sweeps in one pass over (S, n, n) stacks, with the
-same helpers the 2-D call uses.  The bits stay: a stacked matmul runs the
-2-D call's gemm, gemv or syrk on each item, a stacked solve the same gesv,
-and elementwise operations are elementwise.  A stacked solve fails as a
-whole, so a singular Delta is named by walking the block in sweep order,
-and a pending block is computed before any error from the loop propagates:
-a solve fails with the error and at the sweep it did when each sweep
-computed its own residuals.
+sweep does not compute them.  The solvers' one report body, _solve, keeps
+each sweep's gains and values and computes the residuals of a block of
+sweeps in one pass over (S, n, n) stacks, with the helpers the 2-D call
+uses.  The bits stay: a stacked matmul runs the 2-D call's gemm, gemv or
+syrk on each item, a stacked solve the same gesv, and elementwise
+operations are elementwise.  A stacked solve fails as a whole, so a
+singular Delta is named by walking the block in sweep order, and a pending
+block is computed before any error from the loop propagates: a solve fails
+with the error and at the sweep it did when each sweep computed its own
+residuals.
 
 Policy iteration (solve_coupled_gare_pi; Kleinman 1968, Hewer 1971) meets
 the same fixed point in a handful of sweeps (8 on F-16 at tol 1e-9, where
-the recursion sweeps 652 times).  It is the same loop with another step,
-_policy_step: the extracted gains' exact values, both generalized Lyapunov
-equations in one n^2 x n^2 solve, from zero gains (the extraction at
-(0, 0)).  The step raises when the gains are not mean-square stabilizing;
-the recursion needs no such start.  simulate solves by policy iteration
-and falls back on the recursion; solve, vi, the learner's mirror and
-random_feasible_system use the recursion.
+the recursion sweeps 652 times).  It is the same loop and report with
+another step, _policy_step: the extracted gains' exact values, both
+generalized Lyapunov equations in one n^2 x n^2 solve, from zero gains (the
+extraction at (0, 0)).  The step raises when the gains are not mean-square
+stabilizing, so the report's gains, the last evaluated, are; the recursion
+needs no such start.  simulate solves by policy iteration and falls back on
+the recursion; solve, vi, the learner's mirror and random_feasible_system
+use the recursion.
 """
 
 import math
@@ -71,6 +70,7 @@ from .model import (
     SdltiSystem,
     ValuePair,
     _fro_norms,
+    _least_eigenvalue,
     symmetrize,
 )
 
@@ -120,9 +120,7 @@ def _extract_gains(sys, cost, blocks, blk):
     """
     D1, D2, C1P1, C2P1, B1P2 = blocks
     for name, D in (("Delta1", D1), ("Delta2", D2)):
-        # eigvalsh of a 1x1 block returns its entry, inf and NaN included
-        low = D[0, 0] if len(D) == 1 else np.linalg.eigvalsh(symmetrize(D)).min()
-        if float(low) <= _PD_TOL:
+        if _least_eigenvalue(D) <= _PD_TOL:
             raise AttenuationInfeasibleError(
                 f"{name} is not positive definite; gamma={cost.gamma} too small"
             )
@@ -214,13 +212,22 @@ def gare_residuals(sys, cost, vals, gains):
     return _residuals(sys, cost, vals.P1, vals.P2, blocks, policy)
 
 
+def _second_moment_map(Ad, An):
+    """Ad'(x)Ad' + An'(x)An' (n^2 x n^2): the map X -> Ad'X Ad + An'X An
+    acting on X flattened row by row."""
+    n2 = Ad.size
+    T = Ad.T[:, None, :, None] * Ad.T[None, :, None, :]
+    T += An.T[:, None, :, None] * An.T[None, :, None, :]
+    return T.reshape(n2, n2)
+
+
 def ms_radius(Abar1, Abar2):
     """Spectral radius of the second-moment map X -> Abar1'XAbar1 + Abar2'XAbar2."""
     Abar1 = np.asarray(Abar1, dtype=float)
     Abar2 = np.asarray(Abar2, dtype=float)
     if Abar1.shape != Abar2.shape or Abar1.shape[0] != Abar1.shape[1]:
         raise ValueError("Abar1 and Abar2 must be square and same-shaped")
-    return _spectral_radius(np.kron(Abar1, Abar1) + np.kron(Abar2, Abar2))
+    return _spectral_radius(_second_moment_map(Abar1.T, Abar2.T))
 
 
 def _spectral_radius(T):
@@ -340,23 +347,15 @@ def _residual_rows(sys, cost, consts, sweeps):
         return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
 
 
-def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
-    """Iterate the coupled value recursion from (0, 0) to its fixed point.
-
-    Stops when both Frobenius iterate differences fall below tol.  That
-    bounds the last sweep's step, not the distance to the fixed point: on
-    F-16 at tol 1e-9 (652 sweeps) P1 and P2 end 5.7e-9 and 1.6e-8 (largest
-    entry) from a tol 1e-12 policy-iteration solve, the gains 9.8e-11.
-    Raises ConvergenceError(report attached) if max_iters is exhausted
-    first, or if an iterate leaves the finite range (the report then ends
-    at the last finite one).  The report's residual columns come from one stacked pass
-    per block of sweeps, with the bits of one residual per sweep.
-    """
+def _solve(sys, cost, tol, max_iters, step):
+    """_value_iteration with step and its SolveReport, whose rows hold each
+    sweep's residuals at its values and the gains it evaluated.  A
+    ConvergenceError carries the report, save one at sweep 1 (none to make)."""
     consts = _delta_constants(sys, cost)
     dps, res, block, err = [], [], [], None
     try:
         try:
-            for K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters):
+            for K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters, step):
                 dps.append(dP)
                 block.append((K1, K2, P1, P2))
                 if len(block) == _RES_BLOCK:
@@ -370,7 +369,8 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
             if block:
                 res += _residual_rows(sys, cost, consts, block)
     except ConvergenceError as exc:
-        # never before sweep 1 is yielded (its P = (-Q, Q) is finite), so
+        if not dps:
+            raise
         # K1, K2, P1, P2 hold the last finite sweep
         err = exc
     gains = GainPair(K1, K2)
@@ -383,13 +383,18 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     raise err
 
 
-def _second_moment_map(Ad, An):
-    """Ad'(x)Ad' + An'(x)An' (n^2 x n^2): the map X -> Ad'X Ad + An'X An
-    acting on X flattened row by row."""
-    n2 = Ad.size
-    T = Ad.T[:, None, :, None] * Ad.T[None, :, None, :]
-    T += An.T[:, None, :, None] * An.T[None, :, None, :]
-    return T.reshape(n2, n2)
+def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
+    """Iterate the coupled value recursion from (0, 0) to its fixed point.
+
+    Stops when both Frobenius iterate differences fall below tol.  That
+    bounds the last sweep's step, not the distance to the fixed point: on
+    F-16 at tol 1e-9 (652 sweeps) P1 and P2 end 5.7e-9 and 1.6e-8 (largest
+    entry) from a tol 1e-12 policy-iteration solve, the gains 9.8e-11.
+    Raises ConvergenceError (report attached) if max_iters is exhausted
+    first, or if an iterate leaves the finite range (the report then ends at
+    the last finite one).
+    """
+    return _solve(sys, cost, tol, max_iters, _value_update)
 
 
 def _policy_values(cost, policy, T):
@@ -429,22 +434,12 @@ def solve_coupled_gare_pi(sys, cost, tol=1e-9, max_iters=5000):
     """Solve the coupled equations by policy iteration from zero gains:
     _value_iteration with _policy_step, which evaluates each sweep's gains.
 
-    The report has the shape of solve_coupled_gare's, one history row per
-    sweep, its residuals at the sweep's values and the gains extracted from
-    them; the report's gains are those extracted from the last values.
-    Raises as _value_iteration does (no report attached), unstabilizing
-    gains included, the zero start at sweep 1; AttenuationInfeasibleError
-    and GainExtractionError as gains_from_values does.
+    Report and errors are solve_coupled_gare's.  The report's gains are the
+    last pair evaluated, mean-square stabilizing by the step's check, and its
+    values their exact costs.  Unstabilizing zero gains raise at sweep 1,
+    with no report attached.
     """
-    sweeps = list(_value_iteration(sys, cost, tol, max_iters, _policy_step))
-    values = ValuePair(*sweeps[-1][2:4])
-    gains = gains_from_values(sys, cost, values)
-    # the gains extracted from sweep s's values are those sweep s + 1 evaluates
-    extracted = [s[:2] for s in sweeps[1:]] + [(gains.K1, gains.K2)]
-    rows = _residual_rows(sys, cost, _delta_constants(sys, cost),
-                          [(*K, *s[2:4]) for K, s in zip(extracted, sweeps)])
-    return SolveReport(values, gains, tuple(s[4] + r for s, r in zip(sweeps, rows)),
-                       ms_stable(*closed_loop_pair(sys, gains)))
+    return _solve(sys, cost, tol, max_iters, _policy_step)
 
 
 def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):

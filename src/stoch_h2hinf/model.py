@@ -84,6 +84,12 @@ def symmetrize(m):
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
+def _least_eigenvalue(M):
+    """Least eigenvalue of M's symmetric part; a 1x1 M's entry is read directly,
+    as eigvalsh returns it, inf and NaN included."""
+    return float(M[0, 0] if len(M) == 1 else np.linalg.eigvalsh(symmetrize(M)).min())
+
+
 def _fro_norms(M):
     """Frobenius norms of the C-ordered items of a stack M (S, ...), with
     np.linalg.norm's bits: each item's flat dot with itself, one ddot as

@@ -55,6 +55,7 @@ from .model import (
     QPair,
     ValuePair,
     _fro_norms,
+    _least_eigenvalue,
     _trusted,
 )
 from .gare import _value_iteration
@@ -422,11 +423,8 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
             ) from exc
         if mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
-            # losing its definiteness means gamma is infeasible.  eigvalsh
-            # of a 1x1 block returns its entry
-            H1vv = q_next.H1[sv, sv]
-            low = H1vv[0, 0] if m2 == 1 else np.linalg.eigvalsh(H1vv).min()
-            if float(low) <= 0.0:
+            # losing its definiteness means gamma is infeasible
+            if _least_eigenvalue(q_next.H1[sv, sv]) <= 0.0:
                 raise AttenuationInfeasibleError(
                     f"H1 vv-block lost definiteness at iteration {i + 1}"
                 )

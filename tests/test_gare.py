@@ -473,10 +473,19 @@ def test_solver_residual_blocks_bit_identical(f16, random_population, monkeypatc
     with pytest.raises(AttenuationInfeasibleError) as ref:
         _public_solve(sys_, cost, 1e-12, 10000, before)
     assert len(before) == 2 and str(ref.value) == "Delta1 is singular: Singular matrix"
+    plain_pi = []
+    for sys_, cost in [f16] + random_population:
+        history = []
+        vals, gains, converged = _plain_pi(sys_, cost, 1e-12, 100, history)
+        assert converged
+        plain_pi.append((sys_, cost, vals, gains, history))
     for block in (1, 2, 7):
         monkeypatch.setattr(gare, "_RES_BLOCK", block)
         for sys_, cost, vals, gains, history in plain:
             report = solve_coupled_gare(sys_, cost, tol=1e-9, max_iters=10000)
+            _assert_same_report(report, vals, gains, history)
+        for sys_, cost, vals, gains, history in plain_pi:
+            report = solve_coupled_gare_pi(sys_, cost, tol=1e-12)
             _assert_same_report(report, vals, gains, history)
         with pytest.raises(ConvergenceError) as exc:
             solve_coupled_gare(*f16, tol=1e-9, max_iters=10)
@@ -523,6 +532,12 @@ def test_residuals_once_per_block(f16, monkeypatch):
     stacks.clear()
     run_value_iteration(*f16, AlgoConfig(tol=1e-9, max_iters=10000))
     assert stacks == []
+    # gamma 0.4214 sits just above the F-16 attenuation level, where policy
+    # iteration takes hundreds of sweeps: their residuals come in blocks too
+    sys_, cost = f16
+    report = solve_coupled_gare_pi(sys_, CostSpec(0.4214, cost.Q))
+    assert report.iterations == 522 and report.stable
+    assert max(stacks) <= gare._RES_BLOCK and sum(stacks) == 522
 
 
 def test_solver_max_iters_report_equal(f16):
@@ -694,36 +709,38 @@ def test_policy_iteration_matches_value_iteration_population(random_population):
 
 def test_policy_iteration_report_rows(f16):
     # one row per iteration; the residual columns are gare_residuals at the
-    # iteration's values and the gains extracted from them, bit for bit
+    # iteration's values and the gains it evaluated, and the report's values
+    # are the exact values of its gains, bit for bit
     sys_, cost = f16
     report = solve_coupled_gare_pi(sys_, cost)
     last = gare_residuals(sys_, cost, report.values, report.gains)
     assert report.residual_norms == tuple(float(np.linalg.norm(R)) for R in last)
-    extracted = gains_from_values(sys_, cost, report.values)
-    np.testing.assert_array_equal(report.gains.K1, extracted.K1)
-    np.testing.assert_array_equal(report.gains.K2, extracted.K2)
+    policy = gare._policy_terms(sys_, report.gains.K1, report.gains.K2)
+    P1, P2 = gare._policy_values(cost, policy, gare._second_moment_map(*policy[3:5]))
+    np.testing.assert_array_equal(report.values.P1, P1)
+    np.testing.assert_array_equal(report.values.P2, P2)
     assert all(len(row) == 4 for row in report.history)
 
 
 def _plain_pi(sys_, cost, tol, max_iters, history):
     """Policy iteration written out as a loop of its own, on the public
-    helpers and _policy_values: from zero gains, each iteration checks that
-    its gains are mean-square stabilizing, solves for their values,
-    extracts the next gains from them and stops on the recursion's rule.
-    Same contract as _public_solve: history gets (dP1, dP2, res1, res2) per
-    iteration, the residuals at its values and the gains extracted from
-    them.  solve_coupled_gare_pi runs policy iteration as a step of the
+    helpers and _policy_values: from zero values, each iteration extracts
+    its gains, checks that they are mean-square stabilizing, solves for
+    their values and stops on the recursion's rule.  Same contract as
+    _public_solve: history gets (dP1, dP2, res1, res2) per iteration, the
+    residuals at its values and the gains it evaluated, and those gains come
+    back.  solve_coupled_gare_pi runs policy iteration as a step of the
     value recursion's loop and must match it bit for bit.
     """
     vals = ValuePair.zeros(sys_.n)
     gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
     for _ in range(max_iters):
+        gains = gains_from_values(sys_, cost, vals)
         policy = gare._policy_terms(sys_, gains.K1, gains.K2)
         Ad, An = policy[3:5]
         if not ms_radius(Ad, An) < 1.0:
             raise ConvergenceError("the gains are not mean-square stabilizing")
         nxt = ValuePair(*gare._policy_values(cost, policy, gare._second_moment_map(Ad, An)))
-        gains = gains_from_values(sys_, cost, nxt)
         d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
         d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
         R1, R2 = gare_residuals(sys_, cost, nxt, gains)
@@ -782,6 +799,25 @@ def test_policy_iteration_budget_and_settings(f16):
         with pytest.raises(ConfigError) as vi_exc:
             solve_coupled_gare(sys_, cost, tol, max_iters)
         assert str(pi_exc.value) == str(vi_exc.value)
+
+
+def test_policy_iteration_budget_error_carries_report(f16):
+    # the report holds the three sweeps run, as value iteration's does
+    sys_, cost = f16
+    with pytest.raises(ConvergenceError) as exc:
+        solve_coupled_gare_pi(sys_, cost, max_iters=3)
+    history = []
+    vals, gains, converged = _plain_pi(sys_, cost, 1e-9, 3, history)
+    assert not converged and len(history) == 3
+    _assert_same_report(exc.value.report, vals, gains, history)
+
+
+def test_policy_iteration_unstable_start_has_no_report(unstable_population):
+    # zero gains fail at sweep 1, before any sweep there is to report
+    for sys_, cost in unstable_population:
+        with pytest.raises(ConvergenceError, match=r" at sweep 1$") as exc:
+            solve_coupled_gare_pi(sys_, cost)
+        assert not hasattr(exc.value, "report")
 
 
 def test_simulate_unstable_plant_writes_value_iteration_solution(tmp_path, capsys,

@@ -104,6 +104,18 @@ def matmuls_outside(source, allowed):
     return sorted(found)
 
 
+def call_sites(source, name):
+    """The top-level functions of the source, one entry per call of name in
+    them (a bare name or an attribute); `<module>` for a call outside any."""
+    found = []
+    for node in ast.parse(source).body:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                    getattr(n.func, "attr", None)):
+                found.append(getattr(node, "name", "<module>"))
+    return found
+
+
 # the gare functions that take (S, ., .) stacks; every other product of two
 # matrices in the sweep is ndarray.dot, at about half matmul's dispatch cost
 GARE_STACK_FUNCTIONS = {"_mm", "_value_update", "_residuals"}
@@ -123,6 +135,20 @@ def test_gare_sweep_products_are_dot():
     assert matmuls_outside(source, GARE_STACK_FUNCTIONS) == []
     # each allowed function still takes stacks through matmul
     assert matmuls_outside(source, set()) == sorted(GARE_STACK_FUNCTIONS)
+
+
+def test_detects_each_call_site():
+    source = ("def f(a):\n    return R(a) if a else gare.R(a, a)\n"
+              "def g(a):\n    return R\n"
+              "X = R(1)\n")
+    assert call_sites(source, "R") == ["f", "f", "<module>"]
+
+
+def test_one_solve_report_construction():
+    # both coupled-Riccati solvers build their report in one place
+    sites = [(m, f) for m in MODULES
+             for f in call_sites((PACKAGE / m).read_text(), "SolveReport")]
+    assert sites == [("gare.py", "_solve")]
 
 
 def test_detects_an_unread_private_name():
