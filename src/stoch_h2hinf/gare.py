@@ -12,47 +12,45 @@ with A(X, Y1, Y2) the closed-loop quadratic map, converges monotonically
 stability of a realized closed loop is certified through the spectral
 radius of the Kronecker second-moment map.
 
-One sweep of the recursion (`_value_iteration`) does no work twice, and
-gives the same bits as the expressions above written one product at a time:
-
-- Python evaluates X'P Y as (X'P) Y, so a left factor computed once gives
-  the bits of every product it starts.  C1'P1, C2'P1 and B1'P2 serve both
-  the Delta blocks and the next sweep's gain system; Au'P1, A2'P1 and
-  Av'P2 serve both M and R of the residuals; C1K1 serves Ad and Av.
-- The pair A(P1), A(P2) is one stacked product on PP = (P1, P2) of shape
-  (2, n, n), symmetrized through swapaxes.  A stacked matmul runs the same
-  gemm as the 2-D one on each item, so each item keeps its bits.
-- A product of two matrices is ndarray.dot, which dispatches at about half
-  matmul's cost; matmul stays where an operand is a stack (_mm picks).  On
-  a 2-D pair both run the same gemm, gemv, syrk or dot, so the bits are the
-  same, save one case tests/test_gare.py pins: an outer product (a
-  one-column player's C1K1, B1K2, C2K1 or K'K) whose entry underflows is
-  -0.0 from dot and +0.0 from matmul, and that needs a factor below 1.6e-162.
-- g^2 I and I of the Delta blocks are built once per solve, and a 1x1
-  Delta block is read directly in the definiteness check.
+The recursion runs in Q-form, the learner's update with exact H (Bradtke,
+Ydstie & Barto 1994; Al-Tamimi, Lewis & Abu-Khalaf 2007).  With
+L = [A1 B1 C1], G = [A2 0 C2] and T = [I; K2; K1], Ad = L T and An = G T,
+so P+ = T'H T with H = base + L'P L + G'P G, base = (blkdiag(-Q, -I, g^2 I),
+blkdiag(Q, I, 0)).  One sweep of `_value_iteration` builds HH = (H1, H2) as
+one stacked product, checks Delta1 = H1vv and Delta2 = H2uu for
+definiteness (a 1x1 block read directly), gathers the stacked gain system
+[[H1vv, H1uv'], [H2uv, H2uu]] [K1; K2] = -[H1xv'; H2xu'] from HH and solves
+it, and collapses HH on T in one stacked sandwich: qfunction's core, which
+h_from_values, gains_from_q and values_from_q wrap, so the package has one
+gain extraction and the learner gets the loop's bits.  L, G, base, the
+gather positions and T are built once per solve; a stacked matmul runs the
+2-D call's gemm on each item, so each member keeps its 2-D bits.
 
 The recursion never reads the residuals of the coupled equations, so the
 sweep does not compute them.  The solvers' one report body, _solve, keeps
 each sweep's gains and values and computes the residuals of a block of
-sweeps in one pass over (S, n, n) stacks, with the helpers the 2-D call
-uses.  The bits stay: a stacked matmul runs the 2-D call's gemm, gemv or
-syrk on each item, a stacked solve the same gesv, and elementwise
-operations are elementwise.  A stacked solve fails as a whole, so a
-singular Delta is named by walking the block in sweep order, and a pending
-block is computed before any error from the loop propagates: a solve fails
-with the error and at the sweep it did when each sweep computed its own
-residuals.
+sweeps in one pass over (S, n, n) stacks through the classic Delta blocks
+and closed-loop matrices, with the helpers the 2-D call uses (gare_residuals).
+The bits stay: a stacked matmul runs the 2-D call's gemm, gemv or syrk on
+each item, a stacked solve the same gesv.  A stacked solve fails as a
+whole, so a singular Delta is named by walking the block in sweep order,
+and a pending block is computed before any error from the loop propagates.
+On 2-D operands a product of two matrices is ndarray.dot, at about half
+matmul's dispatch cost (_mm picks), with matmul's bits save one case
+tests/test_gare.py pins: an outer product whose entry underflows (a factor
+below 1.6e-162) is -0.0 from dot and +0.0 from matmul.
 
 Policy iteration (solve_coupled_gare_pi; Kleinman 1968, Hewer 1971) meets
 the same fixed point in a handful of sweeps (8 on F-16 at tol 1e-9, where
 the recursion sweeps 652 times).  It is the same loop and report with
-another step, _policy_step: the extracted gains' exact values, both
-generalized Lyapunov equations in one n^2 x n^2 solve, from zero gains (the
-extraction at (0, 0)).  The step raises when the gains are not mean-square
-stabilizing, so the report's gains, the last evaluated, are; the recursion
-needs no such start.  simulate solves by policy iteration and falls back on
-the recursion; solve, vi, the learner's mirror and random_feasible_system
-use the recursion.
+another step, _policy_step: the values of the gains in T, both generalized
+Lyapunov equations in one n^2 x n^2 solve with stage weights T' base T,
+from zero gains (the extraction at (0, 0)).  The step raises when the gains
+are not mean-square stabilizing, so the report's gains, the last evaluated,
+are, and its stable flag is that verdict; the recursion needs no such
+start.  simulate solves by policy iteration and falls back on the
+recursion; solve, vi, the learner's mirror and random_feasible_system use
+the recursion.
 """
 
 import math
@@ -73,6 +71,15 @@ from .model import (
     _least_eigenvalue,
     symmetrize,
 )
+from .qfunction import (
+    _gain_index,
+    _gain_solve,
+    _h_stack,
+    _q_form,
+    _sandwich,
+    h_from_values,
+    values_from_q,
+)
 
 _PD_TOL = 1e-12
 
@@ -89,77 +96,36 @@ def _closed_loop(sys, K1, K2):
     return Au, Au + C1K1, sys.A2 + _mm(sys.C2, K1), sys.A1 + C1K1
 
 
-def _policy_terms(sys, K1, K2):
-    """What the value update and the residuals share: K1, K2'K2, Au, Ad, An, Av,
-    for one gain pair or a stack (..., m, n) of them."""
-    return (K1, _mm(np.swapaxes(K2, -1, -2), K2)) + _closed_loop(sys, K1, K2)
+def _gains(sys, cost, HH):
+    """(K1, K2) read from the stack HH = (H1, H2) at the current values.
 
-
-def _delta_constants(sys, cost):
-    """The constant terms g^2 I (m2-square) and I (m1-square) of the Delta blocks."""
-    return cost.gamma**2 * np.eye(sys.m2), np.eye(sys.m1)
-
-
-def _delta_blocks(sys, P1, P2, consts):
-    """Delta1 = g^2 I + C2'P1C2 + C1'P1C1, Delta2 = I + B1'P2B1 and the left
-    factors C1'P1, C2'P1, B1'P2, which the stacked gain system reuses; P1 and
-    P2 may be stacks (..., n, n)."""
-    g2I, I1 = consts
-    C1P1, C2P1, B1P2 = _mm(sys.C1.T, P1), _mm(sys.C2.T, P1), _mm(sys.B1.T, P2)
-    D1 = g2I + _mm(C2P1, sys.C2) + _mm(C1P1, sys.C1)
-    D2 = I1 + _mm(B1P2, sys.B1)
-    return D1, D2, C1P1, C2P1, B1P2
-
-
-def _extract_gains(sys, cost, blocks, blk):
-    """(K1, K2) from the stacked system, assembled in the (m2+m1)-square blk.
-
-    blocks is what _delta_blocks returns.  Delta1 and Delta2 must be
-    positive definite; losing that signals the attenuation level is
-    infeasible.
+    The stacked system's Delta1 = H1vv and Delta2 = H2uu must be positive
+    definite; losing that signals the attenuation level is infeasible.
     """
-    D1, D2, C1P1, C2P1, B1P2 = blocks
-    for name, D in (("Delta1", D1), ("Delta2", D2)):
+    n, m1, m2 = sys.dims
+    A = HH.take(_gain_index(n, m1, m2))
+    for name, D in (("Delta1", A[:m2, :m2]), ("Delta2", A[m2:, m2:m2 + m1])):
         if _least_eigenvalue(D) <= _PD_TOL:
             raise AttenuationInfeasibleError(
                 f"{name} is not positive definite; gamma={cost.gamma} too small"
             )
-    m2 = sys.m2
-    blk[:m2, :m2] = D1
-    blk[:m2, m2:] = C1P1.dot(sys.B1)
-    blk[m2:, :m2] = B1P2.dot(sys.C1)
-    blk[m2:, m2:] = D2
-    rhs = -np.concatenate((C1P1.dot(sys.A1) + C2P1.dot(sys.A2), B1P2.dot(sys.A1)))
     try:
-        KK = np.linalg.solve(blk, rhs)
+        KK = _gain_solve(A)
     except np.linalg.LinAlgError as exc:
         raise GainExtractionError(f"stacked gain system is singular: {exc}") from exc
     return KK[:m2], KK[m2:]
 
 
-def _value_update(cost, PP, policy):
-    """The stack (P1+, P2+) from the stack PP = (P1, P2), shape (2, n, n).
-
-    Both members share the quadratic map A(X) = An'X An + Ad'X Ad.
-    """
-    K1, K2tK2, _, Ad, An, _ = policy
-    PPn = symmetrize(An.T @ PP @ An + Ad.T @ PP @ Ad)
-    P1n, P2n = PPn
-    P1n -= cost.Q
-    P1n -= K2tK2
-    P1n += cost.gamma**2 * K1.T.dot(K1)
-    P2n += cost.Q
-    P2n += K2tK2
-    return symmetrize(PPn)
-
-
-def _residuals(sys, cost, P1, P2, blocks, policy):
-    """Left-hand sides of the coupled equations; blocks is _delta_blocks at P
-    and policy is _policy_terms of the gains.  Every operand may be a stack
-    (..., n, n) of sweeps; a stacked solve fails as a whole when any of its
-    blocks is singular."""
-    D1, D2 = blocks[:2]
-    _, K2tK2, Au, _, An, Av = policy
+def _residuals(sys, cost, P1, P2, K1, K2):
+    """Left-hand sides of the coupled equations at (P1, P2, K1, K2), through
+    the classic Delta blocks and closed-loop matrices.  Every operand may be
+    a stack (..., n, n) of sweeps; a stacked solve fails as a whole when any
+    of its blocks is singular."""
+    D1 = (cost.gamma**2 * np.eye(sys.m2) + _mm(_mm(sys.C2.T, P1), sys.C2)
+          + _mm(_mm(sys.C1.T, P1), sys.C1))
+    D2 = np.eye(sys.m1) + _mm(_mm(sys.B1.T, P2), sys.B1)
+    K2tK2 = _mm(np.swapaxes(K2, -1, -2), K2)
+    Au, _, An, Av = _closed_loop(sys, K1, K2)
     AuP1, A2P1 = np.swapaxes(Au, -1, -2) @ P1, sys.A2.T @ P1
     M1 = AuP1 @ sys.C1 + A2P1 @ sys.C2
     try:
@@ -185,21 +151,16 @@ def _fro(M):
 
 
 def gains_from_values(sys, cost, vals):
-    """Solve the stacked system for (K1, K2) at the current (P1, P2).
-
-    The stack is [[Delta1, C1'P1B1], [B1'P2C1, Delta2]] against
-    -[C1'P1A1 + C2'P1A2; B1'P2A1].  Delta1 and Delta2 must be positive
-    definite; losing that signals the attenuation level is infeasible.
-    """
-    blocks = _delta_blocks(sys, vals.P1, vals.P2, _delta_constants(sys, cost))
-    m = sys.m1 + sys.m2
-    return GainPair(*_extract_gains(sys, cost, blocks, np.empty((m, m))))
+    """Solve the stacked system for (K1, K2) at the current (P1, P2), read
+    from h_from_values; Delta1 and Delta2 must be positive definite, or the
+    attenuation level is infeasible."""
+    HH = _h_stack(_q_form(sys, cost), np.array((vals.P1, vals.P2)))
+    return GainPair(*_gains(sys, cost, HH))
 
 
 def vi_value_update(sys, cost, vals, gains):
     """One value-iteration sweep using the supplied (current) gains."""
-    policy = _policy_terms(sys, gains.K1, gains.K2)
-    return ValuePair(*_value_update(cost, np.stack((vals.P1, vals.P2)), policy))
+    return values_from_q(h_from_values(sys, cost, vals), gains)
 
 
 def gare_residuals(sys, cost, vals, gains):
@@ -207,9 +168,7 @@ def gare_residuals(sys, cost, vals, gains):
 
     Both come back as symmetric matrices; zero at an exact solution.
     """
-    blocks = _delta_blocks(sys, vals.P1, vals.P2, _delta_constants(sys, cost))
-    policy = _policy_terms(sys, gains.K1, gains.K2)
-    return _residuals(sys, cost, vals.P1, vals.P2, blocks, policy)
+    return _residuals(sys, cost, vals.P1, vals.P2, gains.K1, gains.K2)
 
 
 def _second_moment_map(Ad, An):
@@ -274,34 +233,42 @@ class SolveReport:
             fh.write(("%d,%.12g,%.12g,%.12g,%.12g\n" * len(self.history)) % tuple(cells))
 
 
-def _value_iteration(sys, cost, tol, max_iters, step=_value_update):
-    """The coupled-Riccati loop from (0, 0), one item per sweep; step maps
-    (values, policy terms) to the next values (_value_update or _policy_step).
+def _value_step(form, HH, T):
+    """Value iteration's next values: HH collapsed on the gains in T."""
+    return _sandwich(HH, T)
 
-    Yields (K1, K2, P1, P2, (dP1, dP2), stop): the gains extracted at the
-    previous values, the updated values, the Frobenius norms of the value
-    changes, and whether both fell below tol, which ends the iteration.
-    Raises ConvergenceError when max_iters runs out, an iterate leaves the
-    finite range (that sweep is not yielded) or step raises one (the sweep
-    appended).  The Delta blocks and left factors at the updated values are
-    the next sweep's gain system.
+
+def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
+    """The coupled-Riccati loop from (0, 0) in Q-form, one item per sweep;
+    step maps (_q_form, HH, T) to the next values (_value_step or
+    _policy_step), HH being H at the current values and T = [I; K2; K1]
+    holding the gains read from it.
+
+    Yields (HH, K1, K2, P1, P2, (dP1, dP2), stop): H at the previous values,
+    the gains extracted from it, the updated values, the Frobenius norms of
+    the value changes, and whether both fell below tol, which ends the
+    iteration.  Raises ConvergenceError when max_iters runs out, an iterate
+    leaves the finite range (that sweep is not yielded) or step raises one
+    (the sweep appended).
     """
     if not 0 < tol < math.inf:
         raise ConfigError("tol must be a positive finite number")
     if max_iters < 1:
         raise ConfigError("max_iters must be a positive integer")
-    consts = _delta_constants(sys, cost)
-    PP = np.zeros((2, sys.n, sys.n))
+    n, m1 = sys.n, sys.m1
+    form = _q_form(sys, cost)
+    T = np.eye(sys.p, n)
+    PP = np.zeros((2, n, n))
     P1, P2 = PP
-    blocks = _delta_blocks(sys, P1, P2, consts)
-    blk = np.empty((sys.m2 + sys.m1,) * 2)
     for sweep in range(1, max_iters + 1):
         # overflow and inf - inf only occur once the iteration diverges, which
         # the step's checks or the finiteness check below report
         with np.errstate(over="ignore", invalid="ignore"):
-            K1, K2 = _extract_gains(sys, cost, blocks, blk)
+            HH = _h_stack(form, PP)
+            K1, K2 = _gains(sys, cost, HH)
+            T[n:n + m1], T[n + m1:] = K2, K1
             try:
-                PPn = step(cost, PP, _policy_terms(sys, K1, K2))
+                PPn = step(form, HH, T)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"{exc} at sweep {sweep}") from None
             P1n, P2n = PPn
@@ -310,9 +277,8 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_update):
             if not math.isfinite(d1 + d2) and not np.isfinite(PPn).all():
                 raise ConvergenceError(f"no fixed point: the iterate left the "
                                        f"finite range at sweep {sweep}")
-            blocks = _delta_blocks(sys, P1n, P2n, consts)
         stop = d1 < tol and d2 < tol
-        yield K1, K2, P1n, P2n, (d1, d2), stop
+        yield HH, K1, K2, P1n, P2n, (d1, d2), stop
         if stop:
             return
         PP, P1, P2 = PPn, P1n, P2n
@@ -325,7 +291,7 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_update):
 _RES_BLOCK = 64  # sweeps per stacked residual pass: bounds the sweeps held
 
 
-def _residual_rows(sys, cost, consts, sweeps):
+def _residual_rows(sys, cost, sweeps):
     """(res1, res2) Frobenius norms of a block of sweeps (K1, K2, P1, P2),
     computed in one stacked pass with the bits of one pass per sweep.
 
@@ -337,12 +303,10 @@ def _residual_rows(sys, cost, consts, sweeps):
     # a diverging iterate overflows here as it does in the sweep
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            R1, R2 = _residuals(sys, cost, P1, P2, _delta_blocks(sys, P1, P2, consts),
-                                _policy_terms(sys, K1, K2))
+            R1, R2 = _residuals(sys, cost, P1, P2, K1, K2)
         except AttenuationInfeasibleError:
             for k1, k2, p1, p2 in sweeps:
-                _residuals(sys, cost, p1, p2, _delta_blocks(sys, p1, p2, consts),
-                           _policy_terms(sys, k1, k2))
+                _residuals(sys, cost, p1, p2, k1, k2)
             raise
         return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
 
@@ -351,32 +315,32 @@ def _solve(sys, cost, tol, max_iters, step):
     """_value_iteration with step and its SolveReport, whose rows hold each
     sweep's residuals at its values and the gains it evaluated.  A
     ConvergenceError carries the report, save one at sweep 1 (none to make)."""
-    consts = _delta_constants(sys, cost)
     dps, res, block, err = [], [], [], None
     try:
         try:
-            for K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters, step):
+            for _, K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters, step):
                 dps.append(dP)
                 block.append((K1, K2, P1, P2))
                 if len(block) == _RES_BLOCK:
                     # emptied first, so a pass that raises is not run again below
                     block, full = [], block
-                    res += _residual_rows(sys, cost, consts, full)
+                    res += _residual_rows(sys, cost, full)
         finally:
             # on every exit: a singular Delta in an earlier sweep is raised
             # in place of whatever ended the loop, as it was when each sweep
             # computed its own residuals
             if block:
-                res += _residual_rows(sys, cost, consts, block)
+                res += _residual_rows(sys, cost, block)
     except ConvergenceError as exc:
         if not dps:
             raise
         # K1, K2, P1, P2 hold the last finite sweep
         err = exc
     gains = GainPair(K1, K2)
+    # _policy_step refused every pair at or above ms radius 1, the last too
+    stable = step is _policy_step or ms_stable(*closed_loop_pair(sys, gains))
     report = SolveReport(ValuePair(P1, P2), gains,
-                         tuple(dP + r for dP, r in zip(dps, res)),
-                         ms_stable(*closed_loop_pair(sys, gains)))
+                         tuple(dP + r for dP, r in zip(dps, res)), stable)
     if err is None:
         return report
     err.report = report
@@ -394,40 +358,42 @@ def solve_coupled_gare(sys, cost, tol=1e-9, max_iters=5000):
     first, or if an iterate leaves the finite range (the report then ends at
     the last finite one).
     """
-    return _solve(sys, cost, tol, max_iters, _value_update)
+    return _solve(sys, cost, tol, max_iters, _value_step)
 
 
-def _policy_values(cost, policy, T):
-    """The values (P1, P2), stacked (2, n, n), of the fixed gains in policy
-    (_policy_terms); T is their _second_moment_map.
+def _policy_values(W, M):
+    """The values (P1, P2), stacked (2, n, n), of fixed gains whose stage
+    weights are the stack W = (W1, W2) and whose _second_moment_map is M.
 
     Both generalized Lyapunov equations P = Ad'P Ad + An'P An + W, with
     W1 = -Q - K2'K2 + g^2 K1'K1 and W2 = Q + K2'K2, are one n^2 x n^2 solve
-    (I - T) vec P = vec W with two right-hand sides.  The values are the
-    gains' costs only when T's spectral radius is below 1.
+    (I - M) vec P = vec W with two right-hand sides.  The values are the
+    gains' costs only when M's spectral radius is below 1.
     """
-    K1, K2tK2 = policy[:2]
-    W2 = cost.Q + K2tK2
-    W1 = cost.gamma**2 * K1.T.dot(K1) - W2
-    vecP = np.linalg.solve(np.eye(len(T)) - T, np.stack((W1.ravel(), W2.ravel()), axis=1))
-    # C-ordered, so P1 and P2 feed the gain system as a ValuePair's copies do
-    return symmetrize(np.ascontiguousarray(vecP.T).reshape(2, *W1.shape))
+    n2 = len(M)
+    vecP = np.linalg.solve(np.eye(n2) - M, W.reshape(2, n2).T)
+    # C-ordered, so P1 and P2 feed the next sweep as a ValuePair's copies do
+    return symmetrize(np.ascontiguousarray(vecP.T).reshape(W.shape))
 
 
-def _policy_step(cost, PP, policy):
-    """The exact values of the gains in policy (PP is not read); raises
-    ConvergenceError when the gains are not mean-square stabilizing, as
-    their values are then not their costs."""
-    Ad, An = policy[3:5]
-    T = _second_moment_map(Ad, An)
-    if not np.isfinite(T).all():
+def _policy_step(form, HH, T):
+    """The exact values of the gains in T = [I; K2; K1] (HH is not read);
+    raises ConvergenceError when the gains are not mean-square stabilizing,
+    as their values are then not their costs.
+
+    With L and G of the Q-form, (Ad, An) = (L T, G T), and the stage
+    weights are the base blocks collapsed on the gains, W = T' base T.
+    """
+    LG, base = form
+    M = _second_moment_map(*(LG @ T))
+    if not np.isfinite(M).all():
         raise ConvergenceError("no fixed point: the gains left the finite range")
-    # T is the transpose of ms_radius's map: the same spectrum, not built twice
-    rho = _spectral_radius(T)
+    # M is the transpose of ms_radius's map: the same spectrum, not built twice
+    rho = _spectral_radius(M)
     if not rho < 1.0:
         raise ConvergenceError(f"the gains are not mean-square stabilizing "
                                f"(ms radius {rho:.4g})")
-    return _policy_values(cost, policy, T)
+    return _policy_values(_sandwich(base, T), M)
 
 
 def solve_coupled_gare_pi(sys, cost, tol=1e-9, max_iters=5000):

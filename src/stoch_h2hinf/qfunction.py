@@ -8,7 +8,8 @@ Two half-vectorizations connect quadratic forms to regression rows:
 so that vech(Z) . vecs(H) = Tr(Z H) exactly, and in particular
 z'Hz = vech(zz') . vecs(H).  H1/H2 are built from value matrices by
 h_from_values, and gains/values are read back out of H by gains_from_q
-and values_from_q.
+and values_from_q, wrappers over the raw-stack core (_h_stack, _gain_solve,
+_sandwich) on which the coupled-Riccati solver sweeps too.
 """
 
 import functools
@@ -106,6 +107,63 @@ def q_value(H, z):
     return float(z @ H @ z)
 
 
+def _q_form(sys, cost):
+    """A solve's constants: LG = (L, G), L = [A1 B1 C1], G = [A2 0 C2], and
+    base = (blkdiag(-Q, -I, g^2 I), blkdiag(Q, I, 0)), stacks."""
+    n, m1, m2 = sys.dims
+    LG = np.stack([np.hstack([sys.A1, sys.B1, sys.C1]),
+                   np.hstack([sys.A2, np.zeros((n, m1)), sys.C2])])
+    base = np.zeros((2, sys.p, sys.p))
+    sx, su, sv = block_slices(n, m1, m2)
+    base[0, sx, sx] = -cost.Q
+    base[0, su, su] = -np.eye(m1)
+    base[0, sv, sv] = cost.gamma**2 * np.eye(m2)
+    base[1, sx, sx] = cost.Q
+    base[1, su, su] = np.eye(m1)
+    return LG, base
+
+
+def _h_stack(form, PP):
+    """(H1, H2) = base + L'PP L + G'PP G from PP = (P1, P2), the four X'P X
+    one (2, 2, p, p) stacked product with each item's 2-D bits."""
+    LG, base = form
+    X = LG[:, None]
+    M = X.swapaxes(-1, -2) @ PP @ X
+    return symmetrize(base + M[0] + M[1])
+
+
+@functools.cache
+def _gain_index(n, m1, m2):
+    """Read-only positions, in a flattened stack (H1, H2), of the augmented
+    gain system [[H1vv, H1uv', H1xv'], [H2uv, H2uu, H2xu']]: the entries
+    the block assembly reads, one gather."""
+    p = n + m1 + m2
+    H1, H2 = np.arange(2 * p * p).reshape(2, p, p)
+    sx, su, sv = block_slices(n, m1, m2)
+    index = np.block([[H1[sv, sv], H1[su, sv].T, H1[sx, sv].T],
+                      [H2[su, sv], H2[su, su], H2[sx, su].T]])
+    index.flags.writeable = False
+    return index
+
+
+def _gain_solve(A):
+    """[K1; K2] from the augmented gain system A = [blk | rhs] gathered at
+    _gain_index.  Stationarity of z'H1z in v and of z'H2z in u gives
+
+        [[H1vv, H1uv'], [H2uv, H2uu]] [K1; K2] = -[H1xv'; H2xu'].
+
+    A singular block raises np.linalg.LinAlgError, for the caller to name.
+    """
+    m = len(A)
+    return -np.linalg.solve(A[:, :m], A[:, m:])
+
+
+def _sandwich(HH, T):
+    """T'HH T symmetrized, one stacked product: with T = [I; K2; K1] the
+    values of H under the gains."""
+    return symmetrize(T.T @ HH @ T)
+
+
 def h_from_values(sys, cost, vals):
     """Assemble (H1, H2) from (P1, P2).
 
@@ -114,55 +172,24 @@ def h_from_values(sys, cost, vals):
         H1 = blkdiag(-Q, -I, g^2 I) + L'P1 L + G'P1 G,
         H2 = blkdiag( Q,  I,   0  ) + L'P2 L + G'P2 G.
     """
-    n, m1, m2 = sys.dims
-    L = np.hstack([sys.A1, sys.B1, sys.C1])
-    G = np.hstack([sys.A2, np.zeros((n, m1)), sys.C2])
-    g2 = cost.gamma**2
-    base1 = np.zeros((sys.p, sys.p))
-    base2 = np.zeros((sys.p, sys.p))
-    sx, su, sv = block_slices(n, m1, m2)
-    base1[sx, sx] = -cost.Q
-    base1[su, su] = -np.eye(m1)
-    base1[sv, sv] = g2 * np.eye(m2)
-    base2[sx, sx] = cost.Q
-    base2[su, su] = np.eye(m1)
-    H1 = base1 + L.T @ vals.P1 @ L + G.T @ vals.P1 @ G
-    H2 = base2 + L.T @ vals.P2 @ L + G.T @ vals.P2 @ G
-    return _trusted(QPair, symmetrize(np.array((H1, H2))), n, m1, m2)
+    HH = _h_stack(_q_form(sys, cost), np.array((vals.P1, vals.P2)))
+    return _trusted(QPair, HH, *sys.dims)
 
 
 def gains_from_q(q):
-    """Extract (K1, K2) from (H1, H2) by the coupled block solve.
-
-    Stationarity of z'H1z in v and of z'H2z in u gives
-
-        [[H1vv, H1uv'], [H2uv, H2uu]] [K1; K2] = -[H1xv'; H2xu'].
-    """
-    n, m1, m2 = q.dims
-    sx, su, sv = block_slices(n, m1, m2)
-    blk = np.empty((m2 + m1, m2 + m1))
-    blk[:m2, :m2] = q.H1[sv, sv]
-    blk[:m2, m2:] = q.H1[su, sv].T
-    blk[m2:, :m2] = q.H2[su, sv]
-    blk[m2:, m2:] = q.H2[su, su]
-    rhs = np.vstack([q.H1[sx, sv].T, q.H2[sx, su].T])
+    """Extract (K1, K2) from (H1, H2) by the coupled block solve (_gain_solve)."""
     try:
-        KK = -np.linalg.solve(blk, rhs)
+        KK = _gain_solve(np.array((q.H1, q.H2)).take(_gain_index(*q.dims)))
     except np.linalg.LinAlgError as exc:
         raise GainExtractionError(f"gain block is singular: {exc}") from exc
     if not np.isfinite(KK).all():
         raise GainExtractionError("gain block solve produced non-finite entries")
-    return _trusted(GainPair, (KK[:m2], KK[m2:]))
+    return _trusted(GainPair, (KK[:q.m2], KK[q.m2:]))
 
 
 def values_from_q(q, gains):
-    """Collapse H back to P via the sandwich P = [I; K2; K1]' H [I; K2; K1].
-
-    One stacked sandwich over (H1, H2): a stacked matmul runs the 2-D
-    call's gemm on each member, so each P keeps its bits.
-    """
-    n = q.n
-    T = np.vstack([np.eye(n), gains.K2, gains.K1])
+    """Collapse H back to P via the sandwich P = [I; K2; K1]' H [I; K2; K1]."""
+    T = np.vstack([np.eye(q.n), gains.K2, gains.K1])
     if T.shape[0] != q.p:
         raise ValueError(f"gains {gains.K1.shape}/{gains.K2.shape} do not match q")
-    return _trusted(ValuePair, symmetrize(T.T @ np.array((q.H1, q.H2)) @ T))
+    return _trusted(ValuePair, _sandwich(np.array((q.H1, q.H2)), T))

@@ -63,7 +63,6 @@ from .qfunction import (
     _outer_vech,
     block_slices,
     gains_from_q,
-    h_from_values,
     mat_from_vecs,
     q_value,
     values_from_q,
@@ -448,27 +447,27 @@ def run_value_iteration(sys, cost, config):
     """Model-based mirror of the learning loop, aligned iterate for iterate.
 
     Consumes the solver's value-iteration loop, stop and divergence rules
-    included, and records per iteration H(i) = h_from_values(P(i-1)), exactly
-    what an unbiased estimator would produce, so reports from the two routes
-    are directly comparable.  A ConvergenceError from the loop carries the
-    report up to the last finite iterate.
+    included, and records per iteration the loop's own H(i), which is
+    h_from_values(P(i-1)) bit for bit: exactly what an unbiased estimator
+    would produce, so reports from the two routes are directly comparable.
+    A ConvergenceError from the loop carries the report up to the last
+    finite iterate.
     """
-    vals = ValuePair.zeros(sys.n)
     q = QPair.zeros(sys.n, sys.m1, sys.m2)
     history = []
     sweeps = _value_iteration(sys, cost, config.tol, config.max_iters)
     try:
-        for K1, K2, P1, P2, (dp1, dp2), stop in sweeps:
-            # H(P(i-1)) is built only once sweep i came back finite
-            q_next = h_from_values(sys, cost, vals)
+        for HH, K1, K2, P1, P2, (dp1, dp2), stop in sweeps:
+            q_next = _trusted(QPair, HH, *sys.dims)
             # dH's squared norm overflows long before a diverging iterate does
             with np.errstate(over="ignore"):
                 dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
                 dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
             # the sweep's P pair is finite and symmetrized, and its gains
             # finite, or the loop would have raised
-            q, vals = q_next, _trusted(ValuePair, (P1, P2))
-            history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)), vals, stop))
+            q = q_next
+            history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)),
+                                   _trusted(ValuePair, (P1, P2)), stop))
     except ConvergenceError as err:
         err.report = QLearnReport(q, tuple(history), str(err))
         raise

@@ -31,7 +31,7 @@ from stoch_h2hinf import (
     solve_coupled_gare_pi,
     vi_value_update,
 )
-from stoch_h2hinf import gare
+from stoch_h2hinf import gare, qfunction
 from stoch_h2hinf.cli import main
 
 
@@ -299,8 +299,9 @@ def _public_solve(sys_, cost, tol, max_iters, history):
     """The value recursion written on the public helpers, one ValuePair and
     one GainPair per sweep; fills history and returns (values, gains, converged).
 
-    solve_coupled_gare runs the same recursion on raw arrays and must match
-    it bit for bit.
+    gains_from_values and vi_value_update read the gains and the next values
+    from h_from_values, as the learner does; solve_coupled_gare runs the
+    same recursion on raw stacks and must match it bit for bit.
     """
     vals = ValuePair.zeros(sys_.n)
     gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
@@ -321,49 +322,116 @@ def _sym(M):
     return (M + M.T) / 2.0
 
 
-def _plain_solve(sys_, cost, tol, max_iters, history):
-    """The value recursion spelled out one product at a time, as a plain loop
-    on numpy alone: every X'PY, symmetrization, eigvalsh and solve of a sweep
-    written where it is used, nothing shared between sweeps or terms.  Same
-    contract as _public_solve, and independent of the solver's helpers, which
-    the public wrappers call too.
-    """
+def _plain_q_form(sys_, cost):
+    """L = [A1 B1 C1], G = [A2 0 C2] and the constant blocks of H1 and H2."""
+    n, m1, m2 = sys_.dims
+    L = np.hstack([sys_.A1, sys_.B1, sys_.C1])
+    G = np.hstack([sys_.A2, np.zeros((n, m1)), sys_.C2])
+    base1, base2 = np.zeros((sys_.p, sys_.p)), np.zeros((sys_.p, sys_.p))
+    base1[:n, :n], base2[:n, :n] = -cost.Q, cost.Q
+    base1[n:n + m1, n:n + m1], base2[n:n + m1, n:n + m1] = -np.eye(m1), np.eye(m1)
+    base1[n + m1:, n + m1:] = cost.gamma**2 * np.eye(m2)
+    return L, G, base1, base2
+
+
+def _plain_q_gains(sys_, cost, P1, P2):
+    """H1 and H2 at (P1, P2), one member at a time, and T = [I; K2; K1] with
+    the gains solved from their blocks after the solver's Delta check."""
+    n, m1, m2 = sys_.dims
+    x, u, v = slice(0, n), slice(n, n + m1), slice(n + m1, None)
+    L, G, base1, base2 = _plain_q_form(sys_, cost)
+    H1 = _sym(base1 + L.T @ P1 @ L + G.T @ P1 @ G)
+    H2 = _sym(base2 + L.T @ P2 @ L + G.T @ P2 @ G)
+    for name, D in (("Delta1", H1[v, v]), ("Delta2", H2[u, u])):
+        if float(np.linalg.eigvalsh(_sym(D)).min()) <= 1e-12:
+            raise AttenuationInfeasibleError(
+                f"{name} is not positive definite; gamma={cost.gamma} too small")
+    blk = np.block([[H1[v, v], H1[u, v].T], [H2[u, v], H2[u, u]]])
+    KK = -np.linalg.solve(blk, np.vstack([H1[x, v].T, H2[x, u].T]))
+    return H1, H2, np.vstack([np.eye(n), KK[m2:], KK[:m2]])
+
+
+def _plain_residuals(sys_, cost, P1, P2, K1, K2):
+    """Frobenius norms of the coupled equations' left-hand sides, one product at a time."""
     A1, A2, B1, C1, C2 = sys_.A1, sys_.A2, sys_.B1, sys_.C1, sys_.C2
-    Q, g2, m2 = cost.Q, cost.gamma**2, sys_.m2
+    Q, g2 = cost.Q, cost.gamma**2
+    Au = A1 + B1 @ K2
+    An = A2 + C2 @ K1
+    Av = A1 + C1 @ K1
+    D1 = g2 * np.eye(sys_.m2) + C2.T @ P1 @ C2 + C1.T @ P1 @ C1
+    D2 = np.eye(sys_.m1) + B1.T @ P2 @ B1
+    M1 = Au.T @ P1 @ C1 + A2.T @ P1 @ C2
+    R1 = (-P1 + Au.T @ P1 @ Au - Q + A2.T @ P1 @ A2 - K2.T @ K2
+          - M1 @ np.linalg.solve(D1, M1.T))
+    M2 = Av.T @ P2 @ B1
+    R2 = -P2 + Av.T @ P2 @ Av + Q + An.T @ P2 @ An - M2 @ np.linalg.solve(D2, M2.T)
+    return float(np.linalg.norm(_sym(R1))), float(np.linalg.norm(_sym(R2)))
+
+
+def _plain_loop(sweep, sys_, cost, tol, max_iters, history):
+    """sweep(sys_, cost, P1, P2) -> (K1, K2, P1+, P2+) from (0, 0) to the
+    recursion's stop rule, with _public_solve's contract: history gets
+    (dP1, dP2, res1, res2) per sweep, the residuals at its values and gains."""
     P1 = P2 = np.zeros((sys_.n, sys_.n))
     for _ in range(max_iters):
-        D1 = g2 * np.eye(m2) + C2.T @ P1 @ C2 + C1.T @ P1 @ C1
-        D2 = np.eye(sys_.m1) + B1.T @ P2 @ B1
-        for name, D in (("Delta1", D1), ("Delta2", D2)):
-            if float(np.linalg.eigvalsh(_sym(D)).min()) <= 1e-12:
-                raise AttenuationInfeasibleError(
-                    f"{name} is not positive definite; gamma={cost.gamma} too small")
-        blk = np.block([[D1, C1.T @ P1 @ B1], [B1.T @ P2 @ C1, D2]])
-        rhs = -np.vstack([C1.T @ P1 @ A1 + C2.T @ P1 @ A2, B1.T @ P2 @ A1])
-        KK = np.linalg.solve(blk, rhs)
-        K1, K2 = KK[:m2], KK[m2:]
-        Au = A1 + B1 @ K2
-        Ad = Au + C1 @ K1
-        An = A2 + C2 @ K1
-        Av = A1 + C1 @ K1
-        K2tK2 = K2.T @ K2
-        P1n = _sym(_sym(An.T @ P1 @ An + Ad.T @ P1 @ Ad) - Q - K2tK2 + g2 * (K1.T @ K1))
-        P2n = _sym(_sym(An.T @ P2 @ An + Ad.T @ P2 @ Ad) + Q + K2tK2)
+        K1, K2, P1n, P2n = sweep(sys_, cost, P1, P2)
         d1 = float(np.linalg.norm(P1n - P1))
         d2 = float(np.linalg.norm(P2n - P2))
-        D1 = g2 * np.eye(m2) + C2.T @ P1n @ C2 + C1.T @ P1n @ C1
-        D2 = np.eye(sys_.m1) + B1.T @ P2n @ B1
-        M1 = Au.T @ P1n @ C1 + A2.T @ P1n @ C2
-        R1 = (-P1n + Au.T @ P1n @ Au - Q + A2.T @ P1n @ A2 - K2tK2
-              - M1 @ np.linalg.solve(D1, M1.T))
-        M2 = Av.T @ P2n @ B1
-        R2 = -P2n + Av.T @ P2n @ Av + Q + An.T @ P2n @ An - M2 @ np.linalg.solve(D2, M2.T)
-        history.append((d1, d2, float(np.linalg.norm(_sym(R1))),
-                        float(np.linalg.norm(_sym(R2)))))
+        history.append((d1, d2) + _plain_residuals(sys_, cost, P1n, P2n, K1, K2))
         P1, P2 = P1n, P2n
         if d1 < tol and d2 < tol:
             return ValuePair(P1, P2), GainPair(K1, K2), True
     return ValuePair(P1, P2), GainPair(K1, K2), False
+
+
+def _plain_q_sweep(sys_, cost, P1, P2):
+    """One sweep in Q-form: the next values are the sandwich T'H T."""
+    H1, H2, T = _plain_q_gains(sys_, cost, P1, P2)
+    n, m1 = sys_.n, sys_.m1
+    return T[n + m1:], T[n:n + m1], _sym(T.T @ H1 @ T), _sym(T.T @ H2 @ T)
+
+
+def _plain_solve(sys_, cost, tol, max_iters, history):
+    """The value recursion in Q-form spelled out one product at a time, as a
+    plain loop on numpy alone: H1 and H2 at the values, the gains solved
+    from their blocks, the next values as the sandwich [I; K2; K1]'H[I; K2; K1],
+    each written where it is used, nothing shared between sweeps or members.
+    Same contract as _public_solve, and independent of the package's helpers,
+    which the public wrappers call too.
+    """
+    return _plain_loop(_plain_q_sweep, sys_, cost, tol, max_iters, history)
+
+
+def _classic_sweep(sys_, cost, P1, P2):
+    """One sweep of the value recursion in its classic form, one product at a
+    time: (K1, K2) from the Delta blocks and the stacked gain system at P1
+    and P2, then P1+ = A(P1) - Q - K2'K2 + g^2 K1'K1 and P2+ = A(P2) + Q + K2'K2
+    with A(X) = An'X An + Ad'X Ad.  The same recursion as the Q-form in
+    another order of rounding: an independent cross-check, equal to rounding.
+    """
+    A1, A2, B1, C1, C2 = sys_.A1, sys_.A2, sys_.B1, sys_.C1, sys_.C2
+    Q, g2, m2 = cost.Q, cost.gamma**2, sys_.m2
+    D1 = g2 * np.eye(m2) + C2.T @ P1 @ C2 + C1.T @ P1 @ C1
+    D2 = np.eye(sys_.m1) + B1.T @ P2 @ B1
+    for name, D in (("Delta1", D1), ("Delta2", D2)):
+        if float(np.linalg.eigvalsh(_sym(D)).min()) <= 1e-12:
+            raise AttenuationInfeasibleError(
+                f"{name} is not positive definite; gamma={cost.gamma} too small")
+    blk = np.block([[D1, C1.T @ P1 @ B1], [B1.T @ P2 @ C1, D2]])
+    rhs = -np.vstack([C1.T @ P1 @ A1 + C2.T @ P1 @ A2, B1.T @ P2 @ A1])
+    KK = np.linalg.solve(blk, rhs)
+    K1, K2 = KK[:m2], KK[m2:]
+    Ad = A1 + B1 @ K2 + C1 @ K1
+    An = A2 + C2 @ K1
+    K2tK2 = K2.T @ K2
+    P1n = _sym(_sym(An.T @ P1 @ An + Ad.T @ P1 @ Ad) - Q - K2tK2 + g2 * (K1.T @ K1))
+    P2n = _sym(_sym(An.T @ P2 @ An + Ad.T @ P2 @ Ad) + Q + K2tK2)
+    return K1, K2, P1n, P2n
+
+
+def _classic_solve(sys_, cost, tol, max_iters, history):
+    """_classic_sweep from (0, 0), with _plain_solve's contract."""
+    return _plain_loop(_classic_sweep, sys_, cost, tol, max_iters, history)
 
 
 def _assert_same_report(report, vals, gains, history):
@@ -406,6 +474,48 @@ def test_solver_bit_identical_two_inputs_each(n, m1, m2):
     _assert_bit_identical(sys_, cost, 1e-12)
 
 
+def _assert_near(a, b, rtol):
+    """Every entry of a - b within rtol times the largest entry of b."""
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def _assert_near_classic(sys_, cost, tol, rtol):
+    """The solver against the classic recursion: the same sweep count, and
+    values and gains within rtol, relative to each matrix's largest entry."""
+    report = solve_coupled_gare(sys_, cost, tol=tol, max_iters=10000)
+    history = []
+    vals, gains, converged = _classic_solve(sys_, cost, tol, 10000, history)
+    assert converged and report.iterations == len(history)
+    for a, b in ((report.values.P1, vals.P1), (report.values.P2, vals.P2),
+                 (report.gains.K1, gains.K1), (report.gains.K2, gains.K2)):
+        _assert_near(a, b, rtol)
+
+
+def test_solver_matches_classic_recursion(f16, random_population):
+    # the Q-form reorders the recursion's rounding only: F-16 still sweeps
+    # 865 times at tol 1e-12
+    _assert_near_classic(*f16, 1e-12, 1e-12)
+    for sys_, cost in random_population:
+        _assert_near_classic(sys_, cost, 1e-9, 1e-12)
+    for n, m1, m2 in ((3, 2, 2), (3, 1, 2), (3, 2, 1), (4, 3, 1)):
+        sys_, cost = random_feasible_system(np.random.default_rng(3), n=n, m1=m1, m2=m2)
+        _assert_near_classic(sys_, cost, 1e-12, 1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m1=st.integers(1, 2),
+       m2=st.integers(1, 2))
+def test_solver_fixed_point_matches_classic_property(seed, n, m1, m2):
+    # both recursions meet the same fixed point, whatever their sweep counts
+    sys_, cost = random_feasible_system(np.random.default_rng(seed), n=n, m1=m1, m2=m2)
+    report = solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=10000)
+    vals, gains, converged = _classic_solve(sys_, cost, 1e-12, 10000, [])
+    assert converged
+    for a, b in ((report.values.P1, vals.P1), (report.values.P2, vals.P2),
+                 (report.gains.K1, gains.K1), (report.gains.K2, gains.K2)):
+        _assert_near(a, b, 1e-10)
+
+
 # Delta1 is 1x1 on the first plant and 2x2 on the second, whose least
 # eigenvalue crosses zero while its (0, 0) entry is still positive
 INFEASIBLE = [
@@ -425,7 +535,7 @@ def test_solver_infeasible_gamma_same_error_same_sweep(monkeypatch):
     for sys_, gamma in INFEASIBLE:
         cost = CostSpec(gamma, [[1.0]])
         failing = set()
-        for recursion in (_public_solve, _plain_solve):
+        for recursion in (_classic_solve, _public_solve, _plain_solve):
             history = []
             with pytest.raises(AttenuationInfeasibleError) as ref:
                 recursion(sys_, cost, 1e-12, 10000, history)
@@ -504,7 +614,6 @@ def test_residual_pass_names_first_singular_block():
     # b1 = c1 = 1, c2 = 0 and gamma = 1: Delta1 = 1 + P1 and Delta2 = 1 + P2
     sys_ = SdltiSystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
     cost = CostSpec(1.0, [[1.0]])
-    consts = gare._delta_constants(sys_, cost)
     K = np.zeros((1, 1))
 
     def sweep(p1, p2):
@@ -515,7 +624,7 @@ def test_residual_pass_names_first_singular_block():
     for block, name in (([ok, d2, d1], "Delta2"), ([ok, d1, d2], "Delta1"),
                         ([ok, both], "Delta1")):
         with pytest.raises(AttenuationInfeasibleError, match=f"^{name} is singular"):
-            gare._residual_rows(sys_, cost, consts, block)
+            gare._residual_rows(sys_, cost, block)
 
 
 def test_residuals_once_per_block(f16, monkeypatch):
@@ -667,8 +776,7 @@ def _assert_same_solution(a, b, atol):
 
 
 def test_second_moment_map_is_the_kronecker_sum(f16, f16_solution):
-    gains = f16_solution.gains
-    _, _, _, Ad, An, _ = gare._policy_terms(f16[0], gains.K1, gains.K2)
+    Ad, An = closed_loop_pair(f16[0], f16_solution.gains)
     np.testing.assert_array_equal(gare._second_moment_map(Ad, An),
                                   np.kron(Ad.T, Ad.T) + np.kron(An.T, An.T))
 
@@ -678,11 +786,10 @@ def test_policy_values_solve_both_lyapunov_equations(f16, f16_solution):
     # generalized Lyapunov equation P = Ad'P Ad + An'P An + W
     sys_, cost = f16
     K1, K2 = 0.5 * f16_solution.gains.K1, 0.5 * f16_solution.gains.K2
-    policy = gare._policy_terms(sys_, K1, K2)
-    _, K2tK2, _, Ad, An, _ = policy
-    P1, P2 = gare._policy_values(cost, policy, gare._second_moment_map(Ad, An))
-    W2 = cost.Q + K2tK2
+    Ad, An = closed_loop_pair(sys_, GainPair(K1, K2))
+    W2 = cost.Q + K2.T @ K2
     W1 = cost.gamma**2 * (K1.T @ K1) - W2
+    P1, P2 = gare._policy_values(np.stack((W1, W2)), gare._second_moment_map(Ad, An))
     for P, W in ((P1, W1), (P2, W2)):
         np.testing.assert_array_equal(P, P.T)
         R = P - Ad.T @ P @ Ad - An.T @ P @ An - W
@@ -715,40 +822,54 @@ def test_policy_iteration_report_rows(f16):
     report = solve_coupled_gare_pi(sys_, cost)
     last = gare_residuals(sys_, cost, report.values, report.gains)
     assert report.residual_norms == tuple(float(np.linalg.norm(R)) for R in last)
-    policy = gare._policy_terms(sys_, report.gains.K1, report.gains.K2)
-    P1, P2 = gare._policy_values(cost, policy, gare._second_moment_map(*policy[3:5]))
+    T = np.vstack([np.eye(sys_.n), report.gains.K2, report.gains.K1])
+    P1, P2 = gare._policy_step(qfunction._q_form(sys_, cost), None, T)
     np.testing.assert_array_equal(report.values.P1, P1)
     np.testing.assert_array_equal(report.values.P2, P2)
     assert all(len(row) == 4 for row in report.history)
 
 
+def test_policy_iteration_counts_its_own_stability(f16, monkeypatch):
+    # the step's ms radius certifies the gains it evaluated, the reported
+    # pair too: one eigvals per sweep and none for the report's stable flag
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    report = solve_coupled_gare_pi(*f16)
+    assert report.iterations == 8 and report.stable
+    assert calls == [(9, 9)] * 8
+
+
+def _plain_pi_sweep(sys_, cost, P1, P2):
+    """One policy-iteration sweep in Q-form: the gains read from H, refused
+    unless mean-square stabilizing (Ad = L T, An = G T), and their values
+    from both generalized Lyapunov equations, W = T' base T, as one
+    n^2 x n^2 system."""
+    n, m1 = sys_.n, sys_.m1
+    L, G, base1, base2 = _plain_q_form(sys_, cost)
+    T = _plain_q_gains(sys_, cost, P1, P2)[2]
+    Ad, An = L @ T, G @ T
+    M = np.kron(Ad.T, Ad.T) + np.kron(An.T, An.T)
+    if not np.abs(np.linalg.eigvals(M)).max() < 1.0:
+        raise ConvergenceError("the gains are not mean-square stabilizing")
+    W = np.stack((_sym(T.T @ base1 @ T).ravel(), _sym(T.T @ base2 @ T).ravel()), axis=1)
+    vecP = np.linalg.solve(np.eye(n * n) - M, W)
+    return (T[n + m1:], T[n:n + m1]) + tuple(_sym(vecP[:, k].reshape(n, n)) for k in (0, 1))
+
+
 def _plain_pi(sys_, cost, tol, max_iters, history):
-    """Policy iteration written out as a loop of its own, on the public
-    helpers and _policy_values: from zero values, each iteration extracts
-    its gains, checks that they are mean-square stabilizing, solves for
-    their values and stops on the recursion's rule.  Same contract as
-    _public_solve: history gets (dP1, dP2, res1, res2) per iteration, the
-    residuals at its values and the gains it evaluated, and those gains come
-    back.  solve_coupled_gare_pi runs policy iteration as a step of the
-    value recursion's loop and must match it bit for bit.
+    """Policy iteration in Q-form written out on numpy alone (_plain_pi_sweep),
+    from zero values to the recursion's stop rule; same contract as
+    _public_solve, with the gains each iteration evaluated.
+    solve_coupled_gare_pi runs policy iteration as a step of the value
+    recursion's loop and must match it bit for bit.
     """
-    vals = ValuePair.zeros(sys_.n)
-    gains = GainPair.zeros(sys_.n, sys_.m1, sys_.m2)
-    for _ in range(max_iters):
-        gains = gains_from_values(sys_, cost, vals)
-        policy = gare._policy_terms(sys_, gains.K1, gains.K2)
-        Ad, An = policy[3:5]
-        if not ms_radius(Ad, An) < 1.0:
-            raise ConvergenceError("the gains are not mean-square stabilizing")
-        nxt = ValuePair(*gare._policy_values(cost, policy, gare._second_moment_map(Ad, An)))
-        d1 = float(np.linalg.norm(nxt.P1 - vals.P1))
-        d2 = float(np.linalg.norm(nxt.P2 - vals.P2))
-        R1, R2 = gare_residuals(sys_, cost, nxt, gains)
-        history.append((d1, d2, float(np.linalg.norm(R1)), float(np.linalg.norm(R2))))
-        vals = nxt
-        if d1 < tol and d2 < tol:
-            return vals, gains, True
-    return vals, gains, False
+    return _plain_loop(_plain_pi_sweep, sys_, cost, tol, max_iters, history)
 
 
 def _assert_pi_bit_identical(sys_, cost, tol):

@@ -116,9 +116,11 @@ def call_sites(source, name):
     return found
 
 
-# the gare functions that take (S, ., .) stacks; every other product of two
-# matrices in the sweep is ndarray.dot, at about half matmul's dispatch cost
-GARE_STACK_FUNCTIONS = {"_mm", "_value_update", "_residuals"}
+# the functions of the coupled-Riccati sweep (gare and its Q-form core in
+# qfunction) that take (S, ., .) stacks; every other product of two matrices
+# in the sweep is ndarray.dot, at about half matmul's dispatch cost
+GARE_STACK_FUNCTIONS = {"_mm", "_residuals", "_policy_step", "_h_stack", "_sandwich"}
+SWEEP_MODULES = ("gare.py", "qfunction.py")
 
 
 def test_detects_a_matmul_outside_the_allowed_functions():
@@ -131,10 +133,13 @@ def test_detects_a_matmul_outside_the_allowed_functions():
 
 
 def test_gare_sweep_products_are_dot():
-    source = (PACKAGE / "gare.py").read_text()
-    assert matmuls_outside(source, GARE_STACK_FUNCTIONS) == []
+    sources = [(PACKAGE / m).read_text() for m in SWEEP_MODULES]
+    # q_value's z'Hz on one vector is no part of the sweep
+    assert [f for src in sources for f in matmuls_outside(src, GARE_STACK_FUNCTIONS)] \
+        == ["q_value"]
     # each allowed function still takes stacks through matmul
-    assert matmuls_outside(source, set()) == sorted(GARE_STACK_FUNCTIONS)
+    assert sorted(f for src in sources for f in matmuls_outside(src, set())) \
+        == sorted(GARE_STACK_FUNCTIONS | {"q_value"})
 
 
 def test_detects_each_call_site():
@@ -149,6 +154,19 @@ def test_one_solve_report_construction():
     sites = [(m, f) for m in MODULES
              for f in call_sites((PACKAGE / m).read_text(), "SolveReport")]
     assert sites == [("gare.py", "_solve")]
+
+
+def test_one_gain_system_solve():
+    # the solver and the learner read their gains from H through one core:
+    # np.linalg.solve runs the stacked gain system in _gain_solve alone,
+    # beside the residuals' two Delta solves and the policy values' Lyapunov
+    # system
+    sites = [(m, f) for m in MODULES for f in call_sites((PACKAGE / m).read_text(), "solve")]
+    assert sites == [("gare.py", "_residuals"), ("gare.py", "_residuals"),
+                     ("gare.py", "_policy_values"), ("qfunction.py", "_gain_solve")]
+    sites = [(m, f) for m in MODULES
+             for f in call_sites((PACKAGE / m).read_text(), "_gain_solve")]
+    assert sites == [("gare.py", "_gains"), ("qfunction.py", "gains_from_q")]
 
 
 def test_detects_an_unread_private_name():

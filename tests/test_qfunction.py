@@ -12,16 +12,15 @@ from stoch_h2hinf import (
     SdltiSystem,
     ValuePair,
     gains_from_q,
-    gains_from_values,
     h_from_values,
     mat_from_vecs,
     q_value,
     values_from_q,
     vech,
     vecs,
-    vi_value_update,
 )
-from stoch_h2hinf.qfunction import _outer_vech
+from stoch_h2hinf.qfunction import _gain_index, _outer_vech
+from test_gare import _classic_sweep
 
 # Hand-worked scalar case: a1=0.8, a2=0.1, b1=0.5, c1=0.2, c2=0.05,
 # gamma=2, Q=1, P1=-1, P2=2.
@@ -185,13 +184,13 @@ def test_gains_from_q_scalar_oracle(scalar_sys, scalar_cost):
 
 
 def test_gain_routes_agree(f16, f16_solution):
+    # H's blocks against the classic stacked system of Delta blocks
     sys_, cost = f16
     vals = f16_solution.values
-    q = h_from_values(sys_, cost, vals)
-    g_q = gains_from_q(q)
-    g_v = gains_from_values(sys_, cost, vals)
-    np.testing.assert_allclose(g_q.K1, g_v.K1, atol=1e-12)
-    np.testing.assert_allclose(g_q.K2, g_v.K2, atol=1e-12)
+    g_q = gains_from_q(h_from_values(sys_, cost, vals))
+    K1, K2 = _classic_sweep(sys_, cost, vals.P1, vals.P2)[:2]
+    np.testing.assert_allclose(g_q.K1, K1, atol=1e-12)
+    np.testing.assert_allclose(g_q.K2, K2, atol=1e-12)
 
 
 def test_values_from_q_zero_values(scalar_sys, scalar_cost):
@@ -204,13 +203,13 @@ def test_values_from_q_zero_values(scalar_sys, scalar_cost):
 
 def test_composition_matches_value_update(f16, random_population):
     # values_from_q(h_from_values(P), gains_from_q(...)) is one exact
-    # policy-improvement step, identical to the model-based update.
+    # policy-improvement step, the classic model-based update to rounding
     for sys_, cost in [f16] + random_population[:6]:
         vals = ValuePair.zeros(sys_.n)
         for _ in range(5):
             q = h_from_values(sys_, cost, vals)
             via_q = values_from_q(q, gains_from_q(q))
-            direct = vi_value_update(sys_, cost, vals, gains_from_values(sys_, cost, vals))
+            direct = ValuePair(*_classic_sweep(sys_, cost, vals.P1, vals.P2)[2:])
             np.testing.assert_allclose(via_q.P1, direct.P1, atol=1e-10)
             np.testing.assert_allclose(via_q.P2, direct.P2, atol=1e-10)
             vals = direct
@@ -300,3 +299,66 @@ def test_cached_triangle_matches_the_direct_formulas():
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
+
+
+def _plain_q_maps(sys_, cost, vals):
+    """h_from_values, gains_from_q and values_from_q written per member, one
+    2-D product at a time: (H1, H2), (K1, K2) and the values of H under them."""
+    n, m1, m2 = sys_.dims
+    x, u, v = slice(0, n), slice(n, n + m1), slice(n + m1, None)
+    L = np.hstack([sys_.A1, sys_.B1, sys_.C1])
+    G = np.hstack([sys_.A2, np.zeros((n, m1)), sys_.C2])
+    base1, base2 = np.zeros((sys_.p, sys_.p)), np.zeros((sys_.p, sys_.p))
+    base1[x, x], base2[x, x] = -cost.Q, cost.Q
+    base1[u, u], base2[u, u] = -np.eye(m1), np.eye(m1)
+    base1[v, v] = cost.gamma**2 * np.eye(m2)
+    H1, H2 = ((B + L.T @ P @ L + G.T @ P @ G) for B, P in ((base1, vals.P1), (base2, vals.P2)))
+    H1, H2 = (H1 + H1.T) / 2.0, (H2 + H2.T) / 2.0
+    blk = np.block([[H1[v, v], H1[u, v].T], [H2[u, v], H2[u, u]]])
+    KK = -np.linalg.solve(blk, np.vstack([H1[x, v].T, H2[x, u].T]))
+    K1, K2 = KK[:m2], KK[m2:]
+    T = np.vstack([np.eye(n), K2, K1])
+    P1, P2 = T.T @ H1 @ T, T.T @ H2 @ T
+    return (H1, H2), (K1, K2), ((P1 + P1.T) / 2.0, (P2 + P2.T) / 2.0)
+
+
+@pytest.mark.parametrize("n,m1,m2", [(1, 1, 1), (3, 1, 1), (2, 2, 2), (4, 1, 2), (5, 2, 1)])
+def test_q_maps_match_plain_per_member_reference(n, m1, m2):
+    # the learner's maps run on (2, p, p) stacks through the solver's core;
+    # each member keeps the bits of its own 2-D expression
+    rng = np.random.default_rng(10 * n + m1 + m2)
+    for _ in range(50):
+        A1, A2 = rng.standard_normal((2, n, n))
+        B1, C1, C2 = (rng.standard_normal((n, m)) for m in (m1, m2, m2))
+        M = rng.standard_normal((n, n))
+        sys_ = SdltiSystem(A1, A2, B1, C1, C2)
+        cost = CostSpec(rng.uniform(0.5, 5.0), M @ M.T)
+        P1, P2 = (S + S.T for S in rng.standard_normal((2, n, n)))
+        vals = ValuePair(P1, P2)
+        (H1, H2), (K1, K2), (V1, V2) = _plain_q_maps(sys_, cost, vals)
+        q = h_from_values(sys_, cost, vals)
+        g = gains_from_q(q)
+        got = values_from_q(q, g)
+        assert _same_bits(q.H1, H1) and _same_bits(q.H2, H2)
+        assert _same_bits(g.K1, K1) and _same_bits(g.K2, K2)
+        assert _same_bits(got.P1, V1) and _same_bits(got.P2, V2)
+    assert not _gain_index(n, m1, m2).flags.writeable
+
+
+def test_each_caller_names_a_failed_gain_solve(scalar_sys, scalar_cost):
+    # one core solves the gain system; the solver and the learner each keep
+    # their own message for a singular block, and the learner its check of
+    # an overflowing solve
+    from stoch_h2hinf import GainExtractionError, QPair
+    from stoch_h2hinf.gare import _gains
+
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(GainExtractionError, match="^gain block is singular: Singular matrix$"):
+        gains_from_q(QPair(H, H, 1, 1, 1))
+    with pytest.raises(GainExtractionError,
+                       match="^stacked gain system is singular: Singular matrix$"):
+        _gains(scalar_sys, scalar_cost, np.array((H, H)))
+    H = np.array([[1.0, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1e-300]])
+    with pytest.raises(GainExtractionError,
+                       match="^gain block solve produced non-finite entries$"):
+        gains_from_q(QPair(H, H, 1, 1, 1))

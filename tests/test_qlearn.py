@@ -799,6 +799,19 @@ class TestRunValueIteration:
                   for a, b in zip(prev, prev[1:])]
             assert dP == [row[:2] for row in direct.history]
 
+    def test_h_is_h_from_values_of_the_previous_values(self, f16, random_population):
+        # the mirror records the loop's own H(i), which is h_from_values of
+        # P(i-1) bit for bit: every dH and the final q pin it
+        for sys_, cost in [f16, *random_population[:4]]:
+            rep = run_value_iteration(sys_, cost, _analytic_config(tol=1e-9, max_iters=5000))
+            prev = [ValuePair.zeros(sys_.n)] + [it.values for it in rep.history]
+            qs = [QPair.zeros(*sys_.dims)] + [h_from_values(sys_, cost, v) for v in prev[:-1]]
+            dH = [(np.linalg.norm(b.H1 - a.H1), np.linalg.norm(b.H2 - a.H2))
+                  for a, b in zip(qs, qs[1:])]
+            assert dH == [(it.dH1, it.dH2) for it in rep.history]
+            np.testing.assert_array_equal(rep.q.H1, qs[-1].H1)
+            np.testing.assert_array_equal(rep.q.H2, qs[-1].H2)
+
     def test_nonconvergence_attaches_report(self, f16):
         sys_, cost = f16
         with pytest.raises(ConvergenceError, match="no fixed point within 5 iter") as exc:
@@ -1148,13 +1161,14 @@ def test_learner_builds_validated_containers_a_fixed_number_of_times(f16, monkey
                                                   branches=branches), gains, X0)
             assert rep.iterations == iters
             counts[mode, iters] = sorted(built)
-    # the VI mirror: its zero start pair only, whatever its sweep count
+    assert all(c == ["QPair", "ValuePair"] for c in counts.values())
+    # the VI mirror: its zero start QPair only, whatever its sweep count
     for tol in (1e-1, 1e-3):
         built.clear()
         rep = run_value_iteration(*f16, AlgoConfig(tol=tol, max_iters=500))
         counts["vi", rep.iterations] = sorted(built)
     assert ("vi", 221) in counts and len(counts) == 6
-    assert all(c == ["QPair", "ValuePair"] for c in counts.values())
+    assert all(c == ["QPair"] for (route, _), c in counts.items() if route == "vi")
 
 
 def test_learner_iteration_checks_no_symmetry(f16, monkeypatch):
