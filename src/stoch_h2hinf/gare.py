@@ -27,14 +27,17 @@ gather positions and T are built once per solve; a stacked matmul runs the
 2-D call's gemm on each item, so each member keeps its 2-D bits.
 
 The recursion never reads the residuals of the coupled equations, so the
-sweep does not compute them.  The solvers' one report body, _solve, keeps
-each sweep's gains and values and computes the residuals of a block of
-sweeps in one pass over (S, n, n) stacks through the classic Delta blocks
-and closed-loop matrices, with the helpers the 2-D call uses (gare_residuals).
-The bits stay: a stacked matmul runs the 2-D call's gemm, gemv or syrk on
-each item, a stacked solve the same gesv.  A stacked solve fails as a
-whole, so a singular Delta is named by walking the block in sweep order,
-and a pending block is computed before any error from the loop propagates.
+sweep does not compute them.  The solvers' one report body, _solve, writes
+each sweep's gains and values into two block stacks allocated once per
+solve and computes a block's residuals in one pass over views of them
+through the classic Delta blocks and closed-loop matrices, with the helpers
+the 2-D call uses (gare_residuals).  The bits stay: a stacked matmul runs
+the 2-D call's gemm, gemv or syrk on each item, a stacked solve the same
+gesv.  A stacked solve fails as a whole, so a singular Delta is named by
+walking the block in sweep order, and a pending block is computed before
+any error from the loop propagates.  The loop enters no float-error
+context; each consumer (_solve, the vi mirror, random_feasible_system)
+holds one np.errstate around it, entered once per solve.
 On 2-D operands a product of two matrices is ndarray.dot, at about half
 matmul's dispatch cost (_mm picks), with matmul's bits save one case
 tests/test_gare.py pins: an outer product whose entry underflows (a factor
@@ -104,8 +107,10 @@ def _gains(sys, cost, HH):
     """
     n, m1, m2 = sys.dims
     A = HH.take(_gain_index(n, m1, m2))
-    for name, D in (("Delta1", A[:m2, :m2]), ("Delta2", A[m2:, m2:m2 + m1])):
-        if _least_eigenvalue(D) <= _PD_TOL:
+    # Delta1 = A[:m2, :m2] and Delta2 = A[m2:, m2:m2 + m1]; a 1x1 block is its entry
+    for name, i, m in (("Delta1", 0, m2), ("Delta2", m2, m1)):
+        least = A.item(i, i) if m == 1 else _least_eigenvalue(A[i:i + m, i:i + m])
+        if least <= _PD_TOL:
             raise AttenuationInfeasibleError(
                 f"{name} is not positive definite; gamma={cost.gamma} too small"
             )
@@ -142,12 +147,6 @@ def _residuals(sys, cost, P1, P2, K1, K2):
         raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
     R2 = -P2 + AvP2 @ Av + cost.Q + np.swapaxes(An, -1, -2) @ P2 @ An - S2
     return symmetrize(R1), symmetrize(R2)
-
-
-def _fro(M):
-    """Frobenius norm, summed in the order np.linalg.norm sums it."""
-    v = M.ravel(order="K")
-    return math.sqrt(v.dot(v))
 
 
 def gains_from_values(sys, cost, vals):
@@ -244,12 +243,15 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
     _policy_step), HH being H at the current values and T = [I; K2; K1]
     holding the gains read from it.
 
-    Yields (HH, K1, K2, P1, P2, (dP1, dP2), stop): H at the previous values,
-    the gains extracted from it, the updated values, the Frobenius norms of
-    the value changes, and whether both fell below tol, which ends the
-    iteration.  Raises ConvergenceError when max_iters runs out, an iterate
-    leaves the finite range (that sweep is not yielded) or step raises one
-    (the sweep appended).
+    Yields (HH, K1, K2, PP, (dP1, dP2), stop): H at the previous values,
+    the gains extracted from it, the updated values PP = (P1, P2) stacked,
+    the Frobenius norms of the value changes, and whether both fell below
+    tol, which ends the iteration.  Raises ConvergenceError when max_iters
+    runs out, an iterate leaves the finite range (that sweep is not yielded)
+    or step raises one (the sweep appended).  Overflow and inf - inf only
+    occur once the iteration diverges, which those checks report: each
+    consumer runs the loop under np.errstate(over="ignore", invalid="ignore"),
+    as a context entered here would be held across the yield.
     """
     if not 0 < tol < math.inf:
         raise ConfigError("tol must be a positive finite number")
@@ -259,29 +261,25 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
     form = _q_form(sys, cost)
     T = np.eye(sys.p, n)
     PP = np.zeros((2, n, n))
-    P1, P2 = PP
     for sweep in range(1, max_iters + 1):
-        # overflow and inf - inf only occur once the iteration diverges, which
-        # the step's checks or the finiteness check below report
-        with np.errstate(over="ignore", invalid="ignore"):
-            HH = _h_stack(form, PP)
-            K1, K2 = _gains(sys, cost, HH)
-            T[n:n + m1], T[n + m1:] = K2, K1
-            try:
-                PPn = step(form, HH, T)
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"{exc} at sweep {sweep}") from None
-            P1n, P2n = PPn
-            d1, d2 = _fro(P1n - P1), _fro(P2n - P2)
-            # dP overflows well before the entries do: only then are they read
-            if not math.isfinite(d1 + d2) and not np.isfinite(PPn).all():
-                raise ConvergenceError(f"no fixed point: the iterate left the "
-                                       f"finite range at sweep {sweep}")
+        HH = _h_stack(form, PP)
+        K1, K2 = _gains(sys, cost, HH)
+        T[n:n + m1], T[n + m1:] = K2, K1
+        try:
+            PPn = step(form, HH, T)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at sweep {sweep}") from None
+        # both stacks C-ordered, so each norm has np.linalg.norm's bits
+        d1, d2 = _fro_norms(PPn - PP).tolist()
+        # dP overflows well before the entries do: only then are they read
+        if not math.isfinite(d1 + d2) and not np.isfinite(PPn).all():
+            raise ConvergenceError(f"no fixed point: the iterate left the "
+                                   f"finite range at sweep {sweep}")
         stop = d1 < tol and d2 < tol
-        yield HH, K1, K2, P1n, P2n, (d1, d2), stop
+        yield HH, K1, K2, PPn, (d1, d2), stop
         if stop:
             return
-        PP, P1, P2 = PPn, P1n, P2n
+        PP = PPn
     raise ConvergenceError(
         f"no fixed point within {max_iters} iterations (tol={tol:g}); "
         f"last dP=({d1:.3e}, {d2:.3e})"
@@ -291,55 +289,62 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
 _RES_BLOCK = 64  # sweeps per stacked residual pass: bounds the sweeps held
 
 
-def _residual_rows(sys, cost, sweeps):
-    """(res1, res2) Frobenius norms of a block of sweeps (K1, K2, P1, P2),
-    computed in one stacked pass with the bits of one pass per sweep.
+def _residual_rows(sys, cost, KK, PP):
+    """(res1, res2) Frobenius norms of a block of sweeps, computed in one
+    stacked pass over views of its gains KK = [K1; K2] (S, m2 + m1, n) and
+    values PP = (P1, P2) (S, 2, n, n), with the bits of one pass per sweep.
 
     A stacked solve fails as a whole, so a singular Delta block is named by
     walking the sweeps in order, Delta1 before Delta2 within a sweep: the
     error each sweep's own residuals raised when the loop computed them.
     """
-    K1, K2, P1, P2 = (np.stack(a) for a in zip(*sweeps))
-    # a diverging iterate overflows here as it does in the sweep
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            R1, R2 = _residuals(sys, cost, P1, P2, K1, K2)
-        except AttenuationInfeasibleError:
-            for k1, k2, p1, p2 in sweeps:
-                _residuals(sys, cost, p1, p2, k1, k2)
-            raise
-        return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
+    m2 = sys.m2
+    P1, P2, K1, K2 = PP[:, 0], PP[:, 1], KK[:, :m2], KK[:, m2:]
+    try:
+        R1, R2 = _residuals(sys, cost, P1, P2, K1, K2)
+    except AttenuationInfeasibleError:
+        for sweep in zip(P1, P2, K1, K2):
+            _residuals(sys, cost, *sweep)
+        raise
+    return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
 
 
 def _solve(sys, cost, tol, max_iters, step):
     """_value_iteration with step and its SolveReport, whose rows hold each
     sweep's residuals at its values and the gains it evaluated.  A
     ConvergenceError carries the report, save one at sweep 1 (none to make)."""
-    dps, res, block, err = [], [], [], None
+    n, m1, m2 = sys.dims
+    # a block's gains and values, written in place sweep by sweep
+    KK, PP = np.empty((_RES_BLOCK, m2 + m1, n)), np.empty((_RES_BLOCK, 2, n, n))
+    dps, res, held, err = [], [], 0, None
     try:
-        try:
-            for _, K1, K2, P1, P2, dP, _ in _value_iteration(sys, cost, tol, max_iters, step):
-                dps.append(dP)
-                block.append((K1, K2, P1, P2))
-                if len(block) == _RES_BLOCK:
-                    # emptied first, so a pass that raises is not run again below
-                    block, full = [], block
-                    res += _residual_rows(sys, cost, full)
-        finally:
-            # on every exit: a singular Delta in an earlier sweep is raised
-            # in place of whatever ended the loop, as it was when each sweep
-            # computed its own residuals
-            if block:
-                res += _residual_rows(sys, cost, block)
+        # the loop's float-error context: a diverging iterate overflows in
+        # the sweep and the residual pass before the loop's checks report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for _, K1, K2, PPn, dP, _ in _value_iteration(sys, cost, tol, max_iters, step):
+                    dps.append(dP)
+                    KK[held, :m2], KK[held, m2:], PP[held] = K1, K2, PPn
+                    held += 1
+                    if held == _RES_BLOCK:
+                        # emptied first, so a pass that raises is not run again below
+                        held = 0
+                        res += _residual_rows(sys, cost, KK, PP)
+            finally:
+                # on every exit: a singular Delta in an earlier sweep is raised
+                # in place of whatever ended the loop, as it was when each
+                # sweep computed its own residuals
+                if held:
+                    res += _residual_rows(sys, cost, KK[:held], PP[:held])
     except ConvergenceError as exc:
         if not dps:
             raise
-        # K1, K2, P1, P2 hold the last finite sweep
+        # K1, K2, PPn hold the last finite sweep
         err = exc
     gains = GainPair(K1, K2)
     # _policy_step refused every pair at or above ms radius 1, the last too
     stable = step is _policy_step or ms_stable(*closed_loop_pair(sys, gains))
-    report = SolveReport(ValuePair(P1, P2), gains,
+    report = SolveReport(ValuePair(*PPn), gains,
                          tuple(dP + r for dP, r in zip(dps, res)), stable)
     if err is None:
         return report
@@ -413,7 +418,7 @@ def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):
 
     A1 is scaled to spectral radius 0.9, A2 so the open-loop second-moment
     radius stays below 0.95, and the input/disturbance columns are kept
-    small.  Retries until solve_coupled_gare converges feasibly.
+    small.  Retries until the value recursion converges feasibly.
     """
     for _ in range(max_tries):
         A1 = rng.standard_normal((n, n))
@@ -431,7 +436,9 @@ def random_feasible_system(rng, n=3, m1=1, m2=1, gamma=5.0, max_tries=200):
         sys = SdltiSystem(A1, A2, B1, C1, C2)
         cost = CostSpec(gamma, np.eye(n))
         try:
-            solve_coupled_gare(sys, cost, tol=1e-9, max_iters=3000)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in _value_iteration(sys, cost, 1e-9, 3000):
+                    pass
         except (AttenuationInfeasibleError, ConvergenceError, GainExtractionError):
             continue
         return sys, cost

@@ -94,9 +94,11 @@ def _fro_norms(M):
     """Frobenius norms of the C-ordered items of a stack M (S, ...), with
     np.linalg.norm's bits: each item's flat dot with itself, one ddot as
     norm's x.dot(x), then sqrt.  inf, NaN, -0.0 and subnormals included;
-    an overflowing sum warns as norm's does."""
-    F = M.reshape(M.shape[0], math.prod(M.shape[1:]))
-    return np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
+    an overflowing sum warns as norm's does.  Only on C-ordered items: a
+    strided item (mat_from_vecs(W.T)'s, strides (8, 80, 16) on F-16) gets a
+    strided ddot, which can differ in the last bit from norm's on a copy."""
+    S, k = M.shape[0], math.prod(M.shape[1:])
+    return np.sqrt(np.matmul(M.reshape(S, 1, k), M.reshape(S, k, 1))).reshape(S)
 
 
 @dataclass(frozen=True)

@@ -457,17 +457,18 @@ def run_value_iteration(sys, cost, config):
     history = []
     sweeps = _value_iteration(sys, cost, config.tol, config.max_iters)
     try:
-        for HH, K1, K2, P1, P2, (dp1, dp2), stop in sweeps:
-            q_next = _trusted(QPair, HH, *sys.dims)
-            # dH's squared norm overflows long before a diverging iterate does
-            with np.errstate(over="ignore"):
+        # the loop's float-error context; dH's squared norm overflows long
+        # before a diverging iterate does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for HH, K1, K2, PP, (dp1, dp2), stop in sweeps:
+                q_next = _trusted(QPair, HH, *sys.dims)
                 dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
                 dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
-            # the sweep's P pair is finite and symmetrized, and its gains
-            # finite, or the loop would have raised
-            q = q_next
-            history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)),
-                                   _trusted(ValuePair, (P1, P2)), stop))
+                # the sweep's P pair is finite and symmetrized, and its gains
+                # finite, or the loop would have raised
+                q = q_next
+                history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)),
+                                       _trusted(ValuePair, PP), stop))
     except ConvergenceError as err:
         err.report = QLearnReport(q, tuple(history), str(err))
         raise

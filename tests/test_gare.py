@@ -623,8 +623,10 @@ def test_residual_pass_names_first_singular_block():
     # the stacked Delta1 solve fails first in [ok, d2, d1], but sweep d2 comes first
     for block, name in (([ok, d2, d1], "Delta2"), ([ok, d1, d2], "Delta1"),
                         ([ok, both], "Delta1")):
+        # the solver's stacks: [K1; K2] (S, 2, 1) and (P1, P2) (S, 2, 1, 1)
+        stacks = np.array(block)
         with pytest.raises(AttenuationInfeasibleError, match=f"^{name} is singular"):
-            gare._residual_rows(sys_, cost, block)
+            gare._residual_rows(sys_, cost, stacks[:, :2, 0], stacks[:, 2:])
 
 
 def test_residuals_once_per_block(f16, monkeypatch):

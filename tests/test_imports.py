@@ -169,6 +169,19 @@ def test_one_gain_system_solve():
     assert sites == [("gare.py", "_gains"), ("qfunction.py", "gains_from_q")]
 
 
+def test_value_iteration_consumers_hold_the_float_error_context():
+    # the loop enters no np.errstate, so that none is held across a yield:
+    # each consumer runs it under its own, and a new consumer is named here
+    sites = [(m, f) for m in MODULES
+             for f in call_sites((PACKAGE / m).read_text(), "_value_iteration")]
+    assert sites == [("gare.py", "_solve"), ("gare.py", "random_feasible_system"),
+                     ("qlearn.py", "run_value_iteration")]
+    contexts = {(m, f) for m in MODULES
+                for f in call_sites((PACKAGE / m).read_text(), "errstate")}
+    assert set(sites) <= contexts
+    assert ("gare.py", "_value_iteration") not in contexts
+
+
 def test_detects_an_unread_private_name():
     sources = [
         "_USED = 1\n_LEFTOVER = ('a', 'b')\ndef _helper():\n    return 2\n",

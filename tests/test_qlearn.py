@@ -406,6 +406,28 @@ def _rejection(sys_, cost, mode, oracle_mode, rows=None, succ=lambda S: S):
 
 
 class TestRunQLearning:
+    def test_dh_sums_each_member_in_row_order(self, f16, monkeypatch):
+        # qlearn --mode analytic --case 1 --seed 3: dH is np.linalg.norm of
+        # one member's difference, which is C-ordered.  The stack of both
+        # members that mat_from_vecs(W.T) returns is not, and _fro_norms of
+        # the stacked difference reads each item as a strided view, one bit
+        # off at iteration 2: stacking the learner's dH norms would move
+        # convergence.csv
+        stacks = []
+
+        def spy(s):
+            stacks.append(qfunction.mat_from_vecs(s))
+            return stacks[-1]
+
+        monkeypatch.setattr(qlearn_module, "mat_from_vecs", spy)
+        sys_, cost = f16
+        rep = run_q_learning(SystemOracle(sys_, NoiseSource(3), X0), cost,
+                             _analytic_config(), f16_initial_gains(), X0)
+        assert rep.iterations == 221
+        assert rep.history[1].dH2 == 1.414882918947035
+        assert stacks[1].strides == (8, 80, 16)
+        assert model._fro_norms(stacks[1] - stacks[0])[1] == 1.4148829189470349
+
     def test_first_estimates_from_zero(self, f16):
         # Estimate 1 is the pure-cost block diagonal; estimate 2 is
         # h_from_values(-Q, Q).  Both land within regression precision.
