@@ -213,10 +213,11 @@ def closed_loop_path(A1, B1, C1, A2, C2, K1, K2, x0, omegas, eu, ev, prev=None):
                     break
             b = min(a + _BLOCK, T)
             steps(ops, xs, us, vs, omegas, eu, ev, a, b)
-            # NaN compares false, so it trips the guard like an infinity does
-            ok = (np.abs(xs[a + 1:b + 1]) <= GUARD).all(axis=1)
-            if not ok.all():
-                bad = a + 1 + int(np.argmin(ok))
+            # NaN compares false, and a block holding one has a NaN max, so
+            # it trips the guard like an infinity does; rows are read only then
+            size = np.abs(xs[a + 1:b + 1])
+            if not size.max() <= GUARD:
+                bad = a + 1 + int(np.argmin((size <= GUARD).all(axis=1)))
                 xs[bad + 1:] = 0.0
                 us[bad:] = 0.0
                 vs[bad:] = 0.0

@@ -9,7 +9,9 @@ so that vech(Z) . vecs(H) = Tr(Z H) exactly, and in particular
 z'Hz = vech(zz') . vecs(H).  H1/H2 are built from value matrices by
 h_from_values, and gains/values are read back out of H by gains_from_q
 and values_from_q, wrappers over the raw-stack core (_h_stack, _gain_solve,
-_sandwich) on which the coupled-Riccati solver sweeps too.
+_sandwich) on which the coupled-Riccati solver sweeps too.  The learner's
+loop runs the same core on the stacks it holds; its gain solve is
+_q_gains, the body of gains_from_q, so it raises the same errors.
 """
 
 import functools
@@ -176,14 +178,22 @@ def h_from_values(sys, cost, vals):
     return _trusted(QPair, HH, *sys.dims)
 
 
-def gains_from_q(q):
-    """Extract (K1, K2) from (H1, H2) by the coupled block solve (_gain_solve)."""
+def _q_gains(HH, dims):
+    """[K1; K2] from the stack HH = (H1, H2) with block partition dims by the
+    coupled block solve (_gain_solve); a singular or non-finite solve raises
+    GainExtractionError."""
     try:
-        KK = _gain_solve(np.array((q.H1, q.H2)).take(_gain_index(*q.dims)))
+        KK = _gain_solve(HH.take(_gain_index(*dims)))
     except np.linalg.LinAlgError as exc:
         raise GainExtractionError(f"gain block is singular: {exc}") from exc
     if not np.isfinite(KK).all():
         raise GainExtractionError("gain block solve produced non-finite entries")
+    return KK
+
+
+def gains_from_q(q):
+    """Extract (K1, K2) from (H1, H2) by the coupled block solve (_q_gains)."""
+    KK = _q_gains(np.array((q.H1, q.H2)), q.dims)
     return _trusted(GainPair, (KK[:q.m2], KK[q.m2:]))
 
 

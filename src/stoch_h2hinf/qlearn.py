@@ -15,11 +15,16 @@ regression rows of all N tuples come from one stacked product of z's
 upper-triangle entries, vech(zz') without vech's symmetry check (zz' is
 symmetric by construction), and one SVD of the (N, p(p+1)/2) regression
 matrix gives the excitation check and both solutions, rebuilt as one
-(2, p, p) stack (H1, H2).  Gains come out of H by a block solve, the value
-pair by one stacked sandwich, and the run stops on the three-part rule (both
-H changes below eps plus a Lyapunov-flavored admissibility margin at a
-designated probe state), which takes the H changes the loop has already
-normed.
+(2, p, p) stack (H1, H2).  The loop gathers that stack C-ordered once per
+iteration and runs on it what gains_from_q and values_from_q wrap: the
+gains by the block solve (_q_gains), the value stack (P1, P2) by one
+stacked sandwich on T = [I; K2; K1], allocated once and refilled in place,
+and both H changes by one _fro_norms of the stack difference, with
+np.linalg.norm's bits.  The next window's targets read that value stack.
+The run stops on the three-part rule (both H changes below eps plus a
+Lyapunov-flavored admissibility margin at a designated probe state), which
+takes the H changes the loop has already normed and reads the QPair
+least_squares_h returned.
 
 Containers are validated where they enter from outside: the caller's gains,
 and the QPair, ValuePair and GainPair any public construction makes.  The
@@ -61,11 +66,11 @@ from .model import (
 from .gare import _value_iteration
 from .qfunction import (
     _outer_vech,
+    _q_gains,
+    _sandwich,
     block_slices,
-    gains_from_q,
     mat_from_vecs,
     q_value,
-    values_from_q,
 )
 from ._kernels import GUARD, closed_loop_path
 from .sim import stage_costs
@@ -183,15 +188,16 @@ class SystemOracle(TrajectoryOracle):
         if mode == "mc":
             # rows before a state-guard trip still count, so a branch guard
             # tripping on an earlier row raises first, as it does step by
-            # step; analytic mode guards the realized path only
-            ok = (np.abs(succ) <= GUARD).all(axis=(1, 2))
-            if not ok.all():
-                raise DivergenceError(k + int(np.argmin(ok)))
+            # step; analytic mode guards the realized path only.  A NaN
+            # max fails the test too; rows are read only then
+            size = np.abs(succ)
+            if not size.max(initial=0.0) <= GUARD:
+                raise DivergenceError(k + int(np.argmin((size <= GUARD).all(axis=(1, 2)))))
         if bad >= 0:
             self._x, self._k = xs[bad - 1].copy(), k + bad
             raise DivergenceError(k + bad)
         self._x, self._k = xs[N].copy(), k + N
-        return np.hstack([xs[:-1], us, vs]), succ
+        return np.concatenate((xs[:-1], us, vs), axis=1), succ
 
 
 def _rows_times(A, X):
@@ -210,27 +216,27 @@ def _quad_rows(X, P):
     return _dot_rows(np.matmul(X[:, None, :], P)[:, 0, :], X)
 
 
-def _continuations(succ, cont):
+def _continuations(succ, PP):
     """(N, 2) mean of x+'P x+ over each row's successor samples S (n, B), for
-    P1 and P2 of the value pair cont: <P, S S'> / B.
+    P1 and P2 of the C-ordered value stack PP = (P1, P2): <P, S S'> / B.
 
     The moments S S' are one stacked matmul, which runs per row the BLAS
     call of a 2-D S @ S.T, and both members are one (N, n^2)·(n^2, 2)
     product."""
     N, n, B = succ.shape
     M = np.matmul(succ, succ.transpose(0, 2, 1))
-    C = M.reshape(N, n * n) @ np.array((cont.P1, cont.P2)).reshape(2, n * n).T
+    C = M.reshape(N, n * n) @ PP.reshape(2, n * n).T
     C /= B
     return C
 
 
-def _targets(Z, succ, cost, cont, slices):
+def _targets(Z, succ, cost, PP, slices):
     """The window's (N, 2) Bellman targets: the stage cost of each row
-    z = [x; u; v] plus its continuation E[x+'P x+] for the value pair cont.
+    z = [x; u; v] plus its continuation E[x+'P x+] for the value stack PP.
     The stage costs run, row by row, the BLAS call of a per-tuple .dot;
     X @ Q (a gemm) or einsum row sums would move their last bits."""
     sx, su, sv = slices
-    Y = _continuations(succ, cont)
+    Y = _continuations(succ, PP)
     X, U, V = Z[:, sx], Z[:, su], Z[:, sv]
     r2 = _quad_rows(X, cost.Q) + _dot_rows(U, U)
     Y[:, 0] += cost.gamma**2 * _dot_rows(V, V) - r2
@@ -376,7 +382,11 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
 
     q = QPair.zeros(n, m1, m2)
     gains = initial_gains
-    vals = ValuePair.zeros(n)
+    # the loop's stacks: H = (H1, H2) gathered C-ordered once per iteration,
+    # the values (P1, P2) its targets read, and T = [I; K2; K1] refilled in place
+    HH = np.array((q.H1, q.H2))
+    PP = np.zeros((2, n, n))
+    T = np.eye(p, n)
     oracle.reset(x0)
     k = 0
     history = []
@@ -401,7 +411,7 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
                 f"{mode} rollout returned rows {np.shape(Z)} and successors {shape}, "
                 f"expected {(N, p)} and ({N}, {n}, B) with B >= 1"
             )
-        Y = _targets(Z, succ, cost, vals, (sx, su, sv))
+        Y = _targets(Z, succ, cost, PP, (sx, su, sv))
         k += N
         X = _outer_vech(Z)
         try:
@@ -420,21 +430,26 @@ def run_q_learning(oracle, cost, config, initial_gains, x0):
                 f"X column norms {cols.max():.3e}..{cols.min():.3e}, "
                 f"probe-to-state ratio {ratio:.3e}"
             ) from exc
+        HH_next = np.array((q_next.H1, q_next.H2))
         if mode == "analytic":
             # exact estimates expose the Delta1 block of the stacked solve;
             # losing its definiteness means gamma is infeasible
-            if _least_eigenvalue(q_next.H1[sv, sv]) <= 0.0:
+            if _least_eigenvalue(HH_next[0, sv, sv]) <= 0.0:
                 raise AttenuationInfeasibleError(
                     f"H1 vv-block lost definiteness at iteration {i + 1}"
                 )
-        gains_next = gains_from_q(q_next)
-        vals_next = values_from_q(q_next, gains_next)
-        dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
-        dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
+        # gains_from_q and values_from_q, on the one gathered stack
+        KK = _q_gains(HH_next, (n, m1, m2))
+        T[su], T[sv] = KK[m2:], KK[:m2]
+        PP = _sandwich(HH_next, T)
+        gains_next = _trusted(GainPair, (KK[:m2], KK[m2:]))
+        vals_next = _trusted(ValuePair, PP)
+        # both stacks C-ordered, so each norm has np.linalg.norm's bits
+        dh1, dh2 = _fro_norms(HH_next - HH).tolist()
         stop, why = _stop_rule(dh1, dh2, q, q_next, gains, gains_next, x0, cost,
                                config.tol)
         history.append(Iterate(dh1, dh2, gains_next, vals_next, stop, svmin))
-        q, gains, vals = q_next, gains_next, vals_next
+        q, HH, gains = q_next, HH_next, gains_next
         if stop:
             reason = f"stopped at iteration {i + 1}: {why}"
             break

@@ -8,10 +8,17 @@ which realizes the (run seed, step index, branch index) derivation rule.
 
 A derived stream is pinned to numpy: its draws are those of
 default_rng(SeedSequence((seed, tag, key))).  Rather than build a
-SeedSequence per key, NoiseSource hashes a block of keys at once with
-SeedSequence's pool hash (numpy/random/bit_generator.pyx) and applies
-PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905) to each, then
-samples every key from one reused generator.
+SeedSequence per key, NoiseSource hashes a block of _SEED_BLOCK keys at
+once with SeedSequence's pool hash (numpy/random/bit_generator.pyx): the
+seed and tag words, and the key's high words, which every key of a block
+shares, enter as one-element arrays broadcast against the keys' low words.
+PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905), two LCG steps mod
+2^128, runs on the whole block as uint64 (hi, lo) limb arrays, each 64x64
+-> 128-bit product taken through 32-bit halves; the Python ints numpy's
+state setter takes are built once per key.  A window walks its keys block
+by block, one seed-list lookup per block, and each row only loads its
+(state, inc) into one reused state dict and generator and draws into its
+row.
 
 simulate_to_csv steps the closed loop one chunk of _CHUNK steps at a time,
 one kernel call each, given the state before the chunk's first so that a
@@ -52,8 +59,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MASK32, _LO32 = (1 << 32) - 1, np.uint64((1 << 32) - 1)
 _SEED_BLOCK = 512  # derived-stream keys hashed per vectorized pass
 
 
@@ -82,16 +89,41 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+def _mul64(a, b):
+    """(hi, lo) uint64 words of the 128-bit products a b of uint64 arrays,
+    from the four products of their 32-bit halves."""
+    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _LO32, b >> 32, b & _LO32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)  # below 3 * 2^32: no wrap
+    hi = a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    return hi, mid << 32 | ll & _LO32
+
+
+def _add128(a, b):
+    """a + b mod 2^128 of (hi, lo) uint64 limb pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _pcg_step(s, inc):
+    """s * MULT + inc mod 2^128, PCG64's LCG step, on (hi, lo) limbs:
+    the low limbs' full product plus the two cross products' low words."""
+    hi, lo = _mul64(s[1], _PCG_MULT_LO)
+    hi = hi + s[1] * _PCG_MULT_HI + s[0] * _PCG_MULT_LO
+    return _add128((hi, lo), inc)
+
+
 def _pcg_seeds(entropy):
     """PCG64 (state, inc) of default_rng(SeedSequence(e)) for each row e.
 
-    entropy holds one uint32 array per entropy word, one entry per row:
-    the rows' assembled entropy.  All rows are hashed at once.
+    entropy holds one uint32 array per entropy word, one entry per row or
+    one entry that every row shares: the rows' assembled entropy, broadcast.
+    All rows are hashed, and seeded, at once.
     """
     h = _INIT_A
     pool = []
     for i in range(_POOL):
-        word = entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])
+        word = entropy[i] if i < len(entropy) else np.zeros(1, dtype=np.uint32)
         word, h = _hash(word, h, _MULT_A)
         pool.append(word)
     for src in range(_POOL):
@@ -105,18 +137,17 @@ def _pcg_seeds(entropy):
             pool[dst] = _mix(pool[dst], word)
     # generate_state(4, uint64): eight words cycled from the pool, paired
     # little-endian into (initstate hi, lo, initseq hi, lo)
-    h, state = _INIT_B, []
+    h, words = _INIT_B, []
     for i in range(8):
         word, h = _hash(pool[i % _POOL], h, _MULT_B)
-        state.append(word.astype(np.uint64))
-    halves = [(state[i] | state[i + 1] << 32).tolist() for i in range(0, 8, 2)]
-    seeds = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
-        # PCG64's srandom: two LCG steps from state 0, initstate added between
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state0 = (s_hi << 64 | s_lo) + inc
-        seeds.append((state0 * _PCG_MULT + inc & _MASK128, inc))
-    return seeds
+        words.append(word.astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64's srandom: two LCG steps from state 0, initstate added between,
+    # so the state is (initstate + inc) * MULT + inc, inc = initseq << 1 | 1
+    inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
+    state = _pcg_step(_add128((s_hi, s_lo), inc), inc)
+    return [(s_h << 64 | s_l, i_h << 64 | i_l)
+            for s_h, s_l, i_h, i_l in zip(*(a.tolist() for a in (*state, *inc)))]
 
 
 @dataclass
@@ -147,13 +178,14 @@ class NoiseSource:
         """PCG64 (state, inc) for keys block * _SEED_BLOCK onward, hashed once."""
         cache_key = (int(self.seed), tag, block)
         if cache_key not in self._blocks:
-            keys = range(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK)
+            first = block * _SEED_BLOCK
             # _SEED_BLOCK divides 2^32, so every key of a block has as many
-            # words as its first and the block shares one entropy layout
-            entropy = [np.full(_SEED_BLOCK, w, dtype=np.uint32)
-                       for w in _words(self.seed) + _words(tag)]
-            entropy += [np.array([k >> shift & _MASK32 for k in keys], dtype=np.uint32)
-                        for shift in range(0, 32 * len(_words(keys[0])), 32)]
+            # words as its first, and only the lowest differs: the other
+            # words are one entry each, shared by the block's rows
+            low, *high = _words(first)
+            entropy = [np.array([w], dtype=np.uint32) for w in _words(self.seed) + _words(tag)]
+            entropy.append(np.arange(low, low + _SEED_BLOCK, dtype=np.uint32))
+            entropy += [np.array([w], dtype=np.uint32) for w in high]
             if len(self._blocks) >= 2:
                 del self._blocks[next(iter(self._blocks))]
             self._blocks[cache_key] = _pcg_seeds(entropy)
@@ -163,13 +195,19 @@ class NoiseSource:
         """(rows, count) draws; row t is default_rng(SeedSequence((seed, tag, key + t)))'s."""
         key, rows, count = int(key), int(rows), int(count)
         out = np.empty((rows, count))
-        bitgen = self._derived.bit_generator
-        for t in range(rows):
+        bitgen, normal = self._derived.bit_generator, self._derived.standard_normal
+        # one state dict, refilled per row; one seed-list lookup per block
+        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        pcg = state["state"]
+        t = 0
+        while t < rows:
             block, i = divmod(key + t, _SEED_BLOCK)
-            state, inc = self._block_seeds(tag, block)[i]
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            self._derived.standard_normal(out=out[t])
+            take = min(rows - t, _SEED_BLOCK - i)
+            seeds = self._block_seeds(tag, block)[i:i + take]
+            for row, (pcg["state"], pcg["inc"]) in zip(out[t:t + take], seeds):
+                bitgen.state = state
+                normal(out=row)
+            t += take
         return out
 
     def branch_window(self, step, rows, count):

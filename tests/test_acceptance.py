@@ -260,7 +260,7 @@ def test_criterion_6_unbiased_regression(f16):
             expected = h_from_values(sys_, cost, cont)
             Z, succ = oracle.rollout(gains, schedule.window(k, 20), 1, "analytic")
             k += 20
-            Y = _targets(Z, succ, cost, cont, block_slices(3, 1, 1))
+            Y = _targets(Z, succ, cost, np.array((cont.P1, cont.P2)), block_slices(3, 1, 1))
             rows = [vech(np.outer(z, z)) for z in Z]
             q, _ = least_squares_h(np.array(rows), Y, (3, 1, 1))
             worst = max(

@@ -166,7 +166,11 @@ def test_one_gain_system_solve():
                      ("gare.py", "_policy_values"), ("qfunction.py", "_gain_solve")]
     sites = [(m, f) for m in MODULES
              for f in call_sites((PACKAGE / m).read_text(), "_gain_solve")]
-    assert sites == [("gare.py", "_gains"), ("qfunction.py", "gains_from_q")]
+    assert sites == [("gare.py", "_gains"), ("qfunction.py", "_q_gains")]
+    # the learner's loop and the public gains_from_q share _q_gains
+    sites = [(m, f) for m in MODULES
+             for f in call_sites((PACKAGE / m).read_text(), "_q_gains")]
+    assert sites == [("qfunction.py", "gains_from_q"), ("qlearn.py", "run_q_learning")]
 
 
 def test_value_iteration_consumers_hold_the_float_error_context():

@@ -111,11 +111,16 @@ class TestProbingSchedule:
         assert EV.tobytes() == np.array([[r[1] for r in row[:m2]] for row in ref]).tobytes()
 
 
+def _stack(cont):
+    """The (2, n, n) value stack (P1, P2) the learner's targets read."""
+    return np.array((cont.P1, cont.P2))
+
+
 def _window(oracle, gains, probes, cost, cont, branches, mode):
     """One rollout window and the learner's targets for it: (Z, succ, Y)."""
     Z, succ = oracle.rollout(gains, probes, branches, mode)
     slices = qfunction.block_slices(gains.K1.shape[1], len(gains.K2), len(gains.K1))
-    return Z, succ, qlearn_module._targets(Z, succ, cost, cont, slices)
+    return Z, succ, qlearn_module._targets(Z, succ, cost, _stack(cont), slices)
 
 
 def _one_tuple(sys_, seed, x, e, gains, cost, cont, branches, mode):
@@ -230,7 +235,7 @@ class TestMomentContraction:
         sys_, _ = f16 if member < 0 else random_population[member]
         _, succ, cont = _sampled_window(sys_, seed, N, branches, "mc")
         assert succ.shape == (N, sys_.n, branches)
-        got = qlearn_module._continuations(succ, cont)
+        got = qlearn_module._continuations(succ, _stack(cont))
         for row, S in zip(got, succ):
             for c, P in zip(row, (cont.P1, cont.P2)):
                 assert c == pytest.approx(np.mean([x @ P @ x for x in S.T]), rel=1e-12)
@@ -244,7 +249,7 @@ class TestMomentContraction:
         n, m1, _ = sys_.dims
         Z, succ, cont = _sampled_window(sys_, seed, N, 1, "analytic")
         assert succ.shape == (N, n, 2)
-        got = qlearn_module._continuations(succ, cont)
+        got = qlearn_module._continuations(succ, _stack(cont))
         for z, pair, row in zip(Z, succ, got):
             x, u, v = z[:n], z[n:n + m1], z[n + m1:]
             mu = sys_.A1 @ x + sys_.B1 @ u + sys_.C1 @ v
@@ -267,7 +272,7 @@ class TestMomentContraction:
         _, succ, cont = _sampled_window(sys_, seed, N, branches, mode)
         moments = np.matmul(succ, succ.transpose(0, 2, 1))
         assert moments.tobytes() == np.array([S @ S.T for S in succ]).tobytes()
-        got = qlearn_module._continuations(succ, cont)
+        got = qlearn_module._continuations(succ, _stack(cont))
         assert got.tobytes() == _plain_continuations(succ, cont).tobytes()
 
     @pytest.mark.parametrize("branches", [10, 30, 100])
@@ -1183,7 +1188,8 @@ def test_learner_builds_validated_containers_a_fixed_number_of_times(f16, monkey
                                                   branches=branches), gains, X0)
             assert rep.iterations == iters
             counts[mode, iters] = sorted(built)
-    assert all(c == ["QPair", "ValuePair"] for c in counts.values())
+    # the zero start QPair only: the loop's values start as a zero stack
+    assert all(c == ["QPair"] for c in counts.values())
     # the VI mirror: its zero start QPair only, whatever its sweep count
     for tol in (1e-1, 1e-3):
         built.clear()

@@ -103,6 +103,41 @@ class TestNoiseSource:
             seed, _TAG_RUN, key + t, 1, count).tobytes()
         assert ns.branch_window(key + t, 1, count).tobytes() == expect[t].tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_windows_across_and_onto_block_edges(self, seed):
+        # keys 500..1599 span three hashing blocks, one more than the cache
+        # holds; the other windows end exactly on a block's last key, or
+        # start on a block's first
+        block = sim_module._SEED_BLOCK
+        ns = NoiseSource(seed)
+        for key, rows in ((500, 1100), (2 * block - 24, 24), (2 * block, 5),
+                          (3 * block - 1, 1), (0, block)):
+            got = ns.branch_window(key, rows, 3)
+            assert got.tobytes() == _numpy_rows(seed, _TAG_BRANCH, key, rows, 3).tobytes()
+        # an evicted block hashes again to the same seeds
+        assert ns.branch_window(600, 2, 3).tobytes() == _numpy_rows(
+            seed, _TAG_BRANCH, 600, 2, 3).tobytes()
+
+    def test_seeding_step_on_limbs_is_pythons(self):
+        # PCG64's seeding step (s + inc) * MULT + inc mod 2^128 on uint64
+        # (hi, lo) limbs, against Python ints: all zeros, all ones, a carry
+        # out of the low limb of the sum and of the products' halves
+        mult, top = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
+        edges = [0, 1, top, 2**64 - 1, 2**64, top - (2**64 - 1), 2**127,
+                 2**64 + 2**32 - 1, 0xFFFFFFFF00000000FFFFFFFF00000000]
+        rng = np.random.default_rng(35)
+        edges += [int.from_bytes(rng.bytes(16), "little") for _ in range(20)]
+        pairs = [(s, inc) for s in edges for inc in edges]
+
+        def limbs(values):
+            return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                    np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+        s, inc = (limbs(v) for v in zip(*pairs))
+        hi, lo = sim_module._pcg_step(sim_module._add128(s, inc), inc)
+        got = [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+        assert got == [((s + inc) * mult + inc) & top for s, inc in pairs]
+
     def test_negative_seed_or_key_rejected_like_seedsequence(self):
         for entropy in ((-1, 0), (3, _TAG_BRANCH, -1)):
             with pytest.raises(ValueError):
