@@ -29,19 +29,16 @@ gather positions and T are built once per solve; a stacked matmul runs the
 The recursion never reads the residuals of the coupled equations, so the
 sweep does not compute them.  The solvers' one report body, _solve, writes
 each sweep's gains and values into two block stacks allocated once per
-solve and computes a block's residuals in one pass over views of them
-through the classic Delta blocks and closed-loop matrices, with the helpers
-the 2-D call uses (gare_residuals).  The bits stay: a stacked matmul runs
-the 2-D call's gemm, gemv or syrk on each item, a stacked solve the same
-gesv.  A stacked solve fails as a whole, so a singular Delta is named by
-walking the block in sweep order, and a pending block is computed before
-any error from the loop propagates.  The loop enters no float-error
-context; each consumer (_solve, the vi mirror, random_feasible_system)
-holds one np.errstate around it, entered once per solve.
-On 2-D operands a product of two matrices is ndarray.dot, at about half
-matmul's dispatch cost (_mm picks), with matmul's bits save one case
-tests/test_gare.py pins: an outer product whose entry underflows (a factor
-below 1.6e-162) is -0.0 from dot and +0.0 from matmul.
+solve and computes a block's residuals in one stacked pass over them on the
+same Q-form: R = T'H T - P, each player's best-response improvement, with
+T = [I; K2; K1br] and [I; K2br; K1] holding the best responses read from H's
+Delta blocks.  By the Schur complement on Delta1 = H1vv and Delta2 = H2uu
+these are the classic Delta/closed-loop equations in another rounding order.
+A stacked solve fails as a whole, so a singular Delta is named, with its
+sweep, by walking the block in order; a pending block is computed before
+any error from the loop, which names its sweep too, propagates.  The loop
+enters no float-error context; each consumer (_solve, the vi mirror,
+random_feasible_system) holds one np.errstate around it, once per solve.
 
 Policy iteration (solve_coupled_gare_pi; Kleinman 1968, Hewer 1971) meets
 the same fixed point in a handful of sweeps (8 on F-16 at tol 1e-9, where
@@ -80,23 +77,12 @@ from .qfunction import (
     _h_stack,
     _q_form,
     _sandwich,
+    block_slices,
     h_from_values,
     values_from_q,
 )
 
 _PD_TOL = 1e-12
-
-
-def _mm(a, b):
-    """a @ b, through ndarray.dot when neither is a stack."""
-    return a.dot(b) if a.ndim == b.ndim == 2 else a @ b
-
-
-def _closed_loop(sys, K1, K2):
-    """Au = A1 + B1K2, Ad = Au + C1K1, An = A2 + C2K1 and Av = A1 + C1K1."""
-    C1K1 = _mm(sys.C1, K1)
-    Au = sys.A1 + _mm(sys.B1, K2)
-    return Au, Au + C1K1, sys.A2 + _mm(sys.C2, K1), sys.A1 + C1K1
 
 
 def _gains(sys, cost, HH):
@@ -121,32 +107,33 @@ def _gains(sys, cost, HH):
     return KK[:m2], KK[m2:]
 
 
-def _residuals(sys, cost, P1, P2, K1, K2):
-    """Left-hand sides of the coupled equations at (P1, P2, K1, K2), through
-    the classic Delta blocks and closed-loop matrices.  Every operand may be
-    a stack (..., n, n) of sweeps; a stacked solve fails as a whole when any
-    of its blocks is singular."""
-    D1 = (cost.gamma**2 * np.eye(sys.m2) + _mm(_mm(sys.C2.T, P1), sys.C2)
-          + _mm(_mm(sys.C1.T, P1), sys.C1))
-    D2 = np.eye(sys.m1) + _mm(_mm(sys.B1.T, P2), sys.B1)
-    K2tK2 = _mm(np.swapaxes(K2, -1, -2), K2)
-    Au, _, An, Av = _closed_loop(sys, K1, K2)
-    AuP1, A2P1 = np.swapaxes(Au, -1, -2) @ P1, sys.A2.T @ P1
-    M1 = AuP1 @ sys.C1 + A2P1 @ sys.C2
+def _best_response(H, s, so, K, name):
+    """The gain on H's block s that makes z'Hz stationary in it while block
+    so plays K: -H[s, s]^-1 (H[s, x] + H[s, so] K), over H's leading axes.
+    A singular Delta block H[s, s] raises AttenuationInfeasibleError naming
+    it; a stacked solve fails as a whole."""
     try:
-        S1 = M1 @ np.linalg.solve(D1, np.swapaxes(M1, -1, -2))
+        return -np.linalg.solve(H[..., s, s], H[..., s, :K.shape[-1]] + H[..., s, so] @ K)
     except np.linalg.LinAlgError as exc:
-        raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
-    R1 = -P1 + AuP1 @ Au - cost.Q + A2P1 @ sys.A2 - K2tK2 - S1
+        raise AttenuationInfeasibleError(f"{name} is singular: {exc}") from exc
 
-    AvP2 = np.swapaxes(Av, -1, -2) @ P2
-    M2 = AvP2 @ sys.B1
-    try:
-        S2 = M2 @ np.linalg.solve(D2, np.swapaxes(M2, -1, -2))
-    except np.linalg.LinAlgError as exc:
-        raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
-    R2 = -P2 + AvP2 @ Av + cost.Q + np.swapaxes(An, -1, -2) @ P2 @ An - S2
-    return symmetrize(R1), symmetrize(R2)
+
+def _residuals(form, dims, KK, PP):
+    """The coupled equations' left-hand sides (R1, R2), stacked (S, 2, n, n),
+    at gains KK = [K1; K2] (S, m2 + m1, n) and values PP (S, 2, n, n):
+    Ri = Ti'Hi Ti - Pi at H of the values (_h_stack, the form's L and G
+    broadcast over the block), T1 = [I; K2; K1br] and T2 = [I; K2br; K1] (_best_response)."""
+    n, m1, m2 = dims
+    LG, base = form
+    HH = _h_stack((LG[:, None], base), PP)
+    _, su, sv = block_slices(n, m1, m2)
+    K1, K2 = KK[:, :m2], KK[:, m2:]
+    TT = np.empty((len(PP), 2, n + m1 + m2, n))
+    TT[:, :, :n] = np.eye(n)
+    TT[:, 0, su], TT[:, 1, sv] = K2, K1
+    TT[:, 0, sv] = _best_response(HH[:, 0], sv, su, K2, "Delta1")
+    TT[:, 1, su] = _best_response(HH[:, 1], su, sv, K1, "Delta2")
+    return symmetrize(TT.swapaxes(-1, -2) @ HH @ TT - PP)
 
 
 def gains_from_values(sys, cost, vals):
@@ -167,7 +154,9 @@ def gare_residuals(sys, cost, vals, gains):
 
     Both come back as symmetric matrices; zero at an exact solution.
     """
-    return _residuals(sys, cost, vals.P1, vals.P2, gains.K1, gains.K2)
+    KK, PP = np.vstack((gains.K1, gains.K2))[None], np.array((vals.P1, vals.P2))[None]
+    R1, R2 = _residuals(_q_form(sys, cost), sys.dims, KK, PP)[0]
+    return R1, R2
 
 
 def _second_moment_map(Ad, An):
@@ -199,7 +188,8 @@ def ms_stable(Abar1, Abar2):
 
 def closed_loop_pair(sys, gains):
     """Drift and noise matrices of the loop u = K2 x, v = K1 x."""
-    return _closed_loop(sys, gains.K1, gains.K2)[1:3]
+    K1, K2 = gains.K1, gains.K2
+    return sys.A1 + sys.B1 @ K2 + sys.C1 @ K1, sys.A2 + sys.C2 @ K1
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,8 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
     the Frobenius norms of the value changes, and whether both fell below
     tol, which ends the iteration.  Raises ConvergenceError when max_iters
     runs out, an iterate leaves the finite range (that sweep is not yielded)
-    or step raises one (the sweep appended).  Overflow and inf - inf only
+    or step raises one.  An error from step, the Delta check or the gain
+    solve ends with the sweep it came from.  Overflow and inf - inf only
     occur once the iteration diverges, which those checks report: each
     consumer runs the loop under np.errstate(over="ignore", invalid="ignore"),
     as a context entered here would be held across the yield.
@@ -263,12 +254,12 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
     PP = np.zeros((2, n, n))
     for sweep in range(1, max_iters + 1):
         HH = _h_stack(form, PP)
-        K1, K2 = _gains(sys, cost, HH)
-        T[n:n + m1], T[n + m1:] = K2, K1
         try:
+            K1, K2 = _gains(sys, cost, HH)
+            T[n:n + m1], T[n + m1:] = K2, K1
             PPn = step(form, HH, T)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} at sweep {sweep}") from None
+        except (AttenuationInfeasibleError, ConvergenceError, GainExtractionError) as exc:
+            raise type(exc)(f"{exc} at sweep {sweep}") from exc.__cause__
         # both stacks C-ordered, so each norm has np.linalg.norm's bits
         d1, d2 = _fro_norms(PPn - PP).tolist()
         # dP overflows well before the entries do: only then are they read
@@ -289,31 +280,34 @@ def _value_iteration(sys, cost, tol, max_iters, step=_value_step):
 _RES_BLOCK = 64  # sweeps per stacked residual pass: bounds the sweeps held
 
 
-def _residual_rows(sys, cost, KK, PP):
-    """(res1, res2) Frobenius norms of a block of sweeps, computed in one
-    stacked pass over views of its gains KK = [K1; K2] (S, m2 + m1, n) and
-    values PP = (P1, P2) (S, 2, n, n), with the bits of one pass per sweep.
+def _residual_rows(form, dims, KK, PP, first):
+    """(res1, res2) Frobenius norms of a block of sweeps numbered from
+    first, in one _residuals pass with the bits of one pass per sweep.
 
     A stacked solve fails as a whole, so a singular Delta block is named by
     walking the sweeps in order, Delta1 before Delta2 within a sweep: the
-    error each sweep's own residuals raised when the loop computed them.
+    error each sweep's own residuals raise, with the sweep's number.
     """
-    m2 = sys.m2
-    P1, P2, K1, K2 = PP[:, 0], PP[:, 1], KK[:, :m2], KK[:, m2:]
     try:
-        R1, R2 = _residuals(sys, cost, P1, P2, K1, K2)
+        RR = _residuals(form, dims, KK, PP)
     except AttenuationInfeasibleError:
-        for sweep in zip(P1, P2, K1, K2):
-            _residuals(sys, cost, *sweep)
+        for i in range(len(PP)):
+            try:
+                _residuals(form, dims, KK[i:i + 1], PP[i:i + 1])
+            except AttenuationInfeasibleError as exc:
+                raise AttenuationInfeasibleError(f"{exc} at sweep {first + i}") \
+                    from exc.__cause__
         raise
-    return list(zip(_fro_norms(R1).tolist(), _fro_norms(R2).tolist()))
+    norms = _fro_norms(RR.reshape(-1, *RR.shape[2:])).tolist()
+    return list(zip(norms[::2], norms[1::2]))
 
 
 def _solve(sys, cost, tol, max_iters, step):
     """_value_iteration with step and its SolveReport, whose rows hold each
     sweep's residuals at its values and the gains it evaluated.  A
     ConvergenceError carries the report, save one at sweep 1 (none to make)."""
-    n, m1, m2 = sys.dims
+    n, m1, m2 = dims = sys.dims
+    form = _q_form(sys, cost)
     # a block's gains and values, written in place sweep by sweep
     KK, PP = np.empty((_RES_BLOCK, m2 + m1, n)), np.empty((_RES_BLOCK, 2, n, n))
     dps, res, held, err = [], [], 0, None
@@ -329,13 +323,13 @@ def _solve(sys, cost, tol, max_iters, step):
                     if held == _RES_BLOCK:
                         # emptied first, so a pass that raises is not run again below
                         held = 0
-                        res += _residual_rows(sys, cost, KK, PP)
+                        res += _residual_rows(form, dims, KK, PP, len(res) + 1)
             finally:
                 # on every exit: a singular Delta in an earlier sweep is raised
                 # in place of whatever ended the loop, as it was when each
                 # sweep computed its own residuals
                 if held:
-                    res += _residual_rows(sys, cost, KK[:held], PP[:held])
+                    res += _residual_rows(form, dims, KK[:held], PP[:held], len(res) + 1)
     except ConvergenceError as exc:
         if not dps:
             raise

@@ -462,31 +462,29 @@ def run_value_iteration(sys, cost, config):
     """Model-based mirror of the learning loop, aligned iterate for iterate.
 
     Consumes the solver's value-iteration loop, stop and divergence rules
-    included, and records per iteration the loop's own H(i), which is
+    included, and measures dH on the loop's own H(i), which is
     h_from_values(P(i-1)) bit for bit: exactly what an unbiased estimator
     would produce, so reports from the two routes are directly comparable.
-    A ConvergenceError from the loop carries the report up to the last
-    finite iterate.
+    The report's QPair is the last H(i).  A ConvergenceError from the loop
+    carries the report up to the last finite iterate.
     """
-    q = QPair.zeros(sys.n, sys.m1, sys.m2)
-    history = []
+    HH, history = np.zeros((2, sys.p, sys.p)), []
     sweeps = _value_iteration(sys, cost, config.tol, config.max_iters)
     try:
         # the loop's float-error context; dH's squared norm overflows long
         # before a diverging iterate does
         with np.errstate(over="ignore", invalid="ignore"):
-            for HH, K1, K2, PP, (dp1, dp2), stop in sweeps:
-                q_next = _trusted(QPair, HH, *sys.dims)
-                dh1 = float(np.linalg.norm(q_next.H1 - q.H1))
-                dh2 = float(np.linalg.norm(q_next.H2 - q.H2))
+            for HH_next, K1, K2, PP, (dp1, dp2), stop in sweeps:
+                # both stacks C-ordered, so each norm has np.linalg.norm's bits
+                dh1, dh2 = _fro_norms(HH_next - HH).tolist()
+                HH = HH_next
                 # the sweep's P pair is finite and symmetrized, and its gains
                 # finite, or the loop would have raised
-                q = q_next
                 history.append(Iterate(dh1, dh2, _trusted(GainPair, (K1, K2)),
                                        _trusted(ValuePair, PP), stop))
     except ConvergenceError as err:
-        err.report = QLearnReport(q, tuple(history), str(err))
+        err.report = QLearnReport(_trusted(QPair, HH, *sys.dims), tuple(history), str(err))
         raise
     reason = (f"stopped at iteration {len(history)}: value changes "
               f"({dp1:.3e}, {dp2:.3e}) below {config.tol:g}")
-    return QLearnReport(q, tuple(history), reason)
+    return QLearnReport(_trusted(QPair, HH, *sys.dims), tuple(history), reason)

@@ -198,11 +198,11 @@ class TestSolveCommand:
         assert reason == "exit_reason = " + message
 
     @pytest.mark.parametrize("command, message", [
-        ("solve", "Delta1 is singular: Singular matrix"),
-        ("simulate", "Delta1 is singular: Singular matrix"),
+        ("solve", "Delta1 is singular: Singular matrix at sweep 1"),
+        ("simulate", "Delta1 is singular: Singular matrix at sweep 1"),
         # vi computes no residuals: sweep 2's definiteness check meets the
         # same Delta1 = g^2 + P1 = 0 that sweep 1's residual could not solve
-        ("vi", "Delta1 is not positive definite; gamma=1.0 too small"),
+        ("vi", "Delta1 is not positive definite; gamma=1.0 too small at sweep 2"),
     ])
     def test_singular_delta_exit_3(self, tmp_path, capsys, command, message):
         args = [command, "--system", "custom", "--gamma", "1",

@@ -352,7 +352,32 @@ def _plain_q_gains(sys_, cost, P1, P2):
 
 
 def _plain_residuals(sys_, cost, P1, P2, K1, K2):
-    """Frobenius norms of the coupled equations' left-hand sides, one product at a time."""
+    """Frobenius norms of the coupled equations' left-hand sides, one product
+    at a time: Ri = Ti'Hi Ti - Pi at H1 and H2 of the values, each player
+    answering the other's gain with its best response,
+    T1 = [I; K2; -H1vv^-1 (H1vx + H1vu K2)] and T2 = [I; -H2uu^-1 (H2ux + H2uv K1); K1]."""
+    n, m1 = sys_.n, sys_.m1
+    x, u, v = slice(0, n), slice(n, n + m1), slice(n + m1, None)
+    L, G, base1, base2 = _plain_q_form(sys_, cost)
+    H1 = _sym(base1 + L.T @ P1 @ L + G.T @ P1 @ G)
+    H2 = _sym(base2 + L.T @ P2 @ L + G.T @ P2 @ G)
+    try:
+        K1br = -np.linalg.solve(H1[v, v], H1[v, x] + H1[v, u] @ K2)
+    except np.linalg.LinAlgError as exc:
+        raise AttenuationInfeasibleError(f"Delta1 is singular: {exc}") from exc
+    try:
+        K2br = -np.linalg.solve(H2[u, u], H2[u, x] + H2[u, v] @ K1)
+    except np.linalg.LinAlgError as exc:
+        raise AttenuationInfeasibleError(f"Delta2 is singular: {exc}") from exc
+    T1, T2 = np.vstack([np.eye(n), K2, K1br]), np.vstack([np.eye(n), K2br, K1])
+    R1, R2 = _sym(T1.T @ H1 @ T1 - P1), _sym(T2.T @ H2 @ T2 - P2)
+    return float(np.linalg.norm(R1)), float(np.linalg.norm(R2))
+
+
+def _classic_residuals(sys_, cost, P1, P2, K1, K2):
+    """The coupled equations' left-hand sides in their classic form, through
+    the Delta blocks and the closed-loop matrices, one product at a time: the
+    same equations as _plain_residuals in another order of rounding."""
     A1, A2, B1, C1, C2 = sys_.A1, sys_.A2, sys_.B1, sys_.C1, sys_.C2
     Q, g2 = cost.Q, cost.gamma**2
     Au = A1 + B1 @ K2
@@ -365,7 +390,7 @@ def _plain_residuals(sys_, cost, P1, P2, K1, K2):
           - M1 @ np.linalg.solve(D1, M1.T))
     M2 = Av.T @ P2 @ B1
     R2 = -P2 + Av.T @ P2 @ Av + Q + An.T @ P2 @ An - M2 @ np.linalg.solve(D2, M2.T)
-    return float(np.linalg.norm(_sym(R1))), float(np.linalg.norm(_sym(R2)))
+    return _sym(R1), _sym(R2)
 
 
 def _plain_loop(sweep, sys_, cost, tol, max_iters, history):
@@ -502,6 +527,33 @@ def test_solver_matches_classic_recursion(f16, random_population):
         _assert_near_classic(sys_, cost, 1e-12, 1e-12)
 
 
+def _assert_residuals_match_classic(sys_, cost, P1, P2, K1, K2):
+    got = gare_residuals(sys_, cost, ValuePair(P1, P2), GainPair(K1, K2))
+    scale = max(1.0, np.abs(P1).max(), np.abs(P2).max())
+    for a, b in zip(got, _classic_residuals(sys_, cost, P1, P2, K1, K2)):
+        assert np.abs(a - b).max() <= 1e-13 * scale
+
+
+def test_residuals_match_classic_form(f16, random_population):
+    # each player's best-response improvement is, by the Schur complement on
+    # its Delta block, the classic equation: equal to rounding on every sweep
+    # of the solver and at random symmetric values and gains off its path
+    plants = [f16] + random_population + [
+        random_feasible_system(np.random.default_rng(3), n=n, m1=m1, m2=m2)
+        for n, m1, m2 in ((3, 2, 2), (3, 1, 2), (3, 2, 1), (4, 3, 1))]
+    for sys_, cost in plants:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, K1, K2, PP, _, _ in gare._value_iteration(sys_, cost, 1e-12, 10000):
+                _assert_residuals_match_classic(sys_, cost, *PP, K1, K2)
+    rng = np.random.default_rng(11)
+    for sys_, cost in plants:
+        n, m1, m2 = sys_.dims
+        for _ in range(20):
+            P1, P2 = (_sym(rng.standard_normal((n, n))) for _ in range(2))
+            K1, K2 = rng.standard_normal((m2, n)), rng.standard_normal((m1, n))
+            _assert_residuals_match_classic(sys_, cost, P1, P2, K1, K2)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m1=st.integers(1, 2),
        m2=st.integers(1, 2))
@@ -547,7 +599,7 @@ def test_solver_infeasible_gamma_same_error_same_sweep(monkeypatch):
             m.setattr(np.linalg, "eigvalsh", recording)
             with pytest.raises(AttenuationInfeasibleError) as got:
                 solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=sweep)
-        assert str(got.value) == message
+        assert str(got.value) == f"{message} at sweep {sweep}"
         # only blocks larger than 1x1 reach eigvalsh, once per sweep
         assert seen == [(sys_.m2, sys_.m2)] * (sweep if sys_.m2 > 1 else 0)
         # the sweeps before the failing one complete as in the plain recursion
@@ -604,7 +656,7 @@ def test_solver_residual_blocks_bit_identical(f16, random_population, monkeypatc
         for max_iters in (3, 10000):
             with pytest.raises(AttenuationInfeasibleError) as got:
                 solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=max_iters)
-            assert str(got.value) == str(ref.value)
+            assert str(got.value) == f"{ref.value} at sweep 3"
         with pytest.raises(ConvergenceError) as exc:
             solve_coupled_gare(sys_, cost, tol=1e-12, max_iters=2)
         assert exc.value.report.history == tuple(before)
@@ -620,22 +672,25 @@ def test_residual_pass_names_first_singular_block():
         return K, K, np.array([[p1]]), np.array([[p2]])
 
     ok, d1, d2, both = sweep(-0.5, 1.0), sweep(-1.0, 1.0), sweep(-0.5, -1.0), sweep(-1.0, -1.0)
+    form = qfunction._q_form(sys_, cost)
     # the stacked Delta1 solve fails first in [ok, d2, d1], but sweep d2 comes first
-    for block, name in (([ok, d2, d1], "Delta2"), ([ok, d1, d2], "Delta1"),
-                        ([ok, both], "Delta1")):
-        # the solver's stacks: [K1; K2] (S, 2, 1) and (P1, P2) (S, 2, 1, 1)
+    for block, name, at in (([ok, d2, d1], "Delta2", 6), ([ok, d1, d2], "Delta1", 6),
+                            ([ok, both], "Delta1", 6), ([ok, ok, both], "Delta1", 7)):
+        # the solver's stacks, a block from sweep 5: [K1; K2] (S, 2, 1) and
+        # (P1, P2) (S, 2, 1, 1)
         stacks = np.array(block)
-        with pytest.raises(AttenuationInfeasibleError, match=f"^{name} is singular"):
-            gare._residual_rows(sys_, cost, stacks[:, :2, 0], stacks[:, 2:])
+        with pytest.raises(AttenuationInfeasibleError,
+                           match=f"^{name} is singular: Singular matrix at sweep {at}$"):
+            gare._residual_rows(form, sys_.dims, stacks[:, :2, 0], stacks[:, 2:], 5)
 
 
 def test_residuals_once_per_block(f16, monkeypatch):
     stacks = []
     residuals = gare._residuals
 
-    def spy(sys_, cost, P1, *rest):
-        stacks.append(len(P1))
-        return residuals(sys_, cost, P1, *rest)
+    def spy(form, dims, KK, PP):
+        stacks.append(len(PP))
+        return residuals(form, dims, KK, PP)
 
     monkeypatch.setattr(gare, "_residuals", spy)
     assert solve_coupled_gare(*f16, tol=1e-12, max_iters=10000).iterations == 865
@@ -697,78 +752,6 @@ def test_solver_builds_value_and_gain_pairs_once(f16, monkeypatch):
         counts[report.iterations] = sorted(built)
     assert 865 in counts and len(counts) == 2
     assert all(c == ["GainPair", "ValuePair"] for c in counts.values())
-
-
-_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
-             np.inf, -np.inf, np.nan)
-
-
-def _draw(rng, shape, special):
-    """Normal draws; with special, about 40% of the entries replaced by signed
-    zeros, subnormals, huge values, infinities and NaN."""
-    a = rng.standard_normal(shape)
-    if special:
-        hit = rng.random(shape) < 0.4
-        a[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
-    return a
-
-
-def _sweep_forms(rng, n, m, special):
-    """(form, a, b) for each shape of product of two matrices a sweep makes,
-    a player having m columns; the sweep's instance of each in the comment."""
-    def draw(*shape):
-        return _draw(rng, shape, special)
-
-    K = draw(m, n)
-    return [("row . matrix", draw(m, n), draw(n, n)),            # C1'P1 . A1
-            ("matrix . column", draw(n, n), draw(n, m)),         # Au'P1 . C1, residuals
-            ("row . column", draw(m, n), draw(n, m)),            # C1'P1 . B1
-            ("column . row", draw(n, m), draw(m, n)),            # C1 . K1
-            ("transposed view . matrix", draw(n, m).T, draw(n, n)),  # C1' . P1
-            ("K' . K on one buffer", K.T, K)]                    # K2'K2: syrk
-
-
-class TestProductRules:
-    """The sweep's products of two matrices run on ndarray.dot; their bits
-    against matmul's are pinned here, so a numpy or BLAS upgrade that routes
-    one form to another call fails in this class rather than as a moved
-    solve."""
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_dot_has_matmuls_bits(self, n, m):
-        rng = np.random.default_rng(100 * n + m)
-        for special in (False, True):
-            for _ in range(1000):
-                for form, a, b in _sweep_forms(rng, n, m, special):
-                    with np.errstate(all="ignore"):
-                        got, expect = a.dot(b), a @ b
-                        if a.shape[1] == 1:
-                            # an outer product: matmul is a b + 0.0, dot an
-                            # fma into +0.0, which keeps an underflow's sign
-                            prod = a * b
-                            assert expect.tobytes() == (prod + 0.0).tobytes(), \
-                                f"rule: matmul's {form} with one column is a b + 0.0"
-                            expect = np.where((prod == 0) & (a != 0) & (b != 0), prod, expect)
-                    assert got.tobytes() == expect.tobytes(), \
-                        f"rule: dot's {form} has matmul's bits"
-
-    def test_outer_products_part_only_on_an_underflow(self):
-        a, b = np.array([[5e-324], [1.0]]), np.array([[-0.1, 1.0]])
-        assert np.signbit(a.dot(b)[0, 0]) and not np.signbit((a @ b)[0, 0])
-        assert (a.dot(b)[1:] == (a @ b)[1:]).all()
-        assert gare._mm(a, b).tobytes() == a.dot(b).tobytes()
-
-    def test_mm_is_matmul_on_stacks(self):
-        rng = np.random.default_rng(7)
-        for S, n, m in ((1, 2, 1), (3, 3, 2), (64, 5, 1)):
-            P, K = _draw(rng, (S, n, n), True), _draw(rng, (S, m, n), True)
-            C = _draw(rng, (n, m), True)
-            # the residual pass's C1'P1, C1K1 and K2'K2 on (S, ., .) stacks
-            for a, b in ((C.T, P), (C, K), (np.swapaxes(K, -1, -2), K)):
-                with np.errstate(all="ignore"):
-                    got, expect = gare._mm(a, b), a @ b
-                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def _assert_same_solution(a, b, atol):

@@ -93,17 +93,6 @@ def unreached_public_names(public, sources, readme):
     return sorted(set(public) - read - named)
 
 
-def matmuls_outside(source, allowed):
-    """Top-level functions of the source, other than those allowed, that
-    apply matmul (`@` or `@=`); `<module>` for one outside any function."""
-    found = set()
-    for node in ast.parse(source).body:
-        name = getattr(node, "name", "<module>")
-        if name not in allowed and any(isinstance(n, ast.MatMult) for n in ast.walk(node)):
-            found.add(name)
-    return sorted(found)
-
-
 def call_sites(source, name):
     """The top-level functions of the source, one entry per call of name in
     them (a bare name or an attribute); `<module>` for a call outside any."""
@@ -116,37 +105,18 @@ def call_sites(source, name):
     return found
 
 
-# the functions of the coupled-Riccati sweep (gare and its Q-form core in
-# qfunction) that take (S, ., .) stacks; every other product of two matrices
-# in the sweep is ndarray.dot, at about half matmul's dispatch cost
-GARE_STACK_FUNCTIONS = {"_mm", "_residuals", "_policy_step", "_h_stack", "_sandwich"}
-SWEEP_MODULES = ("gare.py", "qfunction.py")
-
-
-def test_detects_a_matmul_outside_the_allowed_functions():
-    source = ("@dataclass\nclass A:\n    @property\n    def x(self):\n        return 1\n"
-              "def f(a, b):\n    return a @ b\n"
-              "def g(a):\n    a @= a\n    return a.dot(a)\n"
-              "def h(a):\n    return a.dot(a)\n"
-              "X = np.eye(2) @ np.eye(2)\n")
-    assert matmuls_outside(source, {"f"}) == ["<module>", "g"]
-
-
-def test_gare_sweep_products_are_dot():
-    sources = [(PACKAGE / m).read_text() for m in SWEEP_MODULES]
-    # q_value's z'Hz on one vector is no part of the sweep
-    assert [f for src in sources for f in matmuls_outside(src, GARE_STACK_FUNCTIONS)] \
-        == ["q_value"]
-    # each allowed function still takes stacks through matmul
-    assert sorted(f for src in sources for f in matmuls_outside(src, set())) \
-        == sorted(GARE_STACK_FUNCTIONS | {"q_value"})
-
-
 def test_detects_each_call_site():
     source = ("def f(a):\n    return R(a) if a else gare.R(a, a)\n"
               "def g(a):\n    return R\n"
               "X = R(1)\n")
     assert call_sites(source, "R") == ["f", "f", "<module>"]
+
+
+def test_gare_products_are_matmul():
+    # the coupled-Riccati solver and its Q-form core spell every product of
+    # two matrices one way, as matmul: no ndarray.dot call
+    assert [f for m in ("gare.py", "qfunction.py")
+            for f in call_sites((PACKAGE / m).read_text(), "dot")] == []
 
 
 def test_one_solve_report_construction():
@@ -159,11 +129,11 @@ def test_one_solve_report_construction():
 def test_one_gain_system_solve():
     # the solver and the learner read their gains from H through one core:
     # np.linalg.solve runs the stacked gain system in _gain_solve alone,
-    # beside the residuals' two Delta solves and the policy values' Lyapunov
+    # beside the residuals' best responses and the policy values' Lyapunov
     # system
     sites = [(m, f) for m in MODULES for f in call_sites((PACKAGE / m).read_text(), "solve")]
-    assert sites == [("gare.py", "_residuals"), ("gare.py", "_residuals"),
-                     ("gare.py", "_policy_values"), ("qfunction.py", "_gain_solve")]
+    assert sites == [("gare.py", "_best_response"), ("gare.py", "_policy_values"),
+                     ("qfunction.py", "_gain_solve")]
     sites = [(m, f) for m in MODULES
              for f in call_sites((PACKAGE / m).read_text(), "_gain_solve")]
     assert sites == [("gare.py", "_gains"), ("qfunction.py", "_q_gains")]
