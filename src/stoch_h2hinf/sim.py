@@ -12,13 +12,10 @@ SeedSequence per key, NoiseSource hashes a block of _SEED_BLOCK keys at
 once with SeedSequence's pool hash (numpy/random/bit_generator.pyx): the
 seed and tag words, and the key's high words, which every key of a block
 shares, enter as one-element arrays broadcast against the keys' low words.
-PCG64's seeding step (O'Neill, PCG, HMC-CS-2014-0905), two LCG steps mod
-2^128, runs on the whole block as uint64 (hi, lo) limb arrays, each 64x64
--> 128-bit product taken through 32-bit halves; the Python ints numpy's
-state setter takes are built once per key.  A window walks its keys block
-by block, one seed-list lookup per block, and each row only loads its
-(state, inc) into one reused state dict and generator and draws into its
-row.
+The hash yields each key's generate_state(4, uint64) words, and PCG64
+seeds itself from them (O'Neill, PCG, HMC-CS-2014-0905): a row's generator
+is built on an ISeedSequence that hands PCG64 the row's four words.  A
+window walks its keys block by block, one word-array lookup per block.
 
 simulate_to_csv steps the closed loop one chunk of _CHUNK steps at a time,
 one kernel call each, given the state before the chunk's first so that a
@@ -36,6 +33,7 @@ when a process with more than one thread forks (a multi-threaded BLAS
 counts).
 """
 
+import functools
 import gc
 import os
 import pickle
@@ -53,14 +51,12 @@ _TAG_RUN = 0x51B3
 
 _CHUNK = 16 * _kernels._BLOCK  # steps simulated, and rows formatted, per pass
 
-# SeedSequence's hash constants (default pool of four words) and PCG64's
-# 128-bit multiplier
+# SeedSequence's hash constants (default pool of four words)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MASK32, _LO32 = (1 << 32) - 1, np.uint64((1 << 32) - 1)
+_MASK32 = (1 << 32) - 1
 _SEED_BLOCK = 512  # derived-stream keys hashed per vectorized pass
 
 
@@ -89,36 +85,13 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _mul64(a, b):
-    """(hi, lo) uint64 words of the 128-bit products a b of uint64 arrays,
-    from the four products of their 32-bit halves."""
-    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _LO32, b >> 32, b & _LO32
-    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    mid = (ll >> 32) + (lh & _LO32) + (hl & _LO32)  # below 3 * 2^32: no wrap
-    hi = a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    return hi, mid << 32 | ll & _LO32
-
-
-def _add128(a, b):
-    """a + b mod 2^128 of (hi, lo) uint64 limb pairs."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
-
-
-def _pcg_step(s, inc):
-    """s * MULT + inc mod 2^128, PCG64's LCG step, on (hi, lo) limbs:
-    the low limbs' full product plus the two cross products' low words."""
-    hi, lo = _mul64(s[1], _PCG_MULT_LO)
-    hi = hi + s[1] * _PCG_MULT_HI + s[0] * _PCG_MULT_LO
-    return _add128((hi, lo), inc)
-
-
-def _pcg_seeds(entropy):
-    """PCG64 (state, inc) of default_rng(SeedSequence(e)) for each row e.
+def _seed_words(entropy):
+    """SeedSequence(e).generate_state(4, uint64) for each row e, as one
+    C-ordered (rows, 4) uint64 array.
 
     entropy holds one uint32 array per entropy word, one entry per row or
     one entry that every row shares: the rows' assembled entropy, broadcast.
-    All rows are hashed, and seeded, at once.
+    All rows are hashed at once.
     """
     h = _INIT_A
     pool = []
@@ -135,19 +108,29 @@ def _pcg_seeds(entropy):
         for dst in range(_POOL):
             word, h = _hash(extra, h, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
-    # generate_state(4, uint64): eight words cycled from the pool, paired
-    # little-endian into (initstate hi, lo, initseq hi, lo)
+    # eight words cycled from the pool, paired little-endian into uint64s
     h, words = _INIT_B, []
     for i in range(8):
         word, h = _hash(pool[i % _POOL], h, _MULT_B)
         words.append(word.astype(np.uint64))
-    s_hi, s_lo, q_hi, q_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-    # PCG64's srandom: two LCG steps from state 0, initstate added between,
-    # so the state is (initstate + inc) * MULT + inc, inc = initseq << 1 | 1
-    inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
-    state = _pcg_step(_add128((s_hi, s_lo), inc), inc)
-    return [(s_h << 64 | s_l, i_h << 64 | i_l)
-            for s_h, s_l, i_h, i_l in zip(*(a.tolist() for a in (*state, *inc)))]
+    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+@functools.cache
+def _hashed():
+    """The ISeedSequence whose generate_state returns the words it holds:
+    PCG64 seeds itself from a SeedSequence's words hashed beforehand.  Made
+    on first use, so that importing the package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Hashed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Hashed
 
 
 @dataclass
@@ -165,9 +148,7 @@ class NoiseSource:
         self._rng = np.random.default_rng(
             np.random.SeedSequence((int(self.seed), _TAG_MAIN))
         )
-        # derived streams: one generator reseeded per key, and the PCG64
-        # seeds of the last two key blocks hashed
-        self._derived = np.random.Generator(np.random.PCG64(0))
+        # the generate_state words of the last two derived-key blocks hashed
         self._blocks = {}
 
     def draw(self, count=1):
@@ -175,7 +156,8 @@ class NoiseSource:
         return self._rng.standard_normal(int(count))
 
     def _block_seeds(self, tag, block):
-        """PCG64 (state, inc) for keys block * _SEED_BLOCK onward, hashed once."""
+        """generate_state(4, uint64) words, one row per key, of keys
+        block * _SEED_BLOCK onward, hashed once."""
         cache_key = (int(self.seed), tag, block)
         if cache_key not in self._blocks:
             first = block * _SEED_BLOCK
@@ -188,25 +170,22 @@ class NoiseSource:
             entropy += [np.array([w], dtype=np.uint32) for w in high]
             if len(self._blocks) >= 2:
                 del self._blocks[next(iter(self._blocks))]
-            self._blocks[cache_key] = _pcg_seeds(entropy)
+            self._blocks[cache_key] = _seed_words(entropy)
         return self._blocks[cache_key]
 
     def _window(self, tag, key, rows, count):
-        """(rows, count) draws; row t is default_rng(SeedSequence((seed, tag, key + t)))'s."""
+        """(rows, count) draws; row t is default_rng(SeedSequence((seed, tag, key + t)))'s,
+        drawn by a PCG64 seeded from the key's hashed words."""
         key, rows, count = int(key), int(rows), int(count)
         out = np.empty((rows, count))
-        bitgen, normal = self._derived.bit_generator, self._derived.standard_normal
-        # one state dict, refilled per row; one seed-list lookup per block
-        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-        pcg = state["state"]
+        hashed, generator, pcg64 = _hashed(), np.random.Generator, np.random.PCG64
         t = 0
         while t < rows:
             block, i = divmod(key + t, _SEED_BLOCK)
             take = min(rows - t, _SEED_BLOCK - i)
-            seeds = self._block_seeds(tag, block)[i:i + take]
-            for row, (pcg["state"], pcg["inc"]) in zip(out[t:t + take], seeds):
-                bitgen.state = state
-                normal(out=row)
+            words = self._block_seeds(tag, block)[i:i + take]
+            for row, w in zip(out[t:t + take], words):
+                generator(pcg64(hashed(w))).standard_normal(out=row)
             t += take
         return out
 

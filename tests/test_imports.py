@@ -225,9 +225,10 @@ def test_star_import_binds_no_module():
 
 def test_import_loads_no_process_pool():
     # the benchmark's setup_s times the import: the trajectory writer forks
-    # with os.fork and a pipe, and the package loads no process machinery
-    heavy = ("multiprocessing", "concurrent.futures", "subprocess")
-    code = ("import sys, stoch_h2hinf\n"
+    # with os.fork and a pipe, the package loads no process machinery, and
+    # numpy.random waits for the first noise source
+    heavy = ("multiprocessing", "concurrent.futures", "subprocess", "numpy.random")
+    code = ("import sys, stoch_h2hinf, stoch_h2hinf.cli\n"
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
     paths = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))

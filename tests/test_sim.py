@@ -118,25 +118,21 @@ class TestNoiseSource:
         assert ns.branch_window(600, 2, 3).tobytes() == _numpy_rows(
             seed, _TAG_BRANCH, 600, 2, 3).tobytes()
 
-    def test_seeding_step_on_limbs_is_pythons(self):
-        # PCG64's seeding step (s + inc) * MULT + inc mod 2^128 on uint64
-        # (hi, lo) limbs, against Python ints: all zeros, all ones, a carry
-        # out of the low limb of the sum and of the products' halves
-        mult, top = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
-        edges = [0, 1, top, 2**64 - 1, 2**64, top - (2**64 - 1), 2**127,
-                 2**64 + 2**32 - 1, 0xFFFFFFFF00000000FFFFFFFF00000000]
-        rng = np.random.default_rng(35)
-        edges += [int.from_bytes(rng.bytes(16), "little") for _ in range(20)]
-        pairs = [(s, inc) for s in edges for inc in edges]
-
-        def limbs(values):
-            return (np.array([v >> 64 for v in values], dtype=np.uint64),
-                    np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
-
-        s, inc = (limbs(v) for v in zip(*pairs))
-        hi, lo = sim_module._pcg_step(sim_module._add128(s, inc), inc)
-        got = [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
-        assert got == [((s + inc) * mult + inc) & top for s, inc in pairs]
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**64 + 5, 2**100 + 9, 2**140])
+    def test_block_words_are_seedsequences(self, seed):
+        # the hand-off to PCG64: each row of a hashed block is the key's
+        # SeedSequence generate_state(4, uint64), for seeds of one to five
+        # words and for the blocks on either side of 2^32 and 2^64, whose
+        # last and first keys change the key's word count
+        block = sim_module._SEED_BLOCK
+        ns = NoiseSource(seed)
+        for tag in (_TAG_BRANCH, _TAG_RUN):
+            for first in (0, 2**32 - block, 2**32, 2**64 - block, 2**64):
+                words = ns._block_seeds(tag, first // block)
+                assert words.dtype == np.uint64 and words.flags.c_contiguous
+                expect = [np.random.SeedSequence((seed, tag, first + i)).generate_state(
+                    4, np.uint64) for i in range(block)]
+                assert words.tobytes() == np.array(expect).tobytes()
 
     def test_negative_seed_or_key_rejected_like_seedsequence(self):
         for entropy in ((-1, 0), (3, _TAG_BRANCH, -1)):
